@@ -22,8 +22,10 @@
 //
 // Usage: table1_operator [-m 12] [-reps 20] [-contrast 1e4]
 //                        [-op_batch_width 8] [-orders 2,3,4] [-smoke]
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
@@ -38,14 +40,33 @@ using namespace ptatin;
 
 namespace {
 
-/// Average apply time over `reps` repetitions (after one warm-up apply,
-/// which for Asmb also covers assembly).
-double time_apply(const ViscousOperatorBase& op, const Vector& x, Vector& y,
-                  int reps) {
+struct ApplyTiming {
+  double median = 0.0; ///< seconds per apply
+  double iqr = 0.0;    ///< interquartile range of the per-apply times
+};
+
+/// Linearly interpolated quantile q in [0, 1] of an ascending sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * double(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - double(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+/// Times each of `reps` applies separately (after one warm-up apply, which
+/// for Asmb also covers assembly) and reports their median and spread, so
+/// one slow apply cannot skew a row.
+ApplyTiming time_apply(const ViscousOperatorBase& op, const Vector& x,
+                       Vector& y, int reps) {
   op.apply(x, y);
-  Timer t;
-  for (int r = 0; r < reps; ++r) op.apply(x, y);
-  return t.seconds() / reps;
+  std::vector<double> sec(reps);
+  for (double& s : sec) {
+    Timer t;
+    op.apply(x, y);
+    s = t.seconds();
+  }
+  std::sort(sec.begin(), sec.end());
+  return {quantile(sec, 0.5), quantile(sec, 0.75) - quantile(sec, 0.25)};
 }
 
 Vector random_input(Index n) {
@@ -66,6 +87,10 @@ int main(int argc, char** argv) {
   const bool smoke = opts.get_bool("smoke", false);
   std::vector<Index> orders = {2, 3, 4};
   if (opts.has("orders")) orders = opts.get_index_list("orders");
+  if (reps < 1) {
+    std::fprintf(stderr, "error: -reps must be >= 1\n");
+    return 2;
+  }
   if (batch_width != 0 && !is_batch_width(batch_width)) {
     std::fprintf(stderr, "error: -op_batch_width must be 0, 4, or 8\n");
     return 2;
@@ -79,7 +104,8 @@ int main(int argc, char** argv) {
   bench::banner(
       "Table I: viscous operator application cost (paper: SC14 Table I)");
   std::printf("mesh %lld^3 Q2 elements (%lld velocity dofs), viscosity "
-              "contrast %.1e, %d applications per backend\n\n",
+              "contrast %.1e, %d separately timed applications per backend "
+              "(median reported)\n\n",
               (long long)m, (long long)(3 * (2 * m + 1) * (2 * m + 1) *
                                         (2 * m + 1)),
               contrast, reps);
@@ -141,7 +167,8 @@ int main(int argc, char** argv) {
   for (auto& row : rows_ops) {
     ViscousOperatorBase& op = *row.op;
     const Vector x = random_input(op.rows());
-    const double sec = time_apply(op, x, y, reps);
+    const ApplyTiming timing = time_apply(op, x, y, reps);
+    const double sec = timing.median;
     if (op.name() == "Asmb") asmb_time = sec;
 
     const OperatorCostModel cm = op.cost_model();
@@ -164,6 +191,7 @@ int main(int argc, char** argv) {
     jrow["bytes_pessimal"] = obs::JsonValue(cm.bytes_pessimal);
     jrow["bytes_perfect"] = obs::JsonValue(cm.bytes_perfect);
     jrow["apply_seconds"] = obs::JsonValue(sec);
+    jrow["apply_seconds_iqr"] = obs::JsonValue(timing.iqr);
     jrow["gflops_per_sec"] =
         obs::JsonValue(cm.flops_per_element * nel / sec * 1e-9);
     jrow["speedup_vs_asmb"] =
@@ -210,8 +238,8 @@ int main(int argc, char** argv) {
     const auto via_registry = make_viscous_backend(s2, mesh, coeff, &bc);
     const TensorViscousOperator direct(mesh, coeff, &bc);
     const Vector x2 = random_input(direct.rows());
-    const double t_reg = time_apply(*via_registry, x2, y, reps);
-    const double t_dir = time_apply(direct, x2, y, reps);
+    const double t_reg = time_apply(*via_registry, x2, y, reps).median;
+    const double t_dir = time_apply(direct, x2, y, reps).median;
     std::printf("  k=2 tens: registry %.3f ms vs direct %.3f ms\n",
                 t_reg * 1e3, t_dir * 1e3);
     if (t_reg > 1.5 * t_dir) {
@@ -232,8 +260,8 @@ int main(int argc, char** argv) {
         KernelRegistry::instance().resolve_fallback(s3);
     const auto gen3 = fb.factory(s3, mesh, coeff, nullptr);
     const Vector x3 = random_input(tens3->rows());
-    const double t_tens3 = time_apply(*tens3, x3, y, reps);
-    const double t_gen3 = time_apply(*gen3, x3, y, reps);
+    const double t_tens3 = time_apply(*tens3, x3, y, reps).median;
+    const double t_gen3 = time_apply(*gen3, x3, y, reps).median;
     std::printf("  k=3: tensor %.3f ms vs generic fallback %.3f ms\n",
                 t_tens3 * 1e3, t_gen3 * 1e3);
     if (t_tens3 >= t_gen3) {

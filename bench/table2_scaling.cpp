@@ -30,7 +30,6 @@
 //
 // Usage: table2_scaling [-grids 8,12,16] [-contrast 1e4] [-rtol 1e-5]
 //        table2_scaling -grids 16 -decomp 1x1x1,2x2x1,2x2x2 [-applies 40]
-//                       [-transport memory|process]
 //                       [-scrub_every N] [-sentinel_every N]
 //        table2_scaling -micro [-m 16] [-repeats 5] [-applies 200]
 #include "bench_common.hpp"
@@ -44,7 +43,6 @@
 #include "ptatin/config.hpp"
 #include "ptatin/models_sinker.hpp"
 #include "saddle/stokes_solver.hpp"
-#include "transport/transport.hpp"
 
 using namespace ptatin;
 
@@ -59,12 +57,6 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
   // -solve false: raw-apply timing only (the CI perf smoke skips the full
   // solves; the iteration-identity smoke keeps them).
   const bool do_solve = opts.get_bool("solve", true);
-  // -transport process: route every halo exchange through forked worker
-  // processes (docs/TRANSPORT.md) so the sweep also measures the framed
-  // socketpair fabric against the zero-copy in-memory baseline.
-  transport::TransportOptions topts;
-  topts.kind =
-      transport::parse_transport_kind(opts.get_string("transport", "memory"));
   // SDC hardening cadences (0 = off): scrub_every is applied per timed
   // apply (CRC sweep of the sealed input) and turns on operator sealing in
   // the solve; sentinel_every flows into the solve's Krylov settings.
@@ -79,10 +71,8 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
 
   bench::banner("Table II (decomposition sweep): fine-level apply and solve "
                 "vs subdomain shape");
-  std::printf("threads: %d, raw applies timed per shape: %d, transport: %s, "
-              "sdc: %s\n\n",
-              num_threads(), n_applies, transport::to_string(topts.kind),
-              sdc_label);
+  std::printf("threads: %d, raw applies timed per shape: %d, sdc: %s\n\n",
+              num_threads(), n_applies, sdc_label);
 
   bench::Table tab({"Grid", "Decomp", "SDC", "Apply(s)", "HaloMB", "Its",
                     "FinalRes", "Solve(s)"});
@@ -113,11 +103,6 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
       // decomposition's thread scaling from the kernel itself.
       auto eng = std::make_unique<SubdomainEngine>(mesh, shape[0], shape[1],
                                                    shape[2]);
-      std::unique_ptr<transport::Transport> tr;
-      if (topts.kind != transport::TransportKind::kMemory) {
-        tr = transport::make_transport(topts);
-        eng->set_transport(tr.get());
-      }
 
       auto op = make_viscous_backend(
           KernelSpec{.type = FineOperatorType::kTensor, .engine = eng.get()}, mesh,
@@ -189,14 +174,6 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
       row["levels"] = obs::JsonValue(levels);
       row["scrub_every"] = obs::JsonValue(scrub_every);
       row["sentinel_every"] = obs::JsonValue(sentinel_every);
-      row["transport"] = obs::JsonValue(transport::to_string(topts.kind));
-      if (tr) {
-        const transport::TransportStats ts = tr->stats();
-        row["transport_frames_sent"] = obs::JsonValue(ts.frames_sent);
-        row["transport_bytes_sent"] = obs::JsonValue(ts.bytes_sent);
-        row["transport_retransmits"] = obs::JsonValue(ts.retransmits);
-        row["transport_worker_restarts"] = obs::JsonValue(ts.worker_restarts);
-      }
       row["solved"] = obs::JsonValue(do_solve);
       row["iterations"] = obs::JsonValue(res.stats.iterations);
       row["converged"] = obs::JsonValue(res.stats.converged);
@@ -213,7 +190,6 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
   obs::JsonValue run = obs::JsonValue::object();
   run["grids"] = obs::JsonValue(opts.get_string("grids", "8,12"));
   run["decomp"] = obs::JsonValue(opts.get_string("decomp", ""));
-  run["transport"] = obs::JsonValue(transport::to_string(topts.kind));
   run["scrub_every"] = obs::JsonValue(scrub_every);
   run["sentinel_every"] = obs::JsonValue(sentinel_every);
   run["contrast"] = obs::JsonValue(contrast);

@@ -109,8 +109,6 @@ int main(int argc, char** argv) {
                 "  2  usage error (bad -model, malformed -faults, ...)\n"
                 "  3  checkpoint/restart failure\n"
                 "  4  health-check failure\n"
-                "  5  transport failure (workers dead beyond "
-                "-max_worker_restarts)\n"
                 "  6  silent data corruption (seal/sentinel detection no "
                 "snapshot could heal)\n",
                 Options::help_text().c_str());
@@ -254,9 +252,7 @@ int main(int argc, char** argv) {
                      s, why.c_str());
         outcome = sdc::is_sdc_failure(why) ? DriverExit::kSdcFailure
                   : why.rfind("health:", 0) == 0 ? DriverExit::kHealthFailure
-                  : why.rfind("transport:", 0) == 0
-                      ? DriverExit::kTransportFailure
-                      : DriverExit::kSolverFailure;
+                                                 : DriverExit::kSolverFailure;
         break;
       }
     } else {
@@ -326,26 +322,6 @@ int main(int argc, char** argv) {
                                   std::to_string(dshape[1]) + "x" +
                                   std::to_string(dshape[2]));
     report.set_meta("driver", "ptatin_driver");
-    report.set_meta("transport", o.get_string("transport", "memory"));
-    if (const transport::Transport* t = ctx.transport(); t != nullptr) {
-      const transport::TransportStats ts = t->stats();
-      obs::TransportRecord tr;
-      tr.backend = ts.backend;
-      tr.workers = ts.workers;
-      tr.frames_sent = ts.frames_sent;
-      tr.frames_received = ts.frames_received;
-      tr.bytes_sent = ts.bytes_sent;
-      tr.bytes_received = ts.bytes_received;
-      tr.crc_rejected = ts.crc_rejected;
-      tr.reordered = ts.reordered;
-      tr.duplicates_dropped = ts.duplicates_dropped;
-      tr.retransmits = ts.retransmits;
-      tr.timeouts = ts.timeouts;
-      tr.worker_restarts = ts.worker_restarts;
-      tr.degraded_deliveries = ts.degraded_deliveries;
-      tr.degraded = ts.degraded;
-      report.set_transport(tr);
-    }
     if (obs::write_telemetry(telemetry_dir)) {
       std::printf("telemetry written: %s/{trace.json,solver_report.json}\n",
                   telemetry_dir.c_str());

@@ -74,10 +74,6 @@ const std::vector<SiteInfo>& FaultInjector::known_sites() {
       {"checkpoint.torn_write", "truncate a published checkpoint file"},
       {"checkpoint.bitflip", "flip one checkpoint payload bit post-CRC"},
       {"health.field_nan", "poison one velocity entry before a health pass"},
-      {"transport.drop", "drop one transport frame"},
-      {"transport.truncate", "truncate one transport frame"},
-      {"transport.delay", "delay one transport frame past the timeout"},
-      {"transport.worker_kill", "SIGKILL one transport worker"},
       {"sdc.field_bitflip", "flip a low mantissa bit of a sealed field"},
       {"sdc.particle_bitflip", "flip a low mantissa bit of a particle slab"},
       {"sdc.matrix_bitflip", "flip a bit in a sealed operator matrix"},

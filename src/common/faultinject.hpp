@@ -3,9 +3,7 @@
 // Solver code marks fault *sites* — named points where a failure can be
 // injected ("ksp.rnorm", "ksp.breakdown", "nonlin.rnorm", "checkpoint.write",
 // "checkpoint.read", "checkpoint.torn_write", "checkpoint.bitflip",
-// "health.field_nan", the transport sites "transport.drop",
-// "transport.truncate", "transport.delay", "transport.worker_kill"
-// (docs/TRANSPORT.md), and the silent-data-corruption sites
+// "health.field_nan", and the silent-data-corruption sites
 // "sdc.field_bitflip", "sdc.particle_bitflip", "sdc.matrix_bitflip",
 // "sdc.krylov_drift" — docs/ROBUSTNESS.md). The compiled-in site catalogue
 // is enumerable via known_sites() (the chaos campaign sweeps it) and specs

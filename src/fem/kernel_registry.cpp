@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -222,20 +220,5 @@ std::string KernelRegistry::nearest_keys_message(const KernelSpec& spec,
   }
   return os.str();
 }
-
-namespace detail {
-void warn_deprecated_field(const char* field, const char* replacement) {
-  // One warning per (field, replacement) pair per process: enough to flag
-  // the migration without spamming option-struct-heavy test suites.
-  static std::set<std::pair<std::string, std::string>> warned;
-  static std::mutex mu;
-  std::lock_guard<std::mutex> lock(mu);
-  if (!warned.emplace(field, replacement).second) return;
-  std::fprintf(stderr,
-               "[ptatin] warning: option field '%s' is deprecated; set '%s' "
-               "on the embedded KernelSpec instead\n",
-               field, replacement);
-}
-} // namespace detail
 
 } // namespace ptatin

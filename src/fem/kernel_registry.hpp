@@ -189,52 +189,4 @@ public:
       ::ptatin::FineOperatorType::type, width, ::ptatin::EngineMode::mode, \
       lo, hi, factory)
 
-// ---------------------------------------------------------------------------
-// Deprecated-field shim for the KernelSpec migration.
-//
-// StokesSolverOptions::backend/batch_width/decomp and GmgOptions::fine_type/
-// batch_width/fine_decomp are now views onto the embedded KernelSpec. Each
-// shim stores only its byte offset to the target member, so struct copies
-// rebind automatically and the aggregate keeps value semantics. Writing
-// through a shim forwards to the KernelSpec field and logs a one-time
-// deprecation warning naming the replacement; reads are silent.
-// ---------------------------------------------------------------------------
-
-namespace detail {
-void warn_deprecated_field(const char* field, const char* replacement);
-} // namespace detail
-
-template <class T>
-class DeprecatedKernelField {
-public:
-  DeprecatedKernelField(T* target, const char* name, const char* replacement)
-      : offset_(reinterpret_cast<const char*>(target) -
-                reinterpret_cast<const char*>(this)),
-        name_(name), repl_(replacement) {}
-
-  operator T() const { return *target(); }
-  DeprecatedKernelField& operator=(const T& v) {
-    detail::warn_deprecated_field(name_, repl_);
-    *target() = v;
-    return *this;
-  }
-  /// Copying the *field* copies only the offset (identical across instances
-  /// of the owning struct); the pointed-to value lives in the KernelSpec and
-  /// is copied by the owning struct's own member-wise copy.
-  DeprecatedKernelField(const DeprecatedKernelField& o)
-      : offset_(o.offset_), name_(o.name_), repl_(o.repl_) {}
-  DeprecatedKernelField& operator=(const DeprecatedKernelField&) {
-    return *this; // target value is copied via the KernelSpec member
-  }
-
-private:
-  T* target() const {
-    return reinterpret_cast<T*>(
-        const_cast<char*>(reinterpret_cast<const char*>(this) + offset_));
-  }
-  std::ptrdiff_t offset_;
-  const char* name_;
-  const char* repl_;
-};
-
 } // namespace ptatin

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "transport/memory.hpp"
 
 namespace ptatin {
 
@@ -15,9 +14,6 @@ SubdomainEngine::SubdomainEngine(const StructuredMesh& mesh,
                     decomp_.mz() == mesh.mz(),
                 "decomposition was built for a different mesh");
   build(mesh);
-  default_transport_ = std::make_unique<transport::InMemoryTransport>();
-  transport_ = default_transport_.get();
-  register_channels();
   auto& m = obs::MetricsRegistry::instance();
   c_applies_ = &m.counter("decomp.applies");
   c_sent_ = &m.counter("decomp.halo_bytes_sent");
@@ -85,7 +81,7 @@ void SubdomainEngine::build_plan(const StructuredMesh& mesh, Index rank,
         }
       }
   for (auto& [nbr, ids] : ghost_by_owner)
-    plan.send.push_back(Link{nbr, -1, std::move(ids)});
+    plan.send.push_back(Link{nbr, std::move(ids)});
 }
 
 void SubdomainEngine::build(const StructuredMesh& mesh) {
@@ -131,30 +127,6 @@ void SubdomainEngine::build(const StructuredMesh& mesh) {
         (which == kNodeLattice ? node_halo_points_ : vert_halo_points_) += n;
       }
     }
-}
-
-void SubdomainEngine::set_transport(transport::Transport* t) {
-  transport_ = t != nullptr ? t : default_transport_.get();
-  register_channels();
-}
-
-void SubdomainEngine::register_channels() {
-  // Channel ids are assigned in a fixed order — lattice-major, then source
-  // rank ascending, then link order (itself ascending by neighbor) — so the
-  // same decomposition always yields the same channel table on any backend.
-  std::vector<transport::ChannelDesc> descs;
-  for (Lattice which : {kNodeLattice, kVertexLattice})
-    for (Index src = 0; src < num_subdomains(); ++src) {
-      Plan& plan = which == kNodeLattice ? subs_[src].node : subs_[src].vert;
-      for (Link& link : plan.send) {
-        link.channel = static_cast<Index>(descs.size());
-        // Headroom for any ncomp up to 4 (velocity uses 3, projections 2):
-        // channels are sized once, independent of the apply's ncomp.
-        descs.push_back(transport::ChannelDesc{
-            src, link.nbr, link.ids.size() * static_cast<std::size_t>(4)});
-      }
-    }
-  transport_->configure(num_subdomains(), descs);
 }
 
 void SubdomainEngine::ensure_capacity(Lattice which, int ncomp) const {

@@ -40,20 +40,10 @@
 // The engine is not reentrant: concurrent apply_nodes/accumulate_vertices
 // calls on one engine would race on the scratch slabs. Solver applies are
 // serialized by the Krylov loop, so this never occurs in practice.
-// The halo bytes themselves travel through a pluggable transport::Transport
-// (docs/TRANSPORT.md): the default in-memory backend reproduces the direct
-// buffer handoff above bitwise (post publishes the send buffer's pointer,
-// collect returns it), while set_transport() can route the same packed bytes
-// through the multi-process backend — forked worker processes with CRC
-// framing, heartbeats, and crash-isolated restart — without changing a
-// single accumulated bit.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -62,7 +52,6 @@
 #include "common/types.hpp"
 #include "fem/decomposition.hpp"
 #include "fem/mesh.hpp"
-#include "transport/transport.hpp"
 
 namespace ptatin {
 
@@ -116,12 +105,6 @@ public:
   /// Halo lattice points exchanged per protocol execution (node lattice).
   Index halo_points_per_exchange() const { return node_halo_points_; }
 
-  /// Route halo payloads through `t` (borrowed; must outlive the engine).
-  /// The engine registers its channel table on `t` immediately. Passing
-  /// nullptr restores the built-in in-memory transport.
-  void set_transport(transport::Transport* t);
-  transport::Transport* transport() const { return transport_; }
-
   /// Run the per-element kernel `fn(e, w)` over every element, subdomains in
   /// parallel, scattering into the ncomp-interleaved scratch slab `w`
   /// (w[ncomp*point + c]; for velocity ncomp = 3 this is exactly the
@@ -172,7 +155,6 @@ private:
 
   struct Link {
     Index nbr = 0;            ///< destination rank (always "upper")
-    Index channel = -1;       ///< transport channel id of this link
     std::vector<Index> ids;   ///< ghost lattice points, ascending
   };
   struct Recv {
@@ -199,9 +181,6 @@ private:
                   Plan& plan) const;
   void ensure_capacity(Lattice which, int ncomp) const;
   void note_apply(Lattice which, int ncomp) const;
-  /// Assign channel ids to every send link (both lattices, deterministic
-  /// order) and register the channel table on the active transport.
-  void register_channels();
 
   const Plan& plan_of(const Sub& sub, Lattice which) const {
     return which == kNodeLattice ? sub.node : sub.vert;
@@ -213,12 +192,6 @@ private:
   }
 
   /// The two-phase pack -> exchange -> accumulate protocol (header comment).
-  /// Delivery is delegated to the transport: phase 0 packs each link's send
-  /// buffer and post()s it; phase 1 collect()s the delivered bytes (for the
-  /// in-memory backend that is the very same buffer — bitwise identical to
-  /// the pre-transport direct read). A transport failure inside the parallel
-  /// region is captured and rethrown after the region so it can cross the
-  /// OpenMP boundary as a normal exception.
   template <class PrePack, class PostPack>
   void run(Lattice which, int ncomp, Real* y, PrePack&& pre,
            PostPack&& post) const {
@@ -226,72 +199,58 @@ private:
     std::vector<Buffers>& bufs =
         which == kNodeLattice ? node_buf_ : vert_buf_;
     const Index S = num_subdomains();
-    transport_->begin_epoch();
-    std::exception_ptr error;
-    std::mutex error_mu;
     parallel_for_phased(
         2, [S](int) { return S; },
         [&](int phase, Index s) {
-          try {
-            const Sub& sub = subs_[s];
-            const Plan& plan = plan_of(sub, which);
-            Buffers& buf = bufs[s];
-            Real* w = buf.scratch.data();
-            if (phase == 0) {
-              for (Index id : plan.touched) {
-                Real* p = w + id * ncomp;
-                for (int c = 0; c < ncomp; ++c) p[c] = 0.0;
-              }
-              Timer tb;
-              pre(s, w);
-              const double bsec = tb.seconds();
-              // Pack ("post the sends") BEFORE the interior sweep: once the
-              // phase barrier passes, receivers drain these buffers — the
-              // exchange is in flight while interior elements compute.
-              Timer tp;
-              for (std::size_t li = 0; li < plan.send.size(); ++li) {
-                Real* sb = buf.send[li].data();
-                std::size_t k = 0;
-                for (Index id : plan.send[li].ids)
-                  for (int c = 0; c < ncomp; ++c) sb[k++] = w[id * ncomp + c];
-                transport_->post(plan.send[li].channel, sb,
-                                 plan.send[li].ids.size() *
-                                     static_cast<std::size_t>(ncomp));
-              }
-              const double psec = tp.seconds();
-              Timer ti;
-              post(s, w);
-              add_ns(boundary_ns_, bsec);
-              add_ns(exchange_ns_, psec);
-              add_ns(interior_ns_, ti.seconds());
-            } else {
-              Timer tu;
-              // Owned write-back: regions are disjoint across subdomains.
-              for (Index id : plan.owned) {
-                const Real* p = w + id * ncomp;
-                Real* yp = y + id * ncomp;
-                for (int c = 0; c < ncomp; ++c) yp[c] = p[c];
-              }
-              // Receive accumulation in ascending source-rank order (fixed —
-              // part of the bitwise-per-shape determinism guarantee).
-              for (const Recv& r : plan.recv) {
-                const Link& l = plan_of(subs_[r.src], which).send[r.link];
-                const Real* sb = transport_->collect(
-                    l.channel,
-                    l.ids.size() * static_cast<std::size_t>(ncomp));
-                std::size_t k = 0;
-                for (Index id : l.ids)
-                  for (int c = 0; c < ncomp; ++c)
-                    y[id * ncomp + c] += sb[k++];
-              }
-              add_ns(exchange_ns_, tu.seconds());
+          const Sub& sub = subs_[s];
+          const Plan& plan = plan_of(sub, which);
+          Buffers& buf = bufs[s];
+          Real* w = buf.scratch.data();
+          if (phase == 0) {
+            for (Index id : plan.touched) {
+              Real* p = w + id * ncomp;
+              for (int c = 0; c < ncomp; ++c) p[c] = 0.0;
             }
-          } catch (...) {
-            std::lock_guard<std::mutex> g(error_mu);
-            if (!error) error = std::current_exception();
+            Timer tb;
+            pre(s, w);
+            const double bsec = tb.seconds();
+            // Pack ("post the sends") BEFORE the interior sweep: once the
+            // phase barrier passes, receivers drain these buffers — the
+            // exchange is in flight while interior elements compute.
+            Timer tp;
+            for (std::size_t li = 0; li < plan.send.size(); ++li) {
+              Real* sb = buf.send[li].data();
+              std::size_t k = 0;
+              for (Index id : plan.send[li].ids)
+                for (int c = 0; c < ncomp; ++c) sb[k++] = w[id * ncomp + c];
+            }
+            const double psec = tp.seconds();
+            Timer ti;
+            post(s, w);
+            add_ns(boundary_ns_, bsec);
+            add_ns(exchange_ns_, psec);
+            add_ns(interior_ns_, ti.seconds());
+          } else {
+            Timer tu;
+            // Owned write-back: regions are disjoint across subdomains.
+            for (Index id : plan.owned) {
+              const Real* p = w + id * ncomp;
+              Real* yp = y + id * ncomp;
+              for (int c = 0; c < ncomp; ++c) yp[c] = p[c];
+            }
+            // Receive accumulation in ascending source-rank order (fixed —
+            // part of the bitwise-per-shape determinism guarantee): read
+            // each lower neighbor's packed send buffer directly.
+            for (const Recv& r : plan.recv) {
+              const Link& l = plan_of(subs_[r.src], which).send[r.link];
+              const Real* sb = bufs[r.src].send[r.link].data();
+              std::size_t k = 0;
+              for (Index id : l.ids)
+                for (int c = 0; c < ncomp; ++c) y[id * ncomp + c] += sb[k++];
+            }
+            add_ns(exchange_ns_, tu.seconds());
           }
         });
-    if (error) std::rethrow_exception(error);
     note_apply(which, ncomp);
   }
 
@@ -302,9 +261,6 @@ private:
 
   mutable std::vector<Buffers> node_buf_, vert_buf_;
   mutable int node_ncomp_ = 0, vert_ncomp_ = 0;
-
-  std::unique_ptr<transport::Transport> default_transport_;
-  transport::Transport* transport_ = nullptr; ///< active (borrowed) backend
 
   mutable std::atomic<long long> applies_{0};
   mutable std::atomic<long long> bytes_sent_{0}, bytes_recv_{0};

@@ -57,16 +57,6 @@ struct GmgOptions {
   /// plans only match the finest element grid). The hierarchy requires
   /// order == 2 (coarsening/BC layers are tied to the Q2 lattice).
   KernelSpec fine_kernel;
-
-  /// Deprecated views onto `fine_kernel` (one-time warning on write). Use
-  /// fine_kernel.type / fine_kernel.batch_width / fine_kernel.engine.
-  DeprecatedKernelField<FineOperatorType> fine_type{
-      &fine_kernel.type, "GmgOptions::fine_type", "fine_kernel.type"};
-  DeprecatedKernelField<int> batch_width{
-      &fine_kernel.batch_width, "GmgOptions::batch_width",
-      "fine_kernel.batch_width"};
-  DeprecatedKernelField<const SubdomainEngine*> fine_decomp{
-      &fine_kernel.engine, "GmgOptions::fine_decomp", "fine_kernel.engine"};
   CoarseOperatorType coarse_type = CoarseOperatorType::kGalerkin;
   int smooth_pre = 2;  ///< V(2,2) by default (§IV-A)
   int smooth_post = 2;

@@ -1,90 +1,22 @@
 #include "mpm/exchanger.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "common/error.hpp"
 #include "fem/point_location.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
-#include "transport/memory.hpp"
 
 namespace ptatin {
 
 namespace {
 
-// Envelope wire format (little-endian):
-//   u64 count
-//   count x { u32 id, f64 x[3], i32 lithology, f64 plastic_strain }
-constexpr std::size_t kEnvelopeWireSize = 4 + 3 * 8 + 4 + 8;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  put_u64(out, bits);
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t(p[i]) << (8 * i);
-  return v;
-}
-
-double get_f64(const std::uint8_t* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
+/// A material point in flight between subdomains.
+struct PointEnvelope {
+  Vec3 x;
+  int lithology;
+  Real plastic_strain;
+};
 
 } // namespace
-
-std::vector<std::uint8_t> encode_envelopes(
-    const std::vector<PointEnvelope>& envs) {
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + envs.size() * kEnvelopeWireSize);
-  put_u64(out, envs.size());
-  for (const PointEnvelope& e : envs) {
-    put_u32(out, e.id);
-    for (int d = 0; d < 3; ++d) put_f64(out, e.x[d]);
-    put_u32(out, std::uint32_t(e.lithology));
-    put_f64(out, e.plastic_strain);
-  }
-  return out;
-}
-
-std::vector<PointEnvelope> decode_envelopes(const void* data,
-                                            std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  PT_ASSERT_MSG(len >= 8, "envelope batch shorter than its count prefix");
-  const std::uint64_t count = get_u64(p);
-  PT_ASSERT_MSG(len == 8 + count * kEnvelopeWireSize,
-                "envelope batch length does not match its count prefix");
-  std::vector<PointEnvelope> envs(count);
-  const std::uint8_t* q = p + 8;
-  for (std::uint64_t i = 0; i < count; ++i, q += kEnvelopeWireSize) {
-    PointEnvelope& e = envs[i];
-    e.id = get_u32(q);
-    for (int d = 0; d < 3; ++d) e.x[d] = get_f64(q + 4 + 8 * d);
-    e.lithology = int(std::int32_t(get_u32(q + 28)));
-    e.plastic_strain = get_f64(q + 32);
-  }
-  return envs;
-}
 
 std::vector<RankPoints> distribute_points(const StructuredMesh& mesh,
                                           const Decomposition& decomp,
@@ -123,54 +55,14 @@ MaterialPoints gather_points(const std::vector<RankPoints>& ranks) {
   return all;
 }
 
-void apply_incoming_points(const StructuredMesh& mesh,
-                           const Decomposition& decomp, RankPoints& dst,
-                           const std::vector<transport::Message>& msgs,
-                           MigrationLedger* ledger, MigrationStats* stats) {
-  const Subdomain& sub = decomp.subdomain(dst.rank);
-  for (const transport::Message& m : msgs) {
-    for (const PointEnvelope& e :
-         decode_envelopes(m.bytes.data(), m.bytes.size())) {
-      // L_r processing: relocate from scratch; adopt only points located in
-      // an element this rank owns. Points outside the global domain fail the
-      // locate everywhere, reproducing the paper's outflow deletion.
-      const PointLocation loc = locate_point(mesh, e.x);
-      if (!loc.found) continue;
-      Index ei, ej, ek;
-      mesh.element_ijk(loc.element, ei, ej, ek);
-      if (!sub.owns_element_ijk(ei, ej, ek)) continue;
-      if (ledger && !ledger->seen.insert({m.src, e.id}).second) {
-        if (stats) ++stats->duplicates;
-        continue; // replayed delivery — already adopted this round
-      }
-      const Index j = dst.points.add(e.x, e.lithology, e.plastic_strain);
-      dst.points.set_location(j, loc.element, loc.xi);
-      if (stats) ++stats->received;
-    }
-  }
-}
-
 MigrationStats migrate_points(const StructuredMesh& mesh,
                               const Decomposition& decomp,
                               std::vector<RankPoints>& ranks) {
-  transport::InMemoryTransport t;
-  t.configure(decomp.num_ranks(), {});
-  return migrate_points(mesh, decomp, ranks, t, 0);
-}
-
-MigrationStats migrate_points(const StructuredMesh& mesh,
-                              const Decomposition& decomp,
-                              std::vector<RankPoints>& ranks,
-                              transport::Transport& t, std::uint64_t round,
-                              MigrationLedger* ledger) {
   PT_ASSERT(static_cast<Index>(ranks.size()) == decomp.num_ranks());
   PerfScope span("MPMMigrate");
   MigrationStats stats;
-  if (ledger) ledger->begin_round(round);
 
   // Phase 1: every rank locates its points and builds its send list L_s.
-  // Envelope ids are the point's ordinal within L_s — stable across
-  // re-encoding, which is what lets the ledger dedupe replayed deliveries.
   std::vector<std::vector<PointEnvelope>> send_lists(ranks.size());
   for (auto& rp : ranks) {
     const Subdomain& sub = decomp.subdomain(rp.rank);
@@ -191,50 +83,41 @@ MigrationStats migrate_points(const StructuredMesh& mesh,
         // Not ours (or outside): enqueue on L_s and remove locally. Points
         // outside the global domain will be re-tested (and deleted) by every
         // neighbor, reproducing the paper's outflow-deletion behaviour.
-        auto& ls = send_lists[rp.rank];
         send_lists[rp.rank].push_back(PointEnvelope{
             rp.points.position(i), rp.points.lithology(i),
-            rp.points.plastic_strain(i),
-            static_cast<std::uint32_t>(ls.size())});
+            rp.points.plastic_strain(i)});
         rp.points.remove(i);
         ++stats.sent;
       }
     }
   }
 
-  // Deletion accounting happens source-side: element ownership is unique,
-  // so an envelope is adopted iff the rank owning its (relocated) element is
-  // one of the source's neighbors. This matches the receiver-side "adopted
-  // by nobody" count exactly, without a return channel.
+  // Phase 2: deliver each L_s to ALL neighbors; receivers relocate the
+  // points (L_r processing) and adopt the ones they own. The relocation is
+  // rank-independent, so it runs once per point; element ownership is
+  // unique, so at most one neighbor adopts. A point adopted by no neighbor
+  // is deleted. Sources are visited in ascending rank order, which fixes
+  // every receiver's adoption order.
   for (Index src = 0; src < static_cast<Index>(ranks.size()); ++src) {
-    const auto& nbrs = decomp.subdomain(src).neighbors;
     for (const PointEnvelope& e : send_lists[src]) {
       const PointLocation loc = locate_point(mesh, e.x);
       bool adopted = false;
       if (loc.found) {
-        const Index owner = decomp.rank_of_element(mesh, loc.element);
-        adopted = std::find(nbrs.begin(), nbrs.end(), owner) != nbrs.end();
+        Index ei, ej, ek;
+        mesh.element_ijk(loc.element, ei, ej, ek);
+        for (Index nbr_rank : decomp.subdomain(src).neighbors) {
+          if (!decomp.subdomain(nbr_rank).owns_element_ijk(ei, ej, ek))
+            continue;
+          RankPoints& nbr = ranks[nbr_rank];
+          const Index j = nbr.points.add(e.x, e.lithology, e.plastic_strain);
+          nbr.points.set_location(j, loc.element, loc.xi);
+          adopted = true;
+          ++stats.received;
+          break;
+        }
       }
       if (!adopted) ++stats.deleted;
     }
-  }
-
-  // Phase 2 over the wire: every source ships its FULL L_s to every
-  // neighbor — empty lists included, so each receiver can await an exact
-  // message count. Receivers drain in (src, ordinal) order, which matches
-  // the legacy ascending-source adoption order bitwise.
-  std::vector<Index> expect(ranks.size(), 0);
-  for (Index src = 0; src < static_cast<Index>(ranks.size()); ++src) {
-    const std::vector<std::uint8_t> bytes = encode_envelopes(send_lists[src]);
-    for (Index nbr : decomp.subdomain(src).neighbors) {
-      t.send_message(src, nbr, round, bytes.data(), bytes.size());
-      ++expect[nbr];
-    }
-  }
-  for (Index dst = 0; dst < static_cast<Index>(ranks.size()); ++dst) {
-    const std::vector<transport::Message> msgs =
-        t.receive_messages(dst, static_cast<std::size_t>(expect[dst]), round);
-    apply_incoming_points(mesh, decomp, ranks[dst], msgs, ledger, &stats);
   }
 
   auto& metrics = obs::MetricsRegistry::instance();

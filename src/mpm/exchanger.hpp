@@ -11,58 +11,23 @@
 // boundary conditions are prescribed."
 //
 // The MPI substitution (DESIGN.md): ranks are in-memory subdomains; the
-// send/receive lists are real data structures exercised identically. The
-// lists travel through the pluggable Transport layer (src/transport/): each
-// source serializes its full L_s and sends it to every neighbor as one
-// message per (src, dst) pair — empty lists included, so every receiver
-// knows exactly how many messages to await. Delivery may be replayed after
-// a worker restart; the MigrationLedger makes adoption idempotent by
-// deduplicating on (source rank, envelope id) within a migration round.
+// send/receive lists are real data structures exercised identically. Each
+// L_s is handed to the neighbor ranks in memory, and every receiver adopts
+// in ascending source-rank order, then in L_s order.
 #pragma once
 
-#include <cstdint>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "fem/decomposition.hpp"
 #include "mpm/points.hpp"
-#include "transport/transport.hpp"
 
 namespace ptatin {
 
-/// A material point in flight between subdomains. `id` is the point's
-/// ordinal within its source rank's L_s for this round — together with the
-/// source rank it uniquely names the envelope, stable across re-encoding
-/// and retransmission.
-struct PointEnvelope {
-  Vec3 x;
-  int lithology;
-  Real plastic_strain;
-  std::uint32_t id = 0;
-};
-
 struct MigrationStats {
-  Index sent = 0;       ///< points placed on some L_s
-  Index received = 0;   ///< points adopted from some L_r
-  Index deleted = 0;    ///< points deleted (left the global domain, or
-                        ///< delivered to a neighborhood that does not own them)
-  Index duplicates = 0; ///< redelivered envelopes dropped by the ledger
-};
-
-/// Tracks which envelopes a migration round has already adopted so that a
-/// redelivered message (transport retransmit after a worker restart) cannot
-/// duplicate points. Keyed by (source rank, envelope id); cleared when the
-/// round advances.
-struct MigrationLedger {
-  std::uint64_t round = ~0ull;
-  std::set<std::pair<Index, std::uint32_t>> seen;
-  void begin_round(std::uint64_t r) {
-    if (r != round) {
-      round = r;
-      seen.clear();
-    }
-  }
+  Index sent = 0;      ///< points placed on some L_s
+  Index received = 0;  ///< points adopted from some L_r
+  Index deleted = 0;   ///< points deleted (left the global domain, or
+                       ///< delivered to a neighborhood that does not own them)
 };
 
 /// Rank-local point container plus its subdomain identity.
@@ -74,36 +39,9 @@ struct RankPoints {
 /// Run the full migration protocol over all ranks: locate, build L_s lists,
 /// deliver to neighbors, relocate L_r, delete unowned. Afterwards every
 /// surviving point is located in an element owned by its holding rank.
-/// Delivery goes through an internal in-memory transport.
 MigrationStats migrate_points(const StructuredMesh& mesh,
                               const Decomposition& decomp,
                               std::vector<RankPoints>& ranks);
-
-/// Same protocol over an explicit transport backend. `round` must advance
-/// monotonically across calls on the same transport (it scopes message
-/// matching and ledger deduplication). Results are identical to the
-/// in-memory overload for any backend.
-MigrationStats migrate_points(const StructuredMesh& mesh,
-                              const Decomposition& decomp,
-                              std::vector<RankPoints>& ranks,
-                              transport::Transport& t, std::uint64_t round,
-                              MigrationLedger* ledger = nullptr);
-
-/// Receive-side half of the transport protocol: decode each message's
-/// envelope batch (in the delivered (src, seq) order) and adopt the points
-/// this rank owns. Exposed so tests can replay delivered messages and
-/// verify ledger idempotence. `ledger` and `stats` may be null.
-void apply_incoming_points(const StructuredMesh& mesh,
-                           const Decomposition& decomp, RankPoints& dst,
-                           const std::vector<transport::Message>& msgs,
-                           MigrationLedger* ledger, MigrationStats* stats);
-
-/// Serialize / deserialize an L_s batch (little-endian, self-describing
-/// count prefix). The wire image is what crosses the transport.
-std::vector<std::uint8_t> encode_envelopes(
-    const std::vector<PointEnvelope>& envs);
-std::vector<PointEnvelope> decode_envelopes(const void* data,
-                                            std::size_t len);
 
 /// Partition a global point set into per-rank containers (initialization).
 std::vector<RankPoints> distribute_points(const StructuredMesh& mesh,

@@ -28,8 +28,6 @@ void SolverReport::clear() {
   sdc_ = SdcRecord{};
   decomp_ = DecompRecord{};
   has_decomp_ = false;
-  transport_ = TransportRecord{};
-  has_transport_ = false;
 }
 
 namespace {
@@ -111,25 +109,6 @@ JsonValue decomp_to_json(const DecompRecord& d) {
   j["boundary_seconds"] = JsonValue(d.boundary_seconds);
   j["interior_elements"] = JsonValue(d.interior_elements);
   j["boundary_elements"] = JsonValue(d.boundary_elements);
-  return j;
-}
-
-JsonValue transport_to_json(const TransportRecord& t) {
-  JsonValue j = JsonValue::object();
-  j["backend"] = JsonValue(t.backend);
-  j["workers"] = JsonValue(t.workers);
-  j["frames_sent"] = JsonValue(t.frames_sent);
-  j["frames_received"] = JsonValue(t.frames_received);
-  j["bytes_sent"] = JsonValue(t.bytes_sent);
-  j["bytes_received"] = JsonValue(t.bytes_received);
-  j["crc_rejected"] = JsonValue(t.crc_rejected);
-  j["reordered"] = JsonValue(t.reordered);
-  j["duplicates_dropped"] = JsonValue(t.duplicates_dropped);
-  j["retransmits"] = JsonValue(t.retransmits);
-  j["timeouts"] = JsonValue(t.timeouts);
-  j["worker_restarts"] = JsonValue(t.worker_restarts);
-  j["degraded_deliveries"] = JsonValue(t.degraded_deliveries);
-  j["degraded"] = JsonValue(t.degraded);
   return j;
 }
 
@@ -252,7 +231,6 @@ JsonValue SolverReport::to_json() const {
   j["state"] = state_to_json(state_);
   j["sdc"] = sdc_to_json(sdc_);
   if (has_decomp_) j["decomposition"] = decomp_to_json(decomp_);
-  if (has_transport_) j["transport"] = transport_to_json(transport_);
 
   j["mg_levels"] = mg_levels_json();
   j["metrics"] = MetricsRegistry::instance().to_json();
@@ -398,29 +376,6 @@ SolverReport SolverReport::parse(const std::string& json_text) {
     rec.interior_elements = (long long)(number_or(*d, "interior_elements", 0));
     rec.boundary_elements = (long long)(number_or(*d, "boundary_elements", 0));
     rep.set_decomposition(rec);
-  }
-
-  if (const JsonValue* t = j.find("transport"); t != nullptr) {
-    TransportRecord rec;
-    rec.backend = string_or(*t, "backend", "");
-    rec.workers = (long long)(number_or(*t, "workers", 0));
-    rec.frames_sent = (long long)(number_or(*t, "frames_sent", 0));
-    rec.frames_received = (long long)(number_or(*t, "frames_received", 0));
-    rec.bytes_sent = (long long)(number_or(*t, "bytes_sent", 0));
-    rec.bytes_received = (long long)(number_or(*t, "bytes_received", 0));
-    rec.crc_rejected = (long long)(number_or(*t, "crc_rejected", 0));
-    rec.reordered = (long long)(number_or(*t, "reordered", 0));
-    rec.duplicates_dropped =
-        (long long)(number_or(*t, "duplicates_dropped", 0));
-    rec.retransmits = (long long)(number_or(*t, "retransmits", 0));
-    rec.timeouts = (long long)(number_or(*t, "timeouts", 0));
-    rec.worker_restarts = (long long)(number_or(*t, "worker_restarts", 0));
-    rec.degraded_deliveries =
-        (long long)(number_or(*t, "degraded_deliveries", 0));
-    if (const JsonValue* dg = t->find("degraded");
-        dg != nullptr && dg->type() == JsonValue::Type::kBool)
-      rec.degraded = dg->as_bool();
-    rep.set_transport(rec);
   }
   return rep;
 }

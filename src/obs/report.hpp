@@ -130,26 +130,6 @@ struct SdcRecord {
   long long unrecovered = 0;     ///< SDC events no snapshot could heal
 };
 
-/// Transport-layer summary — the "transport" section of
-/// ptatin.solver_report/1 (docs/TRANSPORT.md). Filled from
-/// Transport::stats() by the driver when an explicit backend is configured.
-struct TransportRecord {
-  std::string backend;                ///< "memory" or "process"
-  long long workers = 0;
-  long long frames_sent = 0;
-  long long frames_received = 0;
-  long long bytes_sent = 0;
-  long long bytes_received = 0;
-  long long crc_rejected = 0;
-  long long reordered = 0;
-  long long duplicates_dropped = 0;
-  long long retransmits = 0;
-  long long timeouts = 0;
-  long long worker_restarts = 0;
-  long long degraded_deliveries = 0;
-  bool degraded = false;              ///< some worker exhausted its restarts
-};
-
 class SolverReport {
 public:
   SolverReport() = default;
@@ -196,15 +176,6 @@ public:
   bool has_decomposition() const { return has_decomp_; }
   const DecompRecord& decomposition() const { return decomp_; }
 
-  /// Record (or overwrite) the transport-layer summary. Serialized only
-  /// once set.
-  void set_transport(const TransportRecord& r) {
-    transport_ = r;
-    has_transport_ = true;
-  }
-  bool has_transport() const { return has_transport_; }
-  const TransportRecord& transport() const { return transport_; }
-
   /// Full report including metrics / perf / MG-level sections (those are
   /// snapshots of the global registries at serialization time).
   JsonValue to_json() const;
@@ -227,8 +198,6 @@ private:
   SdcRecord sdc_;
   DecompRecord decomp_;
   bool has_decomp_ = false;
-  TransportRecord transport_;
-  bool has_transport_ = false;
 };
 
 // --- telemetry facade ---------------------------------------------------------

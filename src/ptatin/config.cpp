@@ -124,20 +124,6 @@ void SolverConfig::describe_options() {
   Options::describe("sentinel_tol", "X",
                     "sentinel drift tolerance relative to ||r_0||\n"
                     "(default 1e-6)");
-  Options::describe("transport", "memory|process",
-                    "halo-exchange / migration backend (default memory;\n"
-                    "process forks crash-isolated workers,\n"
-                    "docs/TRANSPORT.md)");
-  Options::describe("heartbeat_ms", "N",
-                    "worker heartbeat period in ms (default 50)");
-  Options::describe("worker_timeout_ms", "N",
-                    "silence after which a worker is declared dead\n"
-                    "(default 2000; must be >= heartbeat_ms)");
-  Options::describe("max_worker_restarts", "N",
-                    "restarts per worker before degraded delivery\n"
-                    "(default 2)");
-  Options::describe("backoff_base_ms", "N",
-                    "base of the exponential respawn backoff (default 10)");
 }
 
 SolverConfig SolverConfig::from_options(const Options& o) {
@@ -198,21 +184,6 @@ SolverConfig SolverConfig::from_options(const Options& o) {
                   "a bench/table2_scaling feature)");
     po.decomp = shapes[0];
   }
-
-  transport::TransportOptions& to = po.transport;
-  to.kind = transport::parse_transport_kind(
-      o.get_string("transport", "memory"));
-  to.heartbeat_ms = o.get_int("heartbeat_ms", to.heartbeat_ms);
-  to.worker_timeout_ms = o.get_int("worker_timeout_ms", to.worker_timeout_ms);
-  to.max_worker_restarts =
-      o.get_int("max_worker_restarts", to.max_worker_restarts);
-  to.backoff_base_ms = o.get_int("backoff_base_ms", to.backoff_base_ms);
-  PT_ASSERT_MSG(to.heartbeat_ms >= 1, "-heartbeat_ms must be >= 1");
-  PT_ASSERT_MSG(to.worker_timeout_ms >= to.heartbeat_ms,
-                "-worker_timeout_ms must be >= -heartbeat_ms");
-  PT_ASSERT_MSG(to.max_worker_restarts >= 0,
-                "-max_worker_restarts must be >= 0");
-  PT_ASSERT_MSG(to.backoff_base_ms >= 1, "-backoff_base_ms must be >= 1");
 
   cfg.use_safeguard_ = o.get_bool("safeguard", true);
   SafeguardOptions& sg = cfg.safeguard_;

@@ -17,10 +17,6 @@ PtatinContext::PtatinContext(ModelSetup setup, const PtatinOptions& opts)
   if (opts_.decomp[0] * opts_.decomp[1] * opts_.decomp[2] > 1) {
     engine_ = std::make_unique<SubdomainEngine>(
         setup_.mesh, opts_.decomp[0], opts_.decomp[1], opts_.decomp[2]);
-    if (opts_.transport.kind != transport::TransportKind::kMemory) {
-      transport_ = transport::make_transport(opts_.transport);
-      engine_->set_transport(transport_.get());
-    }
     opts_.nonlinear.linear.kernel.engine = engine_.get();
     opts_.pipeline.decomp = engine_.get();
   }
@@ -66,10 +62,6 @@ PtatinContext::PtatinContext(ModelSetup setup, const PtatinOptions& opts)
 }
 
 PtatinContext::~PtatinContext() = default;
-
-void PtatinContext::heal_transport() {
-  if (transport_) transport_->heal();
-}
 
 CoefficientUpdater PtatinContext::coefficient_updater() {
   return [this](const Vector& u, const Vector& p, bool newton_terms,

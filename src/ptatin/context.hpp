@@ -17,7 +17,6 @@
 #include "nonlin/newton.hpp"
 #include "ptatin/coefficients.hpp"
 #include "ptatin/model.hpp"
-#include "transport/transport.hpp"
 
 namespace ptatin {
 
@@ -34,9 +33,6 @@ struct PtatinOptions {
   /// Subdomain decomposition shape {px, py, pz} (docs/PARALLELISM.md).
   /// {1,1,1} keeps the global (non-decomposed) execution paths.
   std::array<Index, 3> decomp = {1, 1, 1};
-  /// Halo-exchange / migration backend (docs/TRANSPORT.md). kMemory keeps
-  /// the engine's built-in zero-copy path; kProcess forks worker processes.
-  transport::TransportOptions transport;
 };
 
 struct StepReport {
@@ -76,14 +72,6 @@ public:
   /// configured shape is 1x1x1 and the global paths are in use).
   const SubdomainEngine* subdomain_engine() const { return engine_.get(); }
 
-  /// The explicit transport backend (null when the engine's built-in
-  /// in-memory transport is in use — the kMemory default).
-  transport::Transport* transport() const { return transport_.get(); }
-  /// Respawn dead/degraded transport workers and reset their restart
-  /// budgets. Called by the safeguarded stepper before retrying a step that
-  /// failed with a TransportError.
-  void heal_transport();
-
   /// The coefficient updater closure handed to the nonlinear solver.
   CoefficientUpdater coefficient_updater();
 
@@ -116,7 +104,6 @@ public:
 private:
   ModelSetup setup_;
   PtatinOptions opts_;
-  std::unique_ptr<transport::Transport> transport_; ///< before engine_
   std::unique_ptr<SubdomainEngine> engine_; ///< before solvers: they borrow it
   MaterialPoints points_;
   Vector u_, p_, T_;

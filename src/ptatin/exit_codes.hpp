@@ -14,7 +14,6 @@ enum class DriverExit : int {
   kUsageError = 2,       ///< malformed options (bad -faults spec, bad -model)
   kCheckpointFailure = 3,///< restart/checkpoint could not be loaded or saved
   kHealthFailure = 4,    ///< a health check failed beyond recovery
-  kTransportFailure = 5, ///< transport workers failed beyond restarts/retries
   kSdcFailure = 6,       ///< unrecoverable silent data corruption (seal or
                          ///< sentinel detection that no snapshot could heal)
 };
@@ -26,7 +25,6 @@ inline const char* describe(DriverExit e) {
     case DriverExit::kUsageError: return "usage error";
     case DriverExit::kCheckpointFailure: return "checkpoint/restart failure";
     case DriverExit::kHealthFailure: return "health-check failure";
-    case DriverExit::kTransportFailure: return "transport failure";
     case DriverExit::kSdcFailure: return "silent data corruption";
   }
   return "unknown";

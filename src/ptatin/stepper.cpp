@@ -239,8 +239,6 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
     res.dt_used = dt;
     attempted_dts.push_back(dt);
     std::string failure;
-    bool transport_failure = false;
-    bool sdc_failure = false;
     try {
       res.report = ctx_.step(dt);
       failure = diagnose(res.report);
@@ -251,9 +249,6 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
         const HealthReport hr = check_health(ctx_, opts_.health);
         if (!hr.ok) failure = "health: " + hr.summary();
       }
-    } catch (const transport::TransportError& e) {
-      failure = std::string("transport: ") + e.what();
-      transport_failure = true;
     } catch (const Error& e) {
       failure = std::string("exception: ") + e.what();
     }
@@ -265,8 +260,7 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
     }
 
     metrics.counter("safeguard.step_failures").inc();
-    if (transport_failure) metrics.counter("transport.step_failures").inc();
-    sdc_failure = sdc::is_sdc_failure(failure);
+    const bool sdc_failure = sdc::is_sdc_failure(failure);
     if (sdc_failure) {
       metrics.counter("sdc.detections").inc();
       ++obs::SolverReport::global().sdc().detections;
@@ -275,11 +269,10 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
     log_warn("safeguard: step ", step_index_, " attempt ", attempt + 1,
              " failed (", failure, ") at dt = ", dt);
 
-    // Transport and SDC failures are infrastructure, not numerics: the retry
-    // keeps the SAME dt (the restored snapshot replays the identical step,
-    // preserving bitwise reproducibility) instead of cutting the step size.
-    const bool same_dt_replay = transport_failure || sdc_failure;
-    const Real dt_next = same_dt_replay ? dt : dt * opts_.dt_cut_factor;
+    // SDC failures are infrastructure, not numerics: the retry keeps the
+    // SAME dt (the restored snapshot replays the identical step, preserving
+    // bitwise reproducibility) instead of cutting the step size.
+    const Real dt_next = sdc_failure ? dt : dt * opts_.dt_cut_factor;
     if (!snapshot->valid() || attempt >= opts_.max_retries ||
         !(dt_next > opts_.dt_min)) {
       res.retries = attempt;
@@ -289,9 +282,7 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
     snapshot->restore(ctx_);
     metrics.counter("safeguard.rollbacks").inc();
     metrics.counter("safeguard.retries").inc();
-    if (transport_failure) {
-      ctx_.heal_transport();
-    } else if (!same_dt_replay) {
+    if (!sdc_failure) {
       dt = dt_next;
       dt_was_cut = true;
       metrics.counter("safeguard.dt_cuts").inc();
@@ -299,7 +290,7 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
   }
 
   // Step-size recovery: a retried step leaves a cap at the dt that worked;
-  // clean steps relax it geometrically until it disappears. (Transport-only
+  // clean steps relax it geometrically until it disappears. (SDC-only
   // retries never cut dt, so they leave no cap behind.)
   if (res.ok && dt_was_cut) {
     dt_cap_ = res.dt_used;
@@ -384,8 +375,8 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
       rec.step = step_index_;
       rec.recovered = res.ok;
       rec.retries = res.retries;
-      // The actual attempted dt sequence (transport retries repeat a dt, so
-      // it cannot be reconstructed from the cut factor alone).
+      // The actual attempted dt sequence (SDC retries repeat a dt, so it
+      // cannot be reconstructed from the cut factor alone).
       rec.dt_history = attempted_dts;
       rec.failures = res.failures;
       report.add_safeguard(std::move(rec));

@@ -39,17 +39,6 @@ struct StokesSolverOptions {
   /// stats in the solver report's `decomposition` section. The full solver
   /// stack requires kernel.order == 2 (higher orders are standalone applies).
   KernelSpec kernel;
-
-  /// Deprecated views onto `kernel` (kept so existing drivers compile; a
-  /// one-time warning fires on write). Use kernel.type / kernel.batch_width /
-  /// kernel.engine instead.
-  DeprecatedKernelField<FineOperatorType> backend{
-      &kernel.type, "StokesSolverOptions::backend", "kernel.type"};
-  DeprecatedKernelField<int> batch_width{
-      &kernel.batch_width, "StokesSolverOptions::batch_width",
-      "kernel.batch_width"};
-  DeprecatedKernelField<const SubdomainEngine*> decomp{
-      &kernel.engine, "StokesSolverOptions::decomp", "kernel.engine"};
   VelocityPcType velocity_pc = VelocityPcType::kGmg;
   GmgOptions gmg;               ///< used when velocity_pc == kGmg
   GmgCoarseSolve coarse_solve = GmgCoarseSolve::kAmg;

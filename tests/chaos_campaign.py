@@ -37,7 +37,7 @@ import tempfile
 RUN_TIMEOUT_S = 300
 
 # Documented driver exit codes (ptatin/exit_codes.hpp; `-help` taxonomy).
-TAXONOMY = {0, 1, 2, 3, 4, 5, 6}
+TAXONOMY = {0, 1, 2, 3, 4, 6}
 
 
 class Run:
@@ -71,7 +71,6 @@ def scenarios(tmp):
     scenarios write a rotation first, then restart against it)."""
     ck = f"{tmp}/ck"
     ckflags = ["-checkpoint_dir", ck, "-checkpoint_every", "1"]
-    proc = ["-decomp", "2x2x1", "-transport", "process"]
     return {
         # Solver-tier faults: one corrupted call, rolled back and retried at
         # a cut dt -- the run recovers (exit 0).
@@ -106,16 +105,6 @@ def scenarios(tmp):
         "health.field_nan": [
             Run(flags=["-health_every", "1"],
                 fault="health.field_nan:1:error:1"),
-        ],
-        # Transport-tier: the framed fabric retransmits / restarts workers;
-        # the run completes (docs/TRANSPORT.md).
-        "transport.drop": [Run(flags=proc, fault="transport.drop:1:error:1")],
-        "transport.truncate": [
-            Run(flags=proc, fault="transport.truncate:1:error:1"),
-        ],
-        "transport.delay": [Run(flags=proc, fault="transport.delay:1:error:1")],
-        "transport.worker_kill": [
-            Run(flags=proc, fault="transport.worker_kill:1:error:1"),
         ],
         # SDC-tier (docs/ROBUSTNESS.md). Bit flips in sealed *model state*
         # are healed from the last good snapshot and replayed at the same dt

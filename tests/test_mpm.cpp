@@ -2,10 +2,12 @@
 // advection, migration, population control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "fem/dofmap.hpp"
 #include "mpm/advection.hpp"
@@ -333,6 +335,13 @@ TEST(Migration, ConservesCountAndPayloadAcrossRanks) {
   ASSERT_GT(displaced, 0);
   const auto before = payload_map(gather_points(ranks));
   ASSERT_EQ(before.size(), std::size_t(total)); // positions are unique keys
+  // Pre-migration holder of every point, keyed by exact position bits.
+  std::map<std::array<Real, 3>, Index> source_of;
+  for (const auto& rp : ranks)
+    for (Index i = 0; i < rp.points.size(); ++i) {
+      const Vec3 x = rp.points.position(i);
+      source_of[{x[0], x[1], x[2]}] = rp.rank;
+    }
 
   MigrationStats st = migrate_points(mesh, decomp, ranks);
   EXPECT_EQ(st.sent, displaced);
@@ -344,6 +353,23 @@ TEST(Migration, ConservesCountAndPayloadAcrossRanks) {
   EXPECT_EQ(after_total, total);
   // Per-point payload survived the trip byte for byte.
   EXPECT_EQ(payload_map(gather_points(ranks)), before);
+
+  // Every receiver adopts in ascending source-rank order: its adopted points
+  // (the ones it did not hold before) come grouped by source, lowest first.
+  int multi_source_receivers = 0;
+  for (const auto& rp : ranks) {
+    std::vector<Index> sources;
+    for (Index i = 0; i < rp.points.size(); ++i) {
+      const Vec3 x = rp.points.position(i);
+      const Index src = source_of.at({x[0], x[1], x[2]});
+      if (src != rp.rank) sources.push_back(src);
+    }
+    EXPECT_TRUE(std::is_sorted(sources.begin(), sources.end()))
+        << "rank " << rp.rank;
+    if (!sources.empty() && sources.front() != sources.back())
+      ++multi_source_receivers;
+  }
+  EXPECT_GT(multi_source_receivers, 0); // the order check is not vacuous
 }
 
 TEST(Migration, EmptySubdomainsSendNothingAndCanReceive) {

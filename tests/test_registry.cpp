@@ -393,43 +393,7 @@ TEST(QkKernels, ManufacturedSolutionEnergyConvergesAtIncreasingOrder) {
   }
 }
 
-// --- option-struct shims and config validation ------------------------------
-
-TEST(KernelSpecMigration, DeprecatedFieldsForwardToTheEmbeddedSpec) {
-  StokesSolverOptions o;
-  EXPECT_EQ(o.kernel.type, FineOperatorType::kTensor);
-  o.backend = FineOperatorType::kMatrixFree; // one-time warning on stderr
-  o.batch_width = 8;
-  EXPECT_EQ(o.kernel.type, FineOperatorType::kMatrixFree);
-  EXPECT_EQ(o.kernel.batch_width, 8);
-  const FineOperatorType read_back = o.backend; // reads stay silent
-  EXPECT_EQ(read_back, FineOperatorType::kMatrixFree);
-
-  GmgOptions g;
-  g.fine_type = FineOperatorType::kTensorC;
-  g.batch_width = 4;
-  EXPECT_EQ(g.fine_kernel.type, FineOperatorType::kTensorC);
-  EXPECT_EQ(g.fine_kernel.batch_width, 4);
-}
-
-TEST(KernelSpecMigration, ShimsRebindAcrossStructCopies) {
-  StokesSolverOptions a;
-  a.kernel.type = FineOperatorType::kMatrixFree;
-  StokesSolverOptions b = a; // copy: shims must bind to b's own spec
-  b.kernel.type = FineOperatorType::kTensorC;
-  EXPECT_EQ(a.kernel.type, FineOperatorType::kMatrixFree);
-  EXPECT_EQ(static_cast<FineOperatorType>(b.backend),
-            FineOperatorType::kTensorC);
-  b.backend = FineOperatorType::kAssembled;
-  EXPECT_EQ(b.kernel.type, FineOperatorType::kAssembled);
-  EXPECT_EQ(a.kernel.type, FineOperatorType::kMatrixFree);
-
-  StokesSolverOptions c;
-  c = b; // copy-assignment moves the value via the KernelSpec member
-  EXPECT_EQ(c.kernel.type, FineOperatorType::kAssembled);
-  EXPECT_EQ(static_cast<FineOperatorType>(c.backend),
-            FineOperatorType::kAssembled);
-}
+// --- config validation ------------------------------------------------------
 
 TEST(KernelSpecMigration, FromOptionsValidatesOrderAgainstTheRegistry) {
   {
