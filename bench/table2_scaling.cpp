@@ -49,7 +49,8 @@ using namespace ptatin;
 namespace {
 
 /// The -decomp sweep: per shape, timed raw Tensor-backend applies on the
-/// fine level (the quantity the engine parallelizes) and a full GMG solve.
+/// fine level (the quantity the engine parallelizes), scalar and at the
+/// solver's batch width, and a full GMG solve.
 int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
                      Real contrast, Real rtol) {
   const auto shapes = parse_decomp_shapes(opts.get_string("decomp", ""));
@@ -74,8 +75,8 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
   std::printf("threads: %d, raw applies timed per shape: %d, sdc: %s\n\n",
               num_threads(), n_applies, sdc_label);
 
-  bench::Table tab({"Grid", "Decomp", "SDC", "Apply(s)", "HaloMB", "Its",
-                    "FinalRes", "Solve(s)"});
+  bench::Table tab({"Grid", "Decomp", "SDC", "Apply(s)", "Batched(s)",
+                    "HaloMB", "Its", "FinalRes", "Solve(s)"});
   tab.print_header();
 
   obs::JsonValue rows = obs::JsonValue::array();
@@ -104,14 +105,20 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
       auto eng = std::make_unique<SubdomainEngine>(mesh, shape[0], shape[1],
                                                    shape[2]);
 
+      // The scalar engine sweep and the batched one the solver runs
+      // (kSolverBatchWidth lanes); both results are bitwise equal.
       auto op = make_viscous_backend(
           KernelSpec{.type = FineOperatorType::kTensor, .engine = eng.get()}, mesh,
           coeff, &bc);
+      auto op_batched = make_viscous_backend(
+          KernelSpec{.type = FineOperatorType::kTensor,
+                     .batch_width = kSolverBatchWidth, .engine = eng.get()},
+          mesh, coeff, &bc);
       Vector x(op->rows()), y(op->rows());
       for (Index i = 0; i < x.size(); ++i)
         x[i] = std::sin(Real(0.37) * Real(i));
       op->apply(x, y); // warm-up (builds scratch slabs)
-      if (eng) eng->reset_stats();
+      op_batched->apply(x, y);
 
       // When scrubbing, seal the quiescent apply input and sweep the seal
       // registry at the production cadence *inside* the timed loop, so the
@@ -125,14 +132,21 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
               {"x", xs->data(), xs->size() * sizeof(Real)}};
         });
       }
-      sdc::Scrubber scrubber(scrub_every);
-      Timer t_apply;
-      for (int it = 0; it < n_applies; ++it) {
-        op->apply(x, y);
-        if (!scrubber.scrub_if_due(it + 1).empty())
-          std::printf("    WARNING: scrub mismatch during apply sweep\n");
-      }
-      const double apply_seconds = t_apply.seconds();
+      auto time_applies = [&](const ViscousOperatorBase& o) {
+        sdc::Scrubber scrubber(scrub_every);
+        Timer t_apply;
+        for (int it = 0; it < n_applies; ++it) {
+          o.apply(x, y);
+          if (!scrubber.scrub_if_due(it + 1).empty())
+            std::printf("    WARNING: scrub mismatch during apply sweep\n");
+        }
+        return t_apply.seconds();
+      };
+      // The batched sweep runs first so the halo counters, reset below,
+      // cover the scalar applies and the solve exactly as before.
+      const double apply_seconds_batched = time_applies(*op_batched);
+      eng->reset_stats();
+      const double apply_seconds = time_applies(*op);
       bench_seal.reset();
 
       StokesSolveResult res;
@@ -150,6 +164,7 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
       tab.cell(dec);
       tab.cell(sdc_label);
       tab.cell(apply_seconds, "%.3f");
+      tab.cell(apply_seconds_batched, "%.3f");
       tab.cell(double(st.halo_bytes_sent) / (1024.0 * 1024.0), "%.1f");
       tab.cell(long(res.stats.iterations));
       tab.cell(res.stats.final_residual, "%.3e");
@@ -166,6 +181,8 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
       row["threads"] = obs::JsonValue(num_threads());
       row["applies"] = obs::JsonValue(n_applies);
       row["apply_seconds"] = obs::JsonValue(apply_seconds);
+      row["apply_seconds_batched"] = obs::JsonValue(apply_seconds_batched);
+      row["batch_width"] = obs::JsonValue(kSolverBatchWidth);
       row["halo_bytes_sent"] = obs::JsonValue(st.halo_bytes_sent);
       row["halo_bytes_received"] = obs::JsonValue(st.halo_bytes_received);
       row["exchange_seconds"] = obs::JsonValue(st.exchange_seconds);

@@ -30,6 +30,12 @@ inline constexpr std::size_t kSimdAlign = 64;
 /// register (one cache line) of doubles, 4 fill an AVX2 register.
 inline constexpr int kBatchWidths[] = {4, 8};
 
+/// The width every solver-stack viscous apply runs at (StokesSolverOptions
+/// defaults its kernel to it). Batching never changes a result, so this is a
+/// constant, not an option: W = 8 beat W = 4 on every host measured
+/// (docs/KERNELS.md).
+inline constexpr int kSolverBatchWidth = 8;
+
 inline constexpr bool is_batch_width(int w) {
   for (int bw : kBatchWidths)
     if (w == bw) return true;

@@ -69,11 +69,12 @@ struct KernelSpec {
   /// matrix-free applies (accuracy-per-DOF axis, docs/KERNELS.md).
   int order = 2;
   /// Cross-element SIMD batch width (0 = scalar; 4 / 8 = SoA lanes). The
-  /// assembled back-end accepts and ignores it (a global SpMV has no
-  /// element batches).
+  /// default names the scalar path, the reference of the bitwise tests; the
+  /// solver stack runs kSolverBatchWidth (common/aligned.hpp). The assembled
+  /// back-end accepts and ignores it (a global SpMV has no element batches).
   int batch_width = 0;
-  /// Subdomain-parallel execution engine (borrowed, may be null). When set
-  /// it takes precedence over batch_width, exactly as before the registry.
+  /// Subdomain-parallel execution engine (borrowed, may be null). Its
+  /// per-subdomain sweeps run at batch_width, as the global loop does.
   const SubdomainEngine* engine = nullptr;
 
   EngineMode engine_mode() const {

@@ -122,6 +122,26 @@ public:
         });
   }
 
+  /// W-lane variant of apply_nodes: runs of W consecutive entries of each
+  /// subdomain's boundary list, then of its interior list, go to
+  /// `bfn(elems, w)` (elems points at W element ids); each list's remainder
+  /// goes to `fn(e, w)`, all in list order. Consecutive entries share nodes,
+  /// so `bfn` must scatter lane by lane (all of lane 0's element, then lane
+  /// 1's, ...): every node then receives its contributions in the order
+  /// apply_nodes adds them, and the result is bitwise apply_nodes'.
+  template <int W, class BatchFn, class ElemFn>
+  void apply_nodes_batched(int ncomp, Real* y, BatchFn&& bfn,
+                           ElemFn&& fn) const {
+    const auto sweep = [&](const std::vector<Index>& list, Real* w) {
+      const std::size_t n = list.size(), nb = n - n % W;
+      for (std::size_t i = 0; i < nb; i += W) bfn(list.data() + i, w);
+      for (std::size_t i = nb; i < n; ++i) fn(list[i], w);
+    };
+    run(kNodeLattice, ncomp, y,
+        [&](Index s, Real* w) { sweep(subs_[s].boundary, w); },
+        [&](Index s, Real* w) { sweep(subs_[s].interior, w); });
+  }
+
   /// Vertex-lattice (Q1 corners) variant for MPM projection: `fn(s, w)` does
   /// ALL of subdomain s's scatter work (material points do not split into
   /// interior/boundary classes), then the ghost vertex planes are exchanged

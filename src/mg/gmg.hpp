@@ -50,9 +50,11 @@ enum class CoarseOperatorType {
 struct GmgOptions {
   int levels = 3;
   /// The finest-level kernel description (backend, order, SIMD batch width,
-  /// subdomain engine — fem/kernel_registry.hpp). Batched applies are
-  /// bitwise identical to scalar, so width is a pure perf knob. The engine
-  /// applies to the finest level only — coarse levels stay on the global
+  /// subdomain engine — fem/kernel_registry.hpp). StokesSolver sets it to
+  /// its whole StokesSolverOptions::kernel, so the finest level smooths with
+  /// the requested back-end. Batched applies are bitwise identical to
+  /// scalar. The engine applies to the finest level only — coarse levels
+  /// stay on the global
   /// path (their assembled SpMV has no element sweep, and the engine's halo
   /// plans only match the finest element grid). The hierarchy requires
   /// order == 2 (coarsening/BC layers are tied to the Q2 lattice).

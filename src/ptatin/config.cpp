@@ -63,9 +63,6 @@ std::vector<std::array<Index, 3>> parse_decomp_shapes(
 
 void SolverConfig::describe_options() {
   Options::describe("backend", "asmb|mf|tens|tensc", "J_uu operator back-end");
-  Options::describe("op_batch_width", "0|4|8",
-                    "cross-element SIMD batching of the matrix-free\n"
-                    "back-ends (0 = scalar, docs/KERNELS.md)");
   Options::describe("order", "2|3|4",
                     "Qk velocity polynomial order (default 2). The full\n"
                     "solver stack runs k=2; k=3,4 select the standalone\n"
@@ -140,15 +137,12 @@ SolverConfig SolverConfig::from_options(const Options& o) {
 
   StokesSolverOptions& so = po.nonlinear.linear;
   so.kernel.type = parse_fine_operator(o.get_string("backend", "tens"));
-  so.kernel.batch_width = o.get_int("op_batch_width", 0);
-  PT_ASSERT_MSG(so.kernel.batch_width == 0 ||
-                    is_batch_width(so.kernel.batch_width),
-                "-op_batch_width must be 0, 4, or 8");
   so.kernel.order = o.get_int("order", 2);
   PT_ASSERT_MSG(so.kernel.order >= 2 && so.kernel.order <= 4,
                 "-order must be 2, 3, or 4");
-  // Reject unsupported (backend, order, width) combinations right here, with
-  // the registry's nearest-key diagnosis (e.g. asmb only exists at k = 2).
+  // Reject unsupported (backend, order) combinations at the solver's batch
+  // width right here, with the registry's nearest-key diagnosis (asmb only
+  // exists at k = 2; mf reaches k = 3, 4 only through the scalar fallback).
   ensure_qk_kernels_registered();
   if (!KernelRegistry::instance().is_registered(so.kernel)) {
     PT_THROW("no kernel registered for " +

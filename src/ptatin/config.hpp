@@ -41,8 +41,8 @@ public:
   SolverConfig() = default;
 
   /// Build a config from a parsed options database. Recognizes the full
-  /// driver flag set (-backend, -op_batch_width, -decomp, -levels, -coarse,
-  /// -newton, -safeguard, -checkpoint_*, ...); unknown keys are ignored.
+  /// driver flag set (-backend, -order, -decomp, -levels, -coarse, -newton,
+  /// -safeguard, -checkpoint_*, ...); unknown keys are ignored.
   /// Also registers the option descriptions, so Options::help_text()
   /// documents every flag this function reads.
   static SolverConfig from_options(const Options& o);
@@ -62,10 +62,6 @@ public:
   // --- fluent setters ------------------------------------------------------
   SolverConfig& backend(FineOperatorType t) {
     ptatin_.nonlinear.linear.kernel.type = t;
-    return *this;
-  }
-  SolverConfig& batch_width(int w) {
-    ptatin_.nonlinear.linear.kernel.batch_width = w;
     return *this;
   }
   /// Qk velocity order (2..4; the full solver stack requires 2).

@@ -98,8 +98,7 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
     };
 
     GmgOptions gmg_opts = opts.gmg;
-    gmg_opts.fine_kernel.batch_width = opts.kernel.batch_width;
-    gmg_opts.fine_kernel.engine = opts.kernel.engine;
+    gmg_opts.fine_kernel = opts.kernel;
     gmg_ = std::make_unique<GmgHierarchy>(mesh, coeff, bc, gmg_opts,
                                           bc_factory, coarse_factory);
     vpc_ = gmg_.get();

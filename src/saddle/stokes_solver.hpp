@@ -9,6 +9,7 @@
 #include <string>
 
 #include "amg/sa_amg.hpp"
+#include "common/aligned.hpp"
 #include "ksp/settings.hpp"
 #include "mg/gmg.hpp"
 #include "saddle/block_pc.hpp"
@@ -33,12 +34,14 @@ enum class OuterKrylov { kGcr, kFgmres };
 struct StokesSolverOptions {
   /// The fine-level kernel description — backend, polynomial order, SIMD
   /// batch width, and subdomain engine in one spec (fem/kernel_registry.hpp).
-  /// Applies to the Krylov operator and is forwarded to the GMG finest-level
-  /// operator. When `kernel.engine` is set it takes precedence over
-  /// `kernel.batch_width` and solve_stacked records the engine's halo/timing
-  /// stats in the solver report's `decomposition` section. The full solver
-  /// stack requires kernel.order == 2 (higher orders are standalone applies).
-  KernelSpec kernel;
+  /// Applies to the Krylov operator and is forwarded whole to the GMG
+  /// finest-level operator (GmgOptions::fine_kernel is overwritten). The
+  /// width is kSolverBatchWidth, in the global loop and in the engine's
+  /// sweeps alike. When `kernel.engine` is set, solve_stacked records the
+  /// engine's halo/timing stats in the solver report's `decomposition`
+  /// section. The full solver stack requires kernel.order == 2 (higher
+  /// orders are standalone applies).
+  KernelSpec kernel{.batch_width = kSolverBatchWidth};
   VelocityPcType velocity_pc = VelocityPcType::kGmg;
   GmgOptions gmg;               ///< used when velocity_pc == kGmg
   GmgCoarseSolve coarse_solve = GmgCoarseSolve::kAmg;

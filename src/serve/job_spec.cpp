@@ -99,7 +99,6 @@ obs::JsonValue JobSpec::canonical_json() const {
   // Order is result-determining (it changes the discretization entirely), so
   // it is part of the digest even while the fleet runs k = 2 solves only.
   s["order"] = obs::JsonValue(so.kernel.order);
-  s["batch_width"] = obs::JsonValue(so.kernel.batch_width);
   obs::JsonValue decomp = obs::JsonValue::array();
   for (Index d : po.decomp) decomp.push_back(obs::JsonValue((long long)d));
   s["decomp"] = std::move(decomp);

@@ -5,12 +5,10 @@
 // points, form physical basis gradients from the full dN table (the implicit
 // 81x27 D_e matrix), evaluate the stress, and scatter the weak-form residual.
 //
-// Batched path (batch_width = 4 or 8): W same-colored elements in SoA lane
-// buffers; every statement of the per-q kernel runs lane-vectorized and is
-// bitwise identical to the scalar path (see viscous_tensor.cpp).
+// Batched path (batch_width = 4 or 8): W elements in SoA lane buffers;
+// every statement of the per-q kernel runs lane-vectorized and is bitwise
+// identical to the scalar path (see viscous_tensor.cpp).
 #include "stokes/viscous_ops.hpp"
-
-#include "fem/subdomain_engine.hpp"
 
 namespace ptatin {
 
@@ -102,159 +100,139 @@ inline void apply_mf_element(const StructuredMesh& mesh,
 } // namespace
 
 template <int W>
-void MfViscousOperator::apply_batched(const Vector& x, Vector& y) const {
+void MfViscousOperator::apply_lanes(const Index* elems, const Real* xp,
+                                    Real* yp) const {
   const auto& tab = q2_tabulation();
-  y.set_all(0.0);
-  const Real* xp = x.data();
-  Real* yp = y.data();
   const bool newton = newton_;
+  Index nodes[W][kQ2NodesPerEl];
+  for (int l = 0; l < W; ++l) mesh_.element_nodes(elems[l], nodes[l]);
 
-  for_each_element_batched_colored<W>(
-      mesh_,
-      [&](const Index* elems) {
-        Index nodes[W][kQ2NodesPerEl];
-        for (int l = 0; l < W; ++l) mesh_.element_nodes(elems[l], nodes[l]);
+  // ue[i][c][l]: node-major like the scalar kernel, lane-minor.
+  alignas(kSimdAlign) Real ue[kQ2NodesPerEl][3][W];
+  for (int i = 0; i < kQ2NodesPerEl; ++i)
+    for (int l = 0; l < W; ++l) {
+      const Index base = velocity_dof(nodes[l][i], 0);
+      ue[i][0][l] = xp[base + 0];
+      ue[i][1][l] = xp[base + 1];
+      ue[i][2][l] = xp[base + 2];
+    }
 
-        // ue[i][c][l]: node-major like the scalar kernel, lane-minor.
-        alignas(kSimdAlign) Real ue[kQ2NodesPerEl][3][W];
-        for (int i = 0; i < kQ2NodesPerEl; ++i)
-          for (int l = 0; l < W; ++l) {
-            const Index base = velocity_dof(nodes[l][i], 0);
-            ue[i][0][l] = xp[base + 0];
-            ue[i][1][l] = xp[base + 1];
-            ue[i][2][l] = xp[base + 2];
-          }
+  ElementGeometryBatch<W> g;
+  element_geometry_batch<W>(mesh_, elems, g);
 
-        ElementGeometryBatch<W> g;
-        element_geometry_batch<W>(mesh_, elems, g);
+  alignas(kSimdAlign) Real ye[kQ2NodesPerEl][3][W] = {};
+  for (int q = 0; q < kQuadPerEl; ++q) {
+    const Real* ga = &g.gamma[q][0][0]; // ga[(3d + r)*W + l]
+    alignas(kSimdAlign) Real gphys[kQ2NodesPerEl][3][W];
+    for (int i = 0; i < kQ2NodesPerEl; ++i)
+      for (int r = 0; r < 3; ++r) {
+        const Real d0n = tab.dN[q][i][0];
+        const Real d1n = tab.dN[q][i][1];
+        const Real d2n = tab.dN[q][i][2];
+        PT_SIMD
+        for (int l = 0; l < W; ++l)
+          gphys[i][r][l] = d0n * ga[(0 + r) * W + l] +
+                           d1n * ga[(3 + r) * W + l] +
+                           d2n * ga[(6 + r) * W + l];
+      }
 
-        alignas(kSimdAlign) Real ye[kQ2NodesPerEl][3][W] = {};
-        for (int q = 0; q < kQuadPerEl; ++q) {
-          const Real* ga = &g.gamma[q][0][0]; // ga[(3d + r)*W + l]
-          alignas(kSimdAlign) Real gphys[kQ2NodesPerEl][3][W];
-          for (int i = 0; i < kQ2NodesPerEl; ++i)
-            for (int r = 0; r < 3; ++r) {
-              const Real d0n = tab.dN[q][i][0];
-              const Real d1n = tab.dN[q][i][1];
-              const Real d2n = tab.dN[q][i][2];
-              PT_SIMD
-              for (int l = 0; l < W; ++l)
-                gphys[i][r][l] = d0n * ga[(0 + r) * W + l] +
-                                 d1n * ga[(3 + r) * W + l] +
-                                 d2n * ga[(6 + r) * W + l];
-            }
-
-          alignas(kSimdAlign) Real G[3][3][W] = {};
-          for (int i = 0; i < kQ2NodesPerEl; ++i)
-            for (int c = 0; c < 3; ++c)
-              for (int r = 0; r < 3; ++r) {
-                PT_SIMD
-                for (int l = 0; l < W; ++l)
-                  G[c][r][l] += ue[i][c][l] * gphys[i][r][l];
-              }
-
-          // Stress per lane — the scalar stress_at_point body, lane-wise.
-          alignas(kSimdAlign) Real eta[W];
-          for (int l = 0; l < W; ++l) eta[l] = coeff_.eta(elems[l], q);
-          const Real* wd = g.wdetj[q];
-
-          alignas(kSimdAlign) Real sig[3][3][W];
-          alignas(kSimdAlign) Real sxx[W], syy[W], szz[W], sxy[W], sxz[W],
-              syz[W];
+    alignas(kSimdAlign) Real G[3][3][W] = {};
+    for (int i = 0; i < kQ2NodesPerEl; ++i)
+      for (int c = 0; c < 3; ++c)
+        for (int r = 0; r < 3; ++r) {
           PT_SIMD
-          for (int l = 0; l < W; ++l) {
-            const Real Dxx = G[0][0][l], Dyy = G[1][1][l], Dzz = G[2][2][l];
-            const Real Dxy = Real(0.5) * (G[0][1][l] + G[1][0][l]);
-            const Real Dxz = Real(0.5) * (G[0][2][l] + G[2][0][l]);
-            const Real Dyz = Real(0.5) * (G[1][2][l] + G[2][1][l]);
-            sxx[l] = 2 * eta[l] * Dxx;
-            syy[l] = 2 * eta[l] * Dyy;
-            szz[l] = 2 * eta[l] * Dzz;
-            sxy[l] = 2 * eta[l] * Dxy;
-            sxz[l] = 2 * eta[l] * Dxz;
-            syz[l] = 2 * eta[l] * Dyz;
-          }
-          if (newton) {
-            alignas(kSimdAlign) Real deta[W], d0[kSymSize][W];
-            for (int l = 0; l < W; ++l) {
-              deta[l] = coeff_.deta(elems[l], q);
-              const Real* d = coeff_.d0(elems[l], q);
-              for (int t = 0; t < kSymSize; ++t) d0[t][l] = d[t];
-            }
-            PT_SIMD
-            for (int l = 0; l < W; ++l) {
-              const Real Dxx = G[0][0][l], Dyy = G[1][1][l], Dzz = G[2][2][l];
-              const Real Dxy = Real(0.5) * (G[0][1][l] + G[1][0][l]);
-              const Real Dxz = Real(0.5) * (G[0][2][l] + G[2][0][l]);
-              const Real Dyz = Real(0.5) * (G[1][2][l] + G[2][1][l]);
-              const Real dd = d0[0][l] * Dxx + d0[1][l] * Dyy + d0[2][l] * Dzz +
-                              2 * (d0[3][l] * Dxy + d0[4][l] * Dxz +
-                                   d0[5][l] * Dyz);
-              const Real f = 2 * deta[l] * dd;
-              sxx[l] += f * d0[0][l];
-              syy[l] += f * d0[1][l];
-              szz[l] += f * d0[2][l];
-              sxy[l] += f * d0[3][l];
-              sxz[l] += f * d0[4][l];
-              syz[l] += f * d0[5][l];
-            }
-          }
-          PT_SIMD
-          for (int l = 0; l < W; ++l) {
-            sig[0][0][l] = wd[l] * sxx[l];
-            sig[1][1][l] = wd[l] * syy[l];
-            sig[2][2][l] = wd[l] * szz[l];
-            sig[0][1][l] = sig[1][0][l] = wd[l] * sxy[l];
-            sig[0][2][l] = sig[2][0][l] = wd[l] * sxz[l];
-            sig[1][2][l] = sig[2][1][l] = wd[l] * syz[l];
-          }
-
-          for (int i = 0; i < kQ2NodesPerEl; ++i)
-            for (int c = 0; c < 3; ++c) {
-              PT_SIMD
-              for (int l = 0; l < W; ++l)
-                ye[i][c][l] += sig[c][0][l] * gphys[i][0][l] +
-                               sig[c][1][l] * gphys[i][1][l] +
-                               sig[c][2][l] * gphys[i][2][l];
-            }
+          for (int l = 0; l < W; ++l)
+            G[c][r][l] += ue[i][c][l] * gphys[i][r][l];
         }
 
-        for (int i = 0; i < kQ2NodesPerEl; ++i)
-          for (int l = 0; l < W; ++l) {
-            const Index base = velocity_dof(nodes[l][i], 0);
-            yp[base + 0] += ye[i][0][l];
-            yp[base + 1] += ye[i][1][l];
-            yp[base + 2] += ye[i][2][l];
-          }
-      },
-      [&](Index e) {
-        apply_mf_element(mesh_, coeff_, tab, newton, e, xp, yp);
-      });
+    // Stress per lane — the scalar stress_at_point body, lane-wise.
+    alignas(kSimdAlign) Real eta[W];
+    for (int l = 0; l < W; ++l) eta[l] = coeff_.eta(elems[l], q);
+    const Real* wd = g.wdetj[q];
+
+    alignas(kSimdAlign) Real sig[3][3][W];
+    alignas(kSimdAlign) Real sxx[W], syy[W], szz[W], sxy[W], sxz[W],
+        syz[W];
+    PT_SIMD
+    for (int l = 0; l < W; ++l) {
+      const Real Dxx = G[0][0][l], Dyy = G[1][1][l], Dzz = G[2][2][l];
+      const Real Dxy = Real(0.5) * (G[0][1][l] + G[1][0][l]);
+      const Real Dxz = Real(0.5) * (G[0][2][l] + G[2][0][l]);
+      const Real Dyz = Real(0.5) * (G[1][2][l] + G[2][1][l]);
+      sxx[l] = 2 * eta[l] * Dxx;
+      syy[l] = 2 * eta[l] * Dyy;
+      szz[l] = 2 * eta[l] * Dzz;
+      sxy[l] = 2 * eta[l] * Dxy;
+      sxz[l] = 2 * eta[l] * Dxz;
+      syz[l] = 2 * eta[l] * Dyz;
+    }
+    if (newton) {
+      alignas(kSimdAlign) Real deta[W], d0[kSymSize][W];
+      for (int l = 0; l < W; ++l) {
+        deta[l] = coeff_.deta(elems[l], q);
+        const Real* d = coeff_.d0(elems[l], q);
+        for (int t = 0; t < kSymSize; ++t) d0[t][l] = d[t];
+      }
+      PT_SIMD
+      for (int l = 0; l < W; ++l) {
+        const Real Dxx = G[0][0][l], Dyy = G[1][1][l], Dzz = G[2][2][l];
+        const Real Dxy = Real(0.5) * (G[0][1][l] + G[1][0][l]);
+        const Real Dxz = Real(0.5) * (G[0][2][l] + G[2][0][l]);
+        const Real Dyz = Real(0.5) * (G[1][2][l] + G[2][1][l]);
+        const Real dd = d0[0][l] * Dxx + d0[1][l] * Dyy + d0[2][l] * Dzz +
+                        2 * (d0[3][l] * Dxy + d0[4][l] * Dxz +
+                             d0[5][l] * Dyz);
+        const Real f = 2 * deta[l] * dd;
+        sxx[l] += f * d0[0][l];
+        syy[l] += f * d0[1][l];
+        szz[l] += f * d0[2][l];
+        sxy[l] += f * d0[3][l];
+        sxz[l] += f * d0[4][l];
+        syz[l] += f * d0[5][l];
+      }
+    }
+    PT_SIMD
+    for (int l = 0; l < W; ++l) {
+      sig[0][0][l] = wd[l] * sxx[l];
+      sig[1][1][l] = wd[l] * syy[l];
+      sig[2][2][l] = wd[l] * szz[l];
+      sig[0][1][l] = sig[1][0][l] = wd[l] * sxy[l];
+      sig[0][2][l] = sig[2][0][l] = wd[l] * sxz[l];
+      sig[1][2][l] = sig[2][1][l] = wd[l] * syz[l];
+    }
+
+    for (int i = 0; i < kQ2NodesPerEl; ++i)
+      for (int c = 0; c < 3; ++c) {
+        PT_SIMD
+        for (int l = 0; l < W; ++l)
+          ye[i][c][l] += sig[c][0][l] * gphys[i][0][l] +
+                         sig[c][1][l] * gphys[i][1][l] +
+                         sig[c][2][l] * gphys[i][2][l];
+      }
+  }
+
+  // Lane by lane: the engine's lists hand consecutive, node-sharing
+  // elements to one batch, and each node must take them in list order.
+  for (int l = 0; l < W; ++l)
+    for (int i = 0; i < kQ2NodesPerEl; ++i) {
+      const Index base = velocity_dof(nodes[l][i], 0);
+      yp[base + 0] += ye[i][0][l];
+      yp[base + 1] += ye[i][1][l];
+      yp[base + 2] += ye[i][2][l];
+    }
 }
 
 void MfViscousOperator::apply_unmasked(const Vector& x, Vector& y) const {
-  if (engine_ != nullptr) {
-    // Subdomain-parallel path: the same element kernel, swept per-subdomain
-    // into private scratch and halo-exchanged into y (docs/PARALLELISM.md).
-    const auto& tab = q2_tabulation();
-    const Real* xp = x.data();
-    engine_->apply_nodes(3, y.data(), [&](Index e, Real* w) {
-      apply_mf_element(mesh_, coeff_, tab, newton_, e, xp, w);
-    });
-    return;
-  }
-  switch (batch_width_) {
-    case 8: apply_batched<8>(x, y); return;
-    case 4: apply_batched<4>(x, y); return;
-    default: break;
-  }
   const auto& tab = q2_tabulation();
-  y.set_all(0.0);
   const Real* xp = x.data();
-  Real* yp = y.data();
-  for_each_element_colored(mesh_, [&](Index e) {
-    apply_mf_element(mesh_, coeff_, tab, newton_, e, xp, yp);
-  });
+  sweep(
+      y,
+      [&](auto lanes, const Index* elems, Real* yp) {
+        apply_lanes<decltype(lanes)::value>(elems, xp, yp);
+      },
+      [&](Index e, Real* yp) {
+        apply_mf_element(mesh_, coeff_, tab, newton_, e, xp, yp);
+      });
 }
 
 OperatorCostModel MfViscousOperator::cost_model() const {

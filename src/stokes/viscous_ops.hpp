@@ -10,17 +10,20 @@
 // any multigrid level. The MF and Tensor back-ends optionally apply the
 // Newton linearization term eta' (D0 : D(du)) D0 of §III-A; the assembled
 // and TensorC back-ends are Picard-only (they exist to precondition).
-// The MF/Tens/TensC back-ends additionally support a cross-element BATCHED
-// execution path (batch_width = 4 or 8): within each color, W elements are
-// gathered into 64-byte-aligned SoA lane buffers and the element kernel runs
-// lane-vectorized across them (docs/KERNELS.md). Batched applies are bitwise
-// identical to the scalar path — each lane performs the scalar arithmetic in
-// the scalar order — so a batched operator is drop-in anywhere the scalar one
-// is, including as an MG smoother operator.
+// The MF/Tens/TensC back-ends additionally run a cross-element BATCHED
+// element sweep (batch_width = 4 or 8; the solver stack runs
+// kSolverBatchWidth): W elements are gathered into 64-byte-aligned SoA lane
+// buffers and the element kernel runs lane-vectorized across them, in the
+// global colored loop and in every subdomain-engine sweep alike
+// (docs/KERNELS.md). Batched applies are bitwise identical to the scalar
+// path — each lane performs the scalar arithmetic in the scalar order, and
+// the lanes scatter one after another — so a batched operator is drop-in
+// anywhere the scalar one is, including as an MG smoother operator.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "common/aligned.hpp"
 #include "common/parallel.hpp"
@@ -28,14 +31,13 @@
 #include "fem/dofmap.hpp"
 #include "fem/kernel_registry.hpp"
 #include "fem/mesh.hpp"
+#include "fem/subdomain_engine.hpp"
 #include "ksp/operator.hpp"
 #include "la/csr.hpp"
 #include "stokes/coefficient.hpp"
 #include "stokes/geometry.hpp"
 
 namespace ptatin {
-
-class SubdomainEngine;
 
 // FineOperatorType, KernelSpec, and the dispatch registry live in
 // fem/kernel_registry.hpp (included above) — re-exported here for the many
@@ -90,15 +92,24 @@ public:
 
   /// Route the unmasked apply through a subdomain-parallel engine (per-
   /// subdomain element sweeps + in-memory halo exchange, docs/PARALLELISM.md)
-  /// instead of the global colored loop. Borrowed; must outlive the operator
-  /// and match its element dimensions; null restores the global path. The
-  /// engine path takes precedence over the batched path, and the assembled
-  /// back-end (a global SpMV, no element sweep) ignores it.
+  /// instead of the global colored loop, at the operator's batch width.
+  /// Borrowed; must outlive the operator and match its element dimensions;
+  /// null restores the global path. The assembled back-end (a global SpMV,
+  /// no element sweep) ignores it.
   void set_subdomain_engine(const SubdomainEngine* engine);
   const SubdomainEngine* subdomain_engine() const { return engine_; }
 
 protected:
   virtual void apply_unmasked(const Vector& x, Vector& y) const = 0;
+
+  /// The element sweep of the matrix-free back-ends at the operator's batch
+  /// width. `efn(e, yp)` adds one element's contribution into yp;
+  /// `lanes(std::integral_constant<int, W>{}, elems, yp)` adds the W
+  /// elements elems[0..W) lane by lane, and `efn` takes each ragged tail.
+  /// Through the subdomain engine when one is set (per-subdomain scratch +
+  /// halo exchange into y), else the global colored loop over a zeroed y.
+  template <class LanesFn, class ElemFn>
+  void sweep(Vector& y, LanesFn&& lanes, ElemFn&& efn) const;
 
   /// "Name" or "Name[bW]" for the batched variants (Table I row labels).
   std::string decorated_name(const char* base) const {
@@ -113,6 +124,10 @@ protected:
   int batch_width_ = 0;
   const SubdomainEngine* engine_ = nullptr;
   mutable Vector work_;
+
+private:
+  template <int W, class LanesFn, class ElemFn>
+  void sweep_batches(Vector& y, LanesFn& lanes, ElemFn& efn) const;
 };
 
 /// Deprecated name for the construction-time kernel description — the
@@ -168,8 +183,10 @@ protected:
   void apply_unmasked(const Vector& x, Vector& y) const override;
 
 private:
+  /// The W-lane batch kernel: adds elements elems[0..W) of x into yp,
+  /// scattering lane by lane.
   template <int W>
-  void apply_batched(const Vector& x, Vector& y) const;
+  void apply_lanes(const Index* elems, const Real* xp, Real* yp) const;
 };
 
 /// Sum-factorized tensor-product back-end (§III-D Eq. 19).
@@ -183,8 +200,10 @@ protected:
   void apply_unmasked(const Vector& x, Vector& y) const override;
 
 private:
+  /// The W-lane batch kernel: adds elements elems[0..W) of x into yp,
+  /// scattering lane by lane.
   template <int W>
-  void apply_batched(const Vector& x, Vector& y) const;
+  void apply_lanes(const Index* elems, const Real* xp, Real* yp) const;
 };
 
 /// Stored-coefficient tensor back-end ("Tensor C"): per quadrature point the
@@ -211,8 +230,10 @@ protected:
   void apply_unmasked(const Vector& x, Vector& y) const override;
 
 private:
+  /// The W-lane batch kernel: adds elements elems[0..W) of x into yp,
+  /// scattering lane by lane.
   template <int W>
-  void apply_batched(const Vector& x, Vector& y) const;
+  void apply_lanes(const Index* elems, const Real* xp, Real* yp) const;
 
   AlignedVector<Real> gtilde_; ///< 9 * 27 * num_elements
 };
@@ -291,6 +312,40 @@ void for_each_element_batched_colored(const StructuredMesh& mesh, BatchFn&& bfn,
           sfn(ce.element(mesh, nb * W + (i - nb)));
         }
       });
+}
+
+template <class LanesFn, class ElemFn>
+void ViscousOperatorBase::sweep(Vector& y, LanesFn&& lanes,
+                                ElemFn&& efn) const {
+  switch (batch_width_) {
+    case 8: sweep_batches<8>(y, lanes, efn); return;
+    case 4: sweep_batches<4>(y, lanes, efn); return;
+    default: break;
+  }
+  if (engine_ != nullptr) {
+    engine_->apply_nodes(3, y.data(), efn);
+    return;
+  }
+  y.set_all(0.0);
+  Real* yp = y.data();
+  for_each_element_colored(mesh_, [&](Index e) { efn(e, yp); });
+}
+
+template <int W, class LanesFn, class ElemFn>
+void ViscousOperatorBase::sweep_batches(Vector& y, LanesFn& lanes,
+                                        ElemFn& efn) const {
+  const auto bfn = [&](const Index* elems, Real* yp) {
+    lanes(std::integral_constant<int, W>{}, elems, yp);
+  };
+  if (engine_ != nullptr) {
+    engine_->apply_nodes_batched<W>(3, y.data(), bfn, efn);
+    return;
+  }
+  y.set_all(0.0);
+  Real* yp = y.data();
+  for_each_element_batched_colored<W>(
+      mesh_, [&](const Index* elems) { bfn(elems, yp); },
+      [&](Index e) { efn(e, yp); });
 }
 
 } // namespace ptatin

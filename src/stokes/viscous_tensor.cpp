@@ -7,14 +7,14 @@
 // the paper vectorize over elements and reach >30% of peak.
 //
 // The batched path (batch_width = 4 or 8) realizes that vectorization: W
-// same-colored elements are gathered into SoA lane buffers and every kernel
+// elements (same-colored in the global loop, consecutive in a subdomain
+// engine's lists) are gathered into SoA lane buffers and every kernel
 // statement runs as one W-wide SIMD instruction over the lane index. Each
-// lane performs the scalar arithmetic in the scalar order, so batched applies
-// are bitwise identical to the per-element path (asserted in tests).
+// lane performs the scalar arithmetic in the scalar order and the lanes
+// scatter one after another, so batched applies are bitwise identical to the
+// per-element path (asserted in tests).
 #include "stokes/tensor_contract.hpp"
 #include "stokes/viscous_ops.hpp"
-
-#include "fem/subdomain_engine.hpp"
 
 namespace ptatin {
 
@@ -109,157 +109,137 @@ inline void apply_tensor_element(const StructuredMesh& mesh,
 } // namespace
 
 template <int W>
-void TensorViscousOperator::apply_batched(const Vector& x, Vector& y) const {
+void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
+                                        Real* yp) const {
   const auto& tab = q2_tabulation();
-  y.set_all(0.0);
-  const Real* xp = x.data();
-  Real* yp = y.data();
   const bool newton = newton_;
+  Index nodes[W][kQ2NodesPerEl];
+  for (int l = 0; l < W; ++l) mesh_.element_nodes(elems[l], nodes[l]);
 
-  for_each_element_batched_colored<W>(
-      mesh_,
-      [&](const Index* elems) {
-        Index nodes[W][kQ2NodesPerEl];
-        for (int l = 0; l < W; ++l) mesh_.element_nodes(elems[l], nodes[l]);
+  // Gather velocities into lanes: u[c][node*W + lane].
+  alignas(kSimdAlign) Real u[3][kQ2NodesPerEl * W];
+  for (int i = 0; i < kQ2NodesPerEl; ++i)
+    for (int l = 0; l < W; ++l) {
+      const Index base = velocity_dof(nodes[l][i], 0);
+      u[0][i * W + l] = xp[base + 0];
+      u[1][i * W + l] = xp[base + 1];
+      u[2][i * W + l] = xp[base + 2];
+    }
 
-        // Gather velocities into lanes: u[c][node*W + lane].
-        alignas(kSimdAlign) Real u[3][kQ2NodesPerEl * W];
-        for (int i = 0; i < kQ2NodesPerEl; ++i)
-          for (int l = 0; l < W; ++l) {
-            const Index base = velocity_dof(nodes[l][i], 0);
-            u[0][i * W + l] = xp[base + 0];
-            u[1][i * W + l] = xp[base + 1];
-            u[2][i * W + l] = xp[base + 2];
-          }
+  ElementGeometryBatch<W> g;
+  element_geometry_batch<W>(mesh_, elems, g);
 
-        ElementGeometryBatch<W> g;
-        element_geometry_batch<W>(mesh_, elems, g);
+  alignas(kSimdAlign) Real gref[3][3][kQuadPerEl * W];
+  for (int c = 0; c < 3; ++c)
+    tensor_gradient_batched<W>(tab.B1, tab.D1, u[c], gref[c][0],
+                               gref[c][1], gref[c][2]);
 
-        alignas(kSimdAlign) Real gref[3][3][kQuadPerEl * W];
-        for (int c = 0; c < 3; ++c)
-          tensor_gradient_batched<W>(tab.B1, tab.D1, u[c], gref[c][0],
-                                     gref[c][1], gref[c][2]);
+  alignas(kSimdAlign) Real sref[3][3][kQuadPerEl * W];
+  for (int q = 0; q < kQuadPerEl; ++q) {
+    const Real* ga = &g.gamma[q][0][0]; // ga[(3d + r)*W + l]
+    alignas(kSimdAlign) Real G[3][3][W];
+    for (int c = 0; c < 3; ++c)
+      for (int r = 0; r < 3; ++r) {
+        const Real* g0 = &gref[c][0][q * W];
+        const Real* g1 = &gref[c][1][q * W];
+        const Real* g2 = &gref[c][2][q * W];
+        PT_SIMD
+        for (int l = 0; l < W; ++l)
+          G[c][r][l] = g0[l] * ga[(0 + r) * W + l] +
+                       g1[l] * ga[(3 + r) * W + l] +
+                       g2[l] * ga[(6 + r) * W + l];
+      }
 
-        alignas(kSimdAlign) Real sref[3][3][kQuadPerEl * W];
-        for (int q = 0; q < kQuadPerEl; ++q) {
-          const Real* ga = &g.gamma[q][0][0]; // ga[(3d + r)*W + l]
-          alignas(kSimdAlign) Real G[3][3][W];
-          for (int c = 0; c < 3; ++c)
-            for (int r = 0; r < 3; ++r) {
-              const Real* g0 = &gref[c][0][q * W];
-              const Real* g1 = &gref[c][1][q * W];
-              const Real* g2 = &gref[c][2][q * W];
-              PT_SIMD
-              for (int l = 0; l < W; ++l)
-                G[c][r][l] = g0[l] * ga[(0 + r) * W + l] +
-                             g1[l] * ga[(3 + r) * W + l] +
-                             g2[l] * ga[(6 + r) * W + l];
-            }
+    // Lane gather of eta (strided: one load per element in the batch).
+    alignas(kSimdAlign) Real eta[W];
+    for (int l = 0; l < W; ++l) eta[l] = coeff_.eta(elems[l], q);
 
-          // Lane gather of eta (strided: one load per element in the batch).
-          alignas(kSimdAlign) Real eta[W];
-          for (int l = 0; l < W; ++l) eta[l] = coeff_.eta(elems[l], q);
+    alignas(kSimdAlign) Real s[3][3][W];
+    PT_SIMD
+    for (int l = 0; l < W; ++l) {
+      const Real Dxx = G[0][0][l], Dyy = G[1][1][l], Dzz = G[2][2][l];
+      const Real Dxy = Real(0.5) * (G[0][1][l] + G[1][0][l]);
+      const Real Dxz = Real(0.5) * (G[0][2][l] + G[2][0][l]);
+      const Real Dyz = Real(0.5) * (G[1][2][l] + G[2][1][l]);
+      s[0][0][l] = 2 * eta[l] * Dxx;
+      s[1][1][l] = 2 * eta[l] * Dyy;
+      s[2][2][l] = 2 * eta[l] * Dzz;
+      s[0][1][l] = s[1][0][l] = 2 * eta[l] * Dxy;
+      s[0][2][l] = s[2][0][l] = 2 * eta[l] * Dxz;
+      s[1][2][l] = s[2][1][l] = 2 * eta[l] * Dyz;
+    }
 
-          alignas(kSimdAlign) Real s[3][3][W];
-          PT_SIMD
-          for (int l = 0; l < W; ++l) {
-            const Real Dxx = G[0][0][l], Dyy = G[1][1][l], Dzz = G[2][2][l];
-            const Real Dxy = Real(0.5) * (G[0][1][l] + G[1][0][l]);
-            const Real Dxz = Real(0.5) * (G[0][2][l] + G[2][0][l]);
-            const Real Dyz = Real(0.5) * (G[1][2][l] + G[2][1][l]);
-            s[0][0][l] = 2 * eta[l] * Dxx;
-            s[1][1][l] = 2 * eta[l] * Dyy;
-            s[2][2][l] = 2 * eta[l] * Dzz;
-            s[0][1][l] = s[1][0][l] = 2 * eta[l] * Dxy;
-            s[0][2][l] = s[2][0][l] = 2 * eta[l] * Dxz;
-            s[1][2][l] = s[2][1][l] = 2 * eta[l] * Dyz;
-          }
+    if (newton) {
+      alignas(kSimdAlign) Real deta[W], d0[kSymSize][W];
+      for (int l = 0; l < W; ++l) {
+        deta[l] = coeff_.deta(elems[l], q);
+        const Real* d = coeff_.d0(elems[l], q);
+        for (int t = 0; t < kSymSize; ++t) d0[t][l] = d[t];
+      }
+      // The strain invariants recompute bitwise-identically from G, so
+      // splitting the Newton add out of the Picard loop keeps every
+      // lane's arithmetic equal to the scalar kernel's.
+      PT_SIMD
+      for (int l = 0; l < W; ++l) {
+        const Real Dxx = G[0][0][l], Dyy = G[1][1][l], Dzz = G[2][2][l];
+        const Real Dxy = Real(0.5) * (G[0][1][l] + G[1][0][l]);
+        const Real Dxz = Real(0.5) * (G[0][2][l] + G[2][0][l]);
+        const Real Dyz = Real(0.5) * (G[1][2][l] + G[2][1][l]);
+        const Real dd = d0[0][l] * Dxx + d0[1][l] * Dyy + d0[2][l] * Dzz +
+                        2 * (d0[3][l] * Dxy + d0[4][l] * Dxz +
+                             d0[5][l] * Dyz);
+        const Real f = 2 * deta[l] * dd;
+        s[0][0][l] += f * d0[0][l];
+        s[1][1][l] += f * d0[1][l];
+        s[2][2][l] += f * d0[2][l];
+        s[0][1][l] += f * d0[3][l];
+        s[1][0][l] += f * d0[3][l];
+        s[0][2][l] += f * d0[4][l];
+        s[2][0][l] += f * d0[4][l];
+        s[1][2][l] += f * d0[5][l];
+        s[2][1][l] += f * d0[5][l];
+      }
+    }
 
-          if (newton) {
-            alignas(kSimdAlign) Real deta[W], d0[kSymSize][W];
-            for (int l = 0; l < W; ++l) {
-              deta[l] = coeff_.deta(elems[l], q);
-              const Real* d = coeff_.d0(elems[l], q);
-              for (int t = 0; t < kSymSize; ++t) d0[t][l] = d[t];
-            }
-            // The strain invariants recompute bitwise-identically from G, so
-            // splitting the Newton add out of the Picard loop keeps every
-            // lane's arithmetic equal to the scalar kernel's.
-            PT_SIMD
-            for (int l = 0; l < W; ++l) {
-              const Real Dxx = G[0][0][l], Dyy = G[1][1][l], Dzz = G[2][2][l];
-              const Real Dxy = Real(0.5) * (G[0][1][l] + G[1][0][l]);
-              const Real Dxz = Real(0.5) * (G[0][2][l] + G[2][0][l]);
-              const Real Dyz = Real(0.5) * (G[1][2][l] + G[2][1][l]);
-              const Real dd = d0[0][l] * Dxx + d0[1][l] * Dyy + d0[2][l] * Dzz +
-                              2 * (d0[3][l] * Dxy + d0[4][l] * Dxz +
-                                   d0[5][l] * Dyz);
-              const Real f = 2 * deta[l] * dd;
-              s[0][0][l] += f * d0[0][l];
-              s[1][1][l] += f * d0[1][l];
-              s[2][2][l] += f * d0[2][l];
-              s[0][1][l] += f * d0[3][l];
-              s[1][0][l] += f * d0[3][l];
-              s[0][2][l] += f * d0[4][l];
-              s[2][0][l] += f * d0[4][l];
-              s[1][2][l] += f * d0[5][l];
-              s[2][1][l] += f * d0[5][l];
-            }
-          }
+    const Real* wd = g.wdetj[q];
+    for (int c = 0; c < 3; ++c)
+      for (int d = 0; d < 3; ++d) {
+        Real* out = &sref[c][d][q * W];
+        PT_SIMD
+        for (int l = 0; l < W; ++l)
+          out[l] = wd[l] * (s[c][0][l] * ga[(3 * d + 0) * W + l] +
+                            s[c][1][l] * ga[(3 * d + 1) * W + l] +
+                            s[c][2][l] * ga[(3 * d + 2) * W + l]);
+      }
+  }
 
-          const Real* wd = g.wdetj[q];
-          for (int c = 0; c < 3; ++c)
-            for (int d = 0; d < 3; ++d) {
-              Real* out = &sref[c][d][q * W];
-              PT_SIMD
-              for (int l = 0; l < W; ++l)
-                out[l] = wd[l] * (s[c][0][l] * ga[(3 * d + 0) * W + l] +
-                                  s[c][1][l] * ga[(3 * d + 1) * W + l] +
-                                  s[c][2][l] * ga[(3 * d + 2) * W + l]);
-            }
-        }
+  alignas(kSimdAlign) Real ye[3][kQ2NodesPerEl * W] = {};
+  for (int c = 0; c < 3; ++c)
+    tensor_gradient_transpose_batched<W>(tab.B1, tab.D1, sref[c][0],
+                                         sref[c][1], sref[c][2], ye[c]);
 
-        alignas(kSimdAlign) Real ye[3][kQ2NodesPerEl * W] = {};
-        for (int c = 0; c < 3; ++c)
-          tensor_gradient_transpose_batched<W>(tab.B1, tab.D1, sref[c][0],
-                                               sref[c][1], sref[c][2], ye[c]);
-
-        for (int i = 0; i < kQ2NodesPerEl; ++i)
-          for (int l = 0; l < W; ++l) {
-            const Index base = velocity_dof(nodes[l][i], 0);
-            yp[base + 0] += ye[0][i * W + l];
-            yp[base + 1] += ye[1][i * W + l];
-            yp[base + 2] += ye[2][i * W + l];
-          }
-      },
-      [&](Index e) {
-        apply_tensor_element(mesh_, coeff_, tab, newton, e, xp, yp);
-      });
+  // Lane by lane: the engine's lists hand consecutive, node-sharing
+  // elements to one batch, and each node must take them in list order.
+  for (int l = 0; l < W; ++l)
+    for (int i = 0; i < kQ2NodesPerEl; ++i) {
+      const Index base = velocity_dof(nodes[l][i], 0);
+      yp[base + 0] += ye[0][i * W + l];
+      yp[base + 1] += ye[1][i * W + l];
+      yp[base + 2] += ye[2][i * W + l];
+    }
 }
 
 void TensorViscousOperator::apply_unmasked(const Vector& x, Vector& y) const {
-  if (engine_ != nullptr) {
-    // Subdomain-parallel path (docs/PARALLELISM.md): per-subdomain sweeps of
-    // the same sum-factorized kernel, halo-exchanged into y.
-    const auto& tab = q2_tabulation();
-    const Real* xp = x.data();
-    engine_->apply_nodes(3, y.data(), [&](Index e, Real* w) {
-      apply_tensor_element(mesh_, coeff_, tab, newton_, e, xp, w);
-    });
-    return;
-  }
-  switch (batch_width_) {
-    case 8: apply_batched<8>(x, y); return;
-    case 4: apply_batched<4>(x, y); return;
-    default: break;
-  }
   const auto& tab = q2_tabulation();
-  y.set_all(0.0);
   const Real* xp = x.data();
-  Real* yp = y.data();
-  for_each_element_colored(mesh_, [&](Index e) {
-    apply_tensor_element(mesh_, coeff_, tab, newton_, e, xp, yp);
-  });
+  sweep(
+      y,
+      [&](auto lanes, const Index* elems, Real* yp) {
+        apply_lanes<decltype(lanes)::value>(elems, xp, yp);
+      },
+      [&](Index e, Real* yp) {
+        apply_tensor_element(mesh_, coeff_, tab, newton_, e, xp, yp);
+      });
 }
 
 OperatorCostModel TensorViscousOperator::cost_model() const {

@@ -8,15 +8,13 @@
 // element (the paper's anisotropic variant stores 21*27; ours is the
 // isotropic specialization).
 //
-// Batched path (batch_width = 4 or 8): W same-colored elements in SoA lane
-// buffers, with the stored Gtilde gathered lane-wise per quadrature point;
-// bitwise identical to the scalar path (see viscous_tensor.cpp).
+// Batched path (batch_width = 4 or 8): W elements in SoA lane buffers, with
+// the stored Gtilde gathered lane-wise per quadrature point; bitwise
+// identical to the scalar path (see viscous_tensor.cpp).
 #include <cmath>
 
 #include "stokes/tensor_contract.hpp"
 #include "stokes/viscous_ops.hpp"
-
-#include "fem/subdomain_engine.hpp"
 
 namespace ptatin {
 
@@ -94,117 +92,99 @@ void TensorCViscousOperator::update_stored_coefficients() {
 }
 
 template <int W>
-void TensorCViscousOperator::apply_batched(const Vector& x, Vector& y) const {
+void TensorCViscousOperator::apply_lanes(const Index* elems, const Real* xp,
+                                         Real* yp) const {
   const auto& tab = q2_tabulation();
-  y.set_all(0.0);
-  const Real* xp = x.data();
-  Real* yp = y.data();
   const Real* gtilde = gtilde_.data();
+  Index nodes[W][kQ2NodesPerEl];
+  const Real* gt_base[W];
+  for (int l = 0; l < W; ++l) {
+    mesh_.element_nodes(elems[l], nodes[l]);
+    gt_base[l] =
+        gtilde + static_cast<std::size_t>(elems[l]) * kQuadPerEl * 9;
+  }
 
-  for_each_element_batched_colored<W>(
-      mesh_,
-      [&](const Index* elems) {
-        Index nodes[W][kQ2NodesPerEl];
-        const Real* gt_base[W];
-        for (int l = 0; l < W; ++l) {
-          mesh_.element_nodes(elems[l], nodes[l]);
-          gt_base[l] =
-              gtilde + static_cast<std::size_t>(elems[l]) * kQuadPerEl * 9;
-        }
+  alignas(kSimdAlign) Real u[3][kQ2NodesPerEl * W];
+  for (int i = 0; i < kQ2NodesPerEl; ++i)
+    for (int l = 0; l < W; ++l) {
+      const Index base = velocity_dof(nodes[l][i], 0);
+      u[0][i * W + l] = xp[base + 0];
+      u[1][i * W + l] = xp[base + 1];
+      u[2][i * W + l] = xp[base + 2];
+    }
 
-        alignas(kSimdAlign) Real u[3][kQ2NodesPerEl * W];
-        for (int i = 0; i < kQ2NodesPerEl; ++i)
-          for (int l = 0; l < W; ++l) {
-            const Index base = velocity_dof(nodes[l][i], 0);
-            u[0][i * W + l] = xp[base + 0];
-            u[1][i * W + l] = xp[base + 1];
-            u[2][i * W + l] = xp[base + 2];
-          }
+  alignas(kSimdAlign) Real gref[3][3][kQuadPerEl * W];
+  for (int c = 0; c < 3; ++c)
+    tensor_kernel::tensor_gradient_batched<W>(
+        tab.B1, tab.D1, u[c], gref[c][0], gref[c][1], gref[c][2]);
 
-        alignas(kSimdAlign) Real gref[3][3][kQuadPerEl * W];
-        for (int c = 0; c < 3; ++c)
-          tensor_kernel::tensor_gradient_batched<W>(
-              tab.B1, tab.D1, u[c], gref[c][0], gref[c][1], gref[c][2]);
+  alignas(kSimdAlign) Real sref[3][3][kQuadPerEl * W];
+  for (int q = 0; q < kQuadPerEl; ++q) {
+    // Lane transpose of the stored metric: gt[t][l].
+    alignas(kSimdAlign) Real gt[9][W];
+    for (int l = 0; l < W; ++l) {
+      const Real* g = gt_base[l] + 9 * q;
+      for (int t = 0; t < 9; ++t) gt[t][l] = g[t];
+    }
 
-        alignas(kSimdAlign) Real sref[3][3][kQuadPerEl * W];
-        for (int q = 0; q < kQuadPerEl; ++q) {
-          // Lane transpose of the stored metric: gt[t][l].
-          alignas(kSimdAlign) Real gt[9][W];
-          for (int l = 0; l < W; ++l) {
-            const Real* g = gt_base[l] + 9 * q;
-            for (int t = 0; t < 9; ++t) gt[t][l] = g[t];
-          }
+    alignas(kSimdAlign) Real P[3][3][W];
+    for (int c = 0; c < 3; ++c)
+      for (int r = 0; r < 3; ++r) {
+        const Real* g0 = &gref[c][0][q * W];
+        const Real* g1 = &gref[c][1][q * W];
+        const Real* g2 = &gref[c][2][q * W];
+        PT_SIMD
+        for (int l = 0; l < W; ++l)
+          P[c][r][l] = g0[l] * gt[0 + r][l] + g1[l] * gt[3 + r][l] +
+                       g2[l] * gt[6 + r][l];
+      }
 
-          alignas(kSimdAlign) Real P[3][3][W];
-          for (int c = 0; c < 3; ++c)
-            for (int r = 0; r < 3; ++r) {
-              const Real* g0 = &gref[c][0][q * W];
-              const Real* g1 = &gref[c][1][q * W];
-              const Real* g2 = &gref[c][2][q * W];
-              PT_SIMD
-              for (int l = 0; l < W; ++l)
-                P[c][r][l] = g0[l] * gt[0 + r][l] + g1[l] * gt[3 + r][l] +
-                             g2[l] * gt[6 + r][l];
-            }
+    alignas(kSimdAlign) Real T[3][3][W];
+    for (int c = 0; c < 3; ++c)
+      for (int r = 0; r < 3; ++r) {
+        PT_SIMD
+        for (int l = 0; l < W; ++l) T[c][r][l] = P[c][r][l] + P[r][c][l];
+      }
 
-          alignas(kSimdAlign) Real T[3][3][W];
-          for (int c = 0; c < 3; ++c)
-            for (int r = 0; r < 3; ++r) {
-              PT_SIMD
-              for (int l = 0; l < W; ++l) T[c][r][l] = P[c][r][l] + P[r][c][l];
-            }
+    for (int c = 0; c < 3; ++c)
+      for (int d = 0; d < 3; ++d) {
+        Real* out = &sref[c][d][q * W];
+        PT_SIMD
+        for (int l = 0; l < W; ++l)
+          out[l] = T[c][0][l] * gt[3 * d + 0][l] +
+                   T[c][1][l] * gt[3 * d + 1][l] +
+                   T[c][2][l] * gt[3 * d + 2][l];
+      }
+  }
 
-          for (int c = 0; c < 3; ++c)
-            for (int d = 0; d < 3; ++d) {
-              Real* out = &sref[c][d][q * W];
-              PT_SIMD
-              for (int l = 0; l < W; ++l)
-                out[l] = T[c][0][l] * gt[3 * d + 0][l] +
-                         T[c][1][l] * gt[3 * d + 1][l] +
-                         T[c][2][l] * gt[3 * d + 2][l];
-            }
-        }
+  alignas(kSimdAlign) Real ye[3][kQ2NodesPerEl * W] = {};
+  for (int c = 0; c < 3; ++c)
+    tensor_kernel::tensor_gradient_transpose_batched<W>(
+        tab.B1, tab.D1, sref[c][0], sref[c][1], sref[c][2], ye[c]);
 
-        alignas(kSimdAlign) Real ye[3][kQ2NodesPerEl * W] = {};
-        for (int c = 0; c < 3; ++c)
-          tensor_kernel::tensor_gradient_transpose_batched<W>(
-              tab.B1, tab.D1, sref[c][0], sref[c][1], sref[c][2], ye[c]);
-
-        for (int i = 0; i < kQ2NodesPerEl; ++i)
-          for (int l = 0; l < W; ++l) {
-            const Index base = velocity_dof(nodes[l][i], 0);
-            yp[base + 0] += ye[0][i * W + l];
-            yp[base + 1] += ye[1][i * W + l];
-            yp[base + 2] += ye[2][i * W + l];
-          }
-      },
-      [&](Index e) { apply_tensorc_element(mesh_, tab, e, gtilde, xp, yp); });
+  // Lane by lane: the engine's lists hand consecutive, node-sharing
+  // elements to one batch, and each node must take them in list order.
+  for (int l = 0; l < W; ++l)
+    for (int i = 0; i < kQ2NodesPerEl; ++i) {
+      const Index base = velocity_dof(nodes[l][i], 0);
+      yp[base + 0] += ye[0][i * W + l];
+      yp[base + 1] += ye[1][i * W + l];
+      yp[base + 2] += ye[2][i * W + l];
+    }
 }
 
 void TensorCViscousOperator::apply_unmasked(const Vector& x, Vector& y) const {
-  if (engine_ != nullptr) {
-    // Subdomain-parallel path (docs/PARALLELISM.md).
-    const auto& tab = q2_tabulation();
-    const Real* xp = x.data();
-    const Real* gtilde = gtilde_.data();
-    engine_->apply_nodes(3, y.data(), [&](Index e, Real* w) {
-      apply_tensorc_element(mesh_, tab, e, gtilde, xp, w);
-    });
-    return;
-  }
-  switch (batch_width_) {
-    case 8: apply_batched<8>(x, y); return;
-    case 4: apply_batched<4>(x, y); return;
-    default: break;
-  }
   const auto& tab = q2_tabulation();
-  y.set_all(0.0);
   const Real* xp = x.data();
-  Real* yp = y.data();
   const Real* gtilde = gtilde_.data();
-  for_each_element_colored(mesh_, [&](Index e) {
-    apply_tensorc_element(mesh_, tab, e, gtilde, xp, yp);
-  });
+  sweep(
+      y,
+      [&](auto lanes, const Index* elems, Real* yp) {
+        apply_lanes<decltype(lanes)::value>(elems, xp, yp);
+      },
+      [&](Index e, Real* yp) {
+        apply_tensorc_element(mesh_, tab, e, gtilde, xp, yp);
+      });
 }
 
 OperatorCostModel TensorCViscousOperator::cost_model() const {

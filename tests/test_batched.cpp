@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -129,6 +130,15 @@ struct BitwiseCase {
   Index mx, my, mz;
   bool newton;
 };
+
+/// Prints a case as "Tens_5x3x7_newton", which ctest appends to the test
+/// name. gtest's default printer dumps the struct's bytes, padding included,
+/// so the names would differ between builds.
+void PrintTo(const BitwiseCase& c, std::ostream* os) {
+  static const char* kNames[] = {"MF", "Tens", "TensC"};
+  *os << kNames[static_cast<int>(c.backend)] << "_" << c.mx << "x" << c.my
+      << "x" << c.mz << (c.newton ? "_newton" : "_picard");
+}
 
 class BatchedBitwise : public ::testing::TestWithParam<BitwiseCase> {};
 

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -174,27 +175,74 @@ TEST(SubdomainEngine, FixedShapeApplyIsBitwiseReproducible) {
   }
 }
 
-TEST(SubdomainEngine, EnginePathTakesPrecedenceOverBatchWidth) {
-  StructuredMesh mesh = make_deformed_mesh(4, 4, 4);
-  QuadCoefficients coeff = make_variable_coeff(mesh, false);
-  DirichletBc bc(num_velocity_dofs(mesh));
-  SubdomainEngine eng(mesh, 2, 1, 1);
-  // batch_width 8 would take the SIMD path; with an engine the decomposed
-  // path must win and still match the scalar global result to rounding.
-  auto batched_decomp = make_viscous_backend(
-      KernelSpec{.type = FineOperatorType::kTensor, .batch_width = 8,
-                 .engine = &eng}, mesh, coeff,
-      &bc);
-  auto scalar_decomp = make_viscous_backend(
-      KernelSpec{.type = FineOperatorType::kTensor, .engine = &eng}, mesh, coeff,
-      &bc);
-  Vector x = random_vector(batched_decomp->rows(), 17);
-  Vector y0(x.size()), y1(x.size());
-  batched_decomp->apply(x, y0);
-  scalar_decomp->apply(x, y1);
-  for (Index i = 0; i < x.size(); ++i)
-    EXPECT_EQ(y0[i], y1[i]) << "engine must shadow batch_width at " << i;
+// --- batched engine sweeps -------------------------------------------------
+
+struct EngineBatchCase {
+  FineOperatorType type;
+  Index px, py, pz;
+};
+
+/// "Tens_2x2x1" (ctest appends it to the test name).
+void PrintTo(const EngineBatchCase& c, std::ostream* os) {
+  *os << fine_operator_display(c.type) << "_" << c.px << "x" << c.py << "x"
+      << c.pz;
 }
+
+class EngineBatched : public ::testing::TestWithParam<EngineBatchCase> {};
+
+// A batch of the engine's sweep is W consecutive entries of one subdomain's
+// element list, and consecutive entries share nodes. The batched engine
+// apply is bitwise the scalar one only if each batch scatters its lanes in
+// list order, so this catches a node-major scatter that the global loop's
+// bitwise tests (whose same-colored lanes share no nodes) cannot.
+TEST_P(EngineBatched, MatchesScalarEngineApplyBitwise) {
+  const EngineBatchCase p = GetParam();
+  StructuredMesh mesh = make_deformed_mesh(5, 3, 7);
+  const bool newton = p.type != FineOperatorType::kTensorC; // Picard-only
+  QuadCoefficients coeff = make_variable_coeff(mesh, newton);
+  DirichletBc bc(num_velocity_dofs(mesh)); // unmasked: compare every row
+  SubdomainEngine eng(mesh, p.px, p.py, p.pz);
+  const Vector x = random_vector(num_velocity_dofs(mesh), 17);
+
+  auto engine_apply = [&](int width) {
+    auto op = make_viscous_backend(
+        KernelSpec{.type = p.type, .batch_width = width, .engine = &eng}, mesh,
+        coeff, &bc);
+    op->set_newton(newton);
+    Vector y;
+    op->apply(x, y);
+    return y;
+  };
+  const Vector y0 = engine_apply(0);
+  for (int width : kBatchWidths) {
+    bool full_batch = false, ragged_tail = false;
+    for (Index s = 0; s < eng.num_subdomains(); ++s)
+      for (const auto* list :
+           {&eng.boundary_elements(s), &eng.interior_elements(s)}) {
+        full_batch |= list->size() >= std::size_t(width);
+        ragged_tail |= list->size() % width != 0;
+      }
+    ASSERT_TRUE(full_batch && ragged_tail)
+        << "mesh chosen to give width " << width
+        << " full batches and ragged tails";
+    const Vector y = engine_apply(width);
+    ASSERT_EQ(y.size(), y0.size());
+    for (Index i = 0; i < y.size(); ++i)
+      ASSERT_EQ(y[i], y0[i]) << "width " << width << " drifted at dof " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, EngineBatched,
+    ::testing::Values(EngineBatchCase{FineOperatorType::kMatrixFree, 2, 1, 1},
+                      EngineBatchCase{FineOperatorType::kMatrixFree, 2, 2, 1},
+                      EngineBatchCase{FineOperatorType::kMatrixFree, 2, 2, 2},
+                      EngineBatchCase{FineOperatorType::kTensor, 2, 1, 1},
+                      EngineBatchCase{FineOperatorType::kTensor, 2, 2, 1},
+                      EngineBatchCase{FineOperatorType::kTensor, 2, 2, 2},
+                      EngineBatchCase{FineOperatorType::kTensorC, 2, 1, 1},
+                      EngineBatchCase{FineOperatorType::kTensorC, 2, 2, 1},
+                      EngineBatchCase{FineOperatorType::kTensorC, 2, 2, 2}));
 
 // --- assembly / sampling paths ----------------------------------------------
 
@@ -424,6 +472,21 @@ TEST(SolverConfig, FromOptionsWiresDecompAndSolverKnobs) {
   EXPECT_EQ(eng->num_subdomains(), 4);
   // 1x1x1 = global paths, no engine.
   EXPECT_EQ(SolverConfig().make_engine(mesh), nullptr);
+}
+
+TEST(SolverConfig, RunsTheSolverBatchWidthWithoutAKnob) {
+  EXPECT_EQ(SolverConfig::from_options(Options()).stokes().kernel.batch_width,
+            kSolverBatchWidth);
+  EXPECT_EQ(StokesSolverOptions().kernel.batch_width, kSolverBatchWidth);
+  // The width is no longer an option: not described, so the driver and the
+  // job-spec parser reject it as unknown.
+  const char* argv[] = {"prog", "-op_batch_width", "0"};
+  const Options o = Options::from_args(3, argv);
+  SolverConfig::describe_options();
+  const auto unknown = o.unknown_keys();
+  ASSERT_EQ(unknown.size(), 1u);
+  EXPECT_EQ(unknown[0].key, "op_batch_width");
+  EXPECT_EQ(Options::help_text().find("op_batch_width"), std::string::npos);
 }
 
 TEST(OptionsUnified, DashAndDoubleDashResolveIdentically) {

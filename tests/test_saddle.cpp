@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.hpp"
 #include "saddle/stokes_solver.hpp"
@@ -227,6 +228,11 @@ TEST(StokesSolve, BackendsAllConverge) {
     StokesSolverOptions opts = small_gmg_options(2);
     opts.kernel.type = backend;
     StokesSolver solver(mesh, coeff, bc, opts);
+    // The finest GMG level smooths with the requested back-end too.
+    ASSERT_NE(solver.gmg(), nullptr);
+    const std::string fine = solver.gmg()->fine_operator().name();
+    EXPECT_EQ(fine.substr(0, fine.find('[')), fine_operator_display(backend))
+        << fine;
     StokesSolveResult res = solver.solve(f);
     EXPECT_TRUE(res.stats.converged) << "backend " << int(backend);
   }
