@@ -9,19 +9,12 @@
 //
 // In addition to the paper's four rows we time the cross-element SIMD-batched
 // variants of the matrix-free back-ends (MF[bW], Tens[bW], TensC[bW], with
-// W = -op_batch_width; docs/KERNELS.md), and the higher-order Qk tensor
-// kernels (k = 3, 4; Tens[k3], Tens[k3,b8], ... — the accuracy-per-DOF axis).
-// Every operator is constructed through the kernel-dispatch registry
-// (fem/kernel_registry.hpp), so the rows exercise exactly the production
-// construction path. Batched applies are bitwise identical to scalar, so
-// their rows differ only in time.
-//
-// -smoke runs the perf assertions wired into CI: registry dispatch adds no
-// apply cost over direct construction (same object comes back), and the k=3
-// sum-factorized kernel beats the generic-order fallback.
+// W = -op_batch_width; docs/KERNELS.md). Every operator is constructed
+// through make_viscous_backend, the production construction path. Batched
+// applies are bitwise identical to scalar, so their rows differ only in time.
 //
 // Usage: table1_operator [-m 12] [-reps 20] [-contrast 1e4]
-//                        [-op_batch_width 8] [-orders 2,3,4] [-smoke]
+//                        [-op_batch_width 8]
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -30,11 +23,9 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "fem/bc.hpp"
-#include "fem/kernel_registry.hpp"
 #include "obs/report.hpp"
 #include "ptatin/models_sinker.hpp"
 #include "stokes/viscous_ops.hpp"
-#include "stokes/viscous_qk.hpp"
 
 using namespace ptatin;
 
@@ -84,9 +75,6 @@ int main(int argc, char** argv) {
   const int reps = opts.get_int("reps", 20);
   const Real contrast = opts.get_real("contrast", 1e4);
   const int batch_width = opts.get_int("op_batch_width", 8);
-  const bool smoke = opts.get_bool("smoke", false);
-  std::vector<Index> orders = {2, 3, 4};
-  if (opts.has("orders")) orders = opts.get_index_list("orders");
   if (reps < 1) {
     std::fprintf(stderr, "error: -reps must be >= 1\n");
     return 2;
@@ -95,11 +83,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: -op_batch_width must be 0, 4, or 8\n");
     return 2;
   }
-  for (Index k : orders)
-    if (k < 2 || k > 4) {
-      std::fprintf(stderr, "error: -orders entries must be in 2..4\n");
-      return 2;
-    }
 
   bench::banner(
       "Table I: viscous operator application cost (paper: SC14 Table I)");
@@ -123,40 +106,24 @@ int main(int argc, char** argv) {
   QuadCoefficients coeff = sinker_coefficients(mesh, sp);
   DirichletBc bc = sinker_boundary_conditions(mesh);
 
-  // Every row is a KernelSpec resolved through the registry — the production
-  // construction path. Qk (k > 2) applies take no Dirichlet mask.
-  struct Row {
-    KernelSpec spec;
-    std::unique_ptr<ViscousOperatorBase> op;
+  // Every row is built from a KernelSpec by make_viscous_backend — the
+  // production construction path.
+  std::vector<std::unique_ptr<ViscousOperatorBase>> ops;
+  auto add = [&](FineOperatorType t, int width) {
+    ops.push_back(make_viscous_backend(
+        KernelSpec{.type = t, .batch_width = width}, mesh, coeff, &bc));
   };
-  std::vector<Row> rows_ops;
-  auto add = [&](FineOperatorType t, int order, int width) {
-    KernelSpec s;
-    s.type = t;
-    s.order = order;
-    s.batch_width = width;
-    rows_ops.push_back(
-        {s, make_viscous_backend(s, mesh, coeff,
-                                 order == 2 ? &bc : nullptr)});
-  };
-  for (Index k : orders) {
-    if (k == 2) {
-      add(FineOperatorType::kAssembled, 2, 0);
-      add(FineOperatorType::kMatrixFree, 2, 0);
-      add(FineOperatorType::kTensor, 2, 0);
-      add(FineOperatorType::kTensorC, 2, 0);
-      if (batch_width != 0) {
-        add(FineOperatorType::kMatrixFree, 2, batch_width);
-        add(FineOperatorType::kTensor, 2, batch_width);
-        add(FineOperatorType::kTensorC, 2, batch_width);
-      }
-    } else {
-      add(FineOperatorType::kTensor, int(k), 0);
-      if (batch_width != 0) add(FineOperatorType::kTensor, int(k), batch_width);
-    }
+  add(FineOperatorType::kAssembled, 0);
+  add(FineOperatorType::kMatrixFree, 0);
+  add(FineOperatorType::kTensor, 0);
+  add(FineOperatorType::kTensorC, 0);
+  if (batch_width != 0) {
+    add(FineOperatorType::kMatrixFree, batch_width);
+    add(FineOperatorType::kTensor, batch_width);
+    add(FineOperatorType::kTensorC, batch_width);
   }
 
-  bench::Table tab({"Operator", "k", "Flops/el", "PessB/el", "PerfB/el", "AI",
+  bench::Table tab({"Operator", "Flops/el", "PessB/el", "PerfB/el", "AI",
                     "Time(ms)", "GF/s", "vs Asmb"});
   tab.print_header();
 
@@ -164,8 +131,8 @@ int main(int argc, char** argv) {
   double asmb_time = 0.0;
   obs::JsonValue rows = obs::JsonValue::array();
   Vector y;
-  for (auto& row : rows_ops) {
-    ViscousOperatorBase& op = *row.op;
+  for (const auto& op_ptr : ops) {
+    const ViscousOperatorBase& op = *op_ptr;
     const Vector x = random_input(op.rows());
     const ApplyTiming timing = time_apply(op, x, y, reps);
     const double sec = timing.median;
@@ -173,7 +140,6 @@ int main(int argc, char** argv) {
 
     const OperatorCostModel cm = op.cost_model();
     tab.cell(op.name());
-    tab.cell(long(row.spec.order));
     tab.cell(cm.flops_per_element, "%.0f");
     tab.cell(cm.bytes_pessimal, "%.0f");
     tab.cell(cm.bytes_perfect, "%.0f");
@@ -185,7 +151,6 @@ int main(int argc, char** argv) {
 
     obs::JsonValue jrow = obs::JsonValue::object();
     jrow["backend"] = obs::JsonValue(op.name());
-    jrow["order"] = obs::JsonValue((long long)row.spec.order);
     jrow["batch_width"] = obs::JsonValue((long long)op.batch_width());
     jrow["flops_per_element"] = obs::JsonValue(cm.flops_per_element);
     jrow["bytes_pessimal"] = obs::JsonValue(cm.bytes_pessimal);
@@ -227,50 +192,5 @@ int main(int argc, char** argv) {
                     1048576.0);
   }
 
-  if (smoke) {
-    // --- CI perf smoke ------------------------------------------------------
-    // 1. Registry dispatch is construction-time only: the resolved k=2 tensor
-    //    operator must apply no slower than a directly-constructed one
-    //    (generous 1.5x bound absorbs timer noise on shared runners).
-    std::printf("\nperf smoke:\n");
-    KernelSpec s2;
-    s2.type = FineOperatorType::kTensor;
-    const auto via_registry = make_viscous_backend(s2, mesh, coeff, &bc);
-    const TensorViscousOperator direct(mesh, coeff, &bc);
-    const Vector x2 = random_input(direct.rows());
-    const double t_reg = time_apply(*via_registry, x2, y, reps).median;
-    const double t_dir = time_apply(direct, x2, y, reps).median;
-    std::printf("  k=2 tens: registry %.3f ms vs direct %.3f ms\n",
-                t_reg * 1e3, t_dir * 1e3);
-    if (t_reg > 1.5 * t_dir) {
-      std::fprintf(stderr,
-                   "FAIL: registry-dispatched k=2 apply slower than direct "
-                   "construction\n");
-      return 1;
-    }
-
-    // 2. The k=3 sum-factorized specialization must beat the generic-order
-    //    fallback (the whole point of registering a specialization).
-    ensure_qk_kernels_registered();
-    KernelSpec s3;
-    s3.type = FineOperatorType::kTensor;
-    s3.order = 3;
-    const auto tens3 = make_viscous_backend(s3, mesh, coeff, nullptr);
-    const KernelResolution fb =
-        KernelRegistry::instance().resolve_fallback(s3);
-    const auto gen3 = fb.factory(s3, mesh, coeff, nullptr);
-    const Vector x3 = random_input(tens3->rows());
-    const double t_tens3 = time_apply(*tens3, x3, y, reps).median;
-    const double t_gen3 = time_apply(*gen3, x3, y, reps).median;
-    std::printf("  k=3: tensor %.3f ms vs generic fallback %.3f ms\n",
-                t_tens3 * 1e3, t_gen3 * 1e3);
-    if (t_tens3 >= t_gen3) {
-      std::fprintf(stderr,
-                   "FAIL: k=3 tensor kernel not faster than the generic "
-                   "fallback\n");
-      return 1;
-    }
-    std::printf("  ok\n");
-  }
   return 0;
 }

@@ -315,10 +315,9 @@ int main(int argc, char** argv) {
     report.set_meta("model", name);
     report.set_meta("steps", std::to_string(steps));
     report.set_meta("backend", o.get_string("backend", "tens"));
-    report.set_meta("order", std::to_string(o.get_int("order", 2)));
     KernelSpec kernel = cfg.stokes().kernel;
     kernel.engine = ctx.subdomain_engine();
-    report.set_meta("kernel", KernelKey::of(kernel).str());
+    report.set_meta("kernel", kernel_label(kernel));
     report.set_meta("decomp", std::to_string(dshape[0]) + "x" +
                                   std::to_string(dshape[1]) + "x" +
                                   std::to_string(dshape[2]));

@@ -1,21 +1,6 @@
 #include "fem/basis.hpp"
 
-#include <vector>
-
-#include "common/error.hpp"
-
 namespace ptatin {
-
-GaussRule1D gauss_rule_1d(int n) {
-  switch (n) {
-    case 2: return {Gauss2::pts.data(), Gauss2::wts.data(), 2};
-    case 3: return {Gauss3::pts.data(), Gauss3::wts.data(), 3};
-    case 4: return {Gauss4::pts.data(), Gauss4::wts.data(), 4};
-    case 5: return {Gauss5::pts.data(), Gauss5::wts.data(), 5};
-    default: PT_THROW("no 1D Gauss rule with " + std::to_string(n) +
-                      " points (have 2..5)");
-  }
-}
 
 void q2_eval(const Real xi[3], Real N[kQ2NodesPerEl]) {
   Real bx[3], by[3], bz[3];
@@ -84,129 +69,6 @@ void q1_eval_deriv(const Real xi[3], Real dN[kQ1NodesPerEl][3]) {
 }
 
 namespace {
-inline Real qk_node(int k, int a) { return -1.0 + 2.0 * a / k; }
-} // namespace
-
-Real qk_basis_1d(int k, int a, Real x) {
-  Real v = 1.0;
-  const Real xa = qk_node(k, a);
-  for (int j = 0; j <= k; ++j) {
-    if (j == a) continue;
-    const Real xj = qk_node(k, j);
-    v *= (x - xj) / (xa - xj);
-  }
-  return v;
-}
-
-Real qk_deriv_1d(int k, int a, Real x) {
-  // d/dx prod_j (x - x_j)/(x_a - x_j) = sum_m 1/(x_a - x_m) prod_{j != m} ...
-  Real sum = 0.0;
-  const Real xa = qk_node(k, a);
-  for (int m = 0; m <= k; ++m) {
-    if (m == a) continue;
-    Real term = 1.0 / (xa - qk_node(k, m));
-    for (int j = 0; j <= k; ++j) {
-      if (j == a || j == m) continue;
-      const Real xj = qk_node(k, j);
-      term *= (x - xj) / (xa - xj);
-    }
-    sum += term;
-  }
-  return sum;
-}
-
-void qk_eval(int k, const Real xi[3], Real* N) {
-  const int p = k + 1;
-  std::vector<Real> bx(p), by(p), bz(p);
-  for (int a = 0; a < p; ++a) {
-    bx[a] = qk_basis_1d(k, a, xi[0]);
-    by[a] = qk_basis_1d(k, a, xi[1]);
-    bz[a] = qk_basis_1d(k, a, xi[2]);
-  }
-  for (int c = 0; c < p; ++c)
-    for (int b = 0; b < p; ++b)
-      for (int a = 0; a < p; ++a)
-        N[a + p * b + p * p * c] = bx[a] * by[b] * bz[c];
-}
-
-void qk_eval_deriv(int k, const Real xi[3], Real* dN) {
-  const int p = k + 1;
-  std::vector<Real> bx(p), by(p), bz(p), dx(p), dy(p), dz(p);
-  for (int a = 0; a < p; ++a) {
-    bx[a] = qk_basis_1d(k, a, xi[0]);
-    by[a] = qk_basis_1d(k, a, xi[1]);
-    bz[a] = qk_basis_1d(k, a, xi[2]);
-    dx[a] = qk_deriv_1d(k, a, xi[0]);
-    dy[a] = qk_deriv_1d(k, a, xi[1]);
-    dz[a] = qk_deriv_1d(k, a, xi[2]);
-  }
-  for (int c = 0; c < p; ++c)
-    for (int b = 0; b < p; ++b)
-      for (int a = 0; a < p; ++a) {
-        const int i = a + p * b + p * p * c;
-        dN[i * 3 + 0] = dx[a] * by[b] * bz[c];
-        dN[i * 3 + 1] = bx[a] * dy[b] * bz[c];
-        dN[i * 3 + 2] = bx[a] * by[b] * dz[c];
-      }
-}
-
-namespace {
-
-QkTabulation build_qk_tab(int k) {
-  QkTabulation t;
-  t.k = k;
-  t.p = k + 1;
-  const int p = t.p;
-  const int nn = p * p * p;
-  const GaussRule1D rule = gauss_rule_1d(p);
-
-  t.pts1.assign(rule.pts, rule.pts + p);
-  t.w1.assign(rule.wts, rule.wts + p);
-  t.B1.resize(p * p);
-  t.D1.resize(p * p);
-  for (int q = 0; q < p; ++q)
-    for (int a = 0; a < p; ++a) {
-      t.B1[q * p + a] = qk_basis_1d(k, a, rule.pts[q]);
-      t.D1[q * p + a] = qk_deriv_1d(k, a, rule.pts[q]);
-    }
-
-  t.w.resize(nn);
-  t.N.resize(static_cast<std::size_t>(nn) * nn);
-  t.dN.resize(static_cast<std::size_t>(nn) * nn * 3);
-  t.geomN.resize(static_cast<std::size_t>(nn) * kQ1NodesPerEl);
-  t.geomdN.resize(static_cast<std::size_t>(nn) * kQ1NodesPerEl * 3);
-  for (int q = 0; q < nn; ++q) {
-    const int i = q % p, j = (q / p) % p, l = q / (p * p);
-    const Real xi[3] = {rule.pts[i], rule.pts[j], rule.pts[l]};
-    t.w[q] = rule.wts[i] * rule.wts[j] * rule.wts[l];
-    qk_eval(k, xi, &t.N[static_cast<std::size_t>(q) * nn]);
-    qk_eval_deriv(k, xi, &t.dN[static_cast<std::size_t>(q) * nn * 3]);
-    Real gN[kQ1NodesPerEl], gdN[kQ1NodesPerEl][3];
-    q1_eval(xi, gN);
-    q1_eval_deriv(xi, gdN);
-    for (int a = 0; a < kQ1NodesPerEl; ++a) {
-      t.geomN[q * kQ1NodesPerEl + a] = gN[a];
-      for (int d = 0; d < 3; ++d)
-        t.geomdN[(q * kQ1NodesPerEl + a) * 3 + d] = gdN[a][d];
-    }
-  }
-
-  // 1D lift of coefficient samples from the 3-point Gauss grid (where
-  // QuadCoefficients lives) onto this rule's p points: quadratic Lagrange
-  // interpolation through the Gauss3 nodes — exact whenever the coefficient
-  // varies at most quadratically per element along each axis.
-  t.interp1.resize(p * 3);
-  for (int q = 0; q < p; ++q)
-    for (int j = 0; j < 3; ++j) {
-      Real v = 1.0;
-      for (int m = 0; m < 3; ++m) {
-        if (m == j) continue;
-        v *= (rule.pts[q] - Gauss3::pts[m]) / (Gauss3::pts[j] - Gauss3::pts[m]);
-      }
-      t.interp1[q * 3 + j] = v;
-    }
-  return t;
-}
 
 Q2Tabulation build_q2_tab() {
   Q2Tabulation t{};
@@ -263,13 +125,6 @@ const Q1Tabulation& q1_tabulation() {
 const GeomTabulation& geom_tabulation() {
   static const GeomTabulation tab = build_geom_tab();
   return tab;
-}
-
-const QkTabulation& qk_tabulation(int k) {
-  PT_ASSERT_MSG(k >= 2 && k <= 4, "Qk tabulation supports k = 2..4");
-  static const QkTabulation tabs[3] = {build_qk_tab(2), build_qk_tab(3),
-                                       build_qk_tab(4)};
-  return tabs[k - 2];
 }
 
 } // namespace ptatin

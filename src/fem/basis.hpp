@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "common/types.hpp"
 #include "fem/quadrature.hpp"
@@ -95,53 +94,6 @@ struct GeomTabulation {
 };
 
 const GeomTabulation& geom_tabulation();
-
-// ---------------------------------------------------------------------------
-// Arbitrary-order Qk Lagrange basis on the uniform 1D node lattice
-// x_a = -1 + 2a/k, a = 0..k (k = 2 reproduces the Q2 nodes {-1, 0, +1}).
-// Used by the kernel registry's higher-order tensor applies (k = 3, 4) and
-// the runtime generic-order fallback; node ordering a + p*b + p^2*c with
-// p = k+1 (x fastest), matching the Q2 convention.
-// ---------------------------------------------------------------------------
-
-/// 1D Lagrange basis function a of order k at x.
-Real qk_basis_1d(int k, int a, Real x);
-
-/// Derivative of qk_basis_1d.
-Real qk_deriv_1d(int k, int a, Real x);
-
-/// N[(k+1)^3]: Qk shape functions at xi.
-void qk_eval(int k, const Real xi[3], Real* N);
-
-/// dN[(k+1)^3][3] (flat, i*3+d): Qk reference-space gradients at xi.
-void qk_eval_deriv(int k, const Real xi[3], Real* dN);
-
-/// Everything a Qk element kernel needs at the tensorized (k+1)-point Gauss
-/// rule: 1D factors for sum factorization, dense 3D tables for the generic
-/// fallback, Q1 geometry factors at the Qk points, and the 1D interpolation
-/// matrix lifting coefficient samples from the Gauss3 grid (where
-/// QuadCoefficients stores them) onto the Qk quadrature grid.
-struct QkTabulation {
-  int k = 0; ///< polynomial order
-  int p = 0; ///< points (and nodes) per direction, k+1
-
-  std::vector<Real> pts1;    ///< [p] 1D Gauss points
-  std::vector<Real> B1;      ///< [p*p], B1[q*p + a]: 1D basis a at point q
-  std::vector<Real> D1;      ///< [p*p], 1D derivative
-  std::vector<Real> w1;      ///< [p] 1D weights
-  std::vector<Real> w;       ///< [p^3] tensorized weights (x fastest)
-  std::vector<Real> N;       ///< [p^3 * p^3], N[q*nn + i]
-  std::vector<Real> dN;      ///< [p^3 * p^3 * 3], dN[(q*nn + i)*3 + d]
-  std::vector<Real> geomN;   ///< [p^3 * 8], Q1 shape at the Qk points
-  std::vector<Real> geomdN;  ///< [p^3 * 8 * 3]
-  std::vector<Real> interp1; ///< [p*3], Gauss3 -> Gauss-p 1D interpolation
-
-  int nodes_per_el() const { return p * p * p; }
-  int quad_per_el() const { return p * p * p; }
-};
-
-/// The process-wide Qk tabulation for k in [2, 4] (computed once, immutable).
-const QkTabulation& qk_tabulation(int k);
 
 // ---------------------------------------------------------------------------
 // P1disc pressure basis, defined in PHYSICAL coordinates (x, y, z).

@@ -27,37 +27,6 @@ struct Gauss2 {
   static constexpr std::array<Real, 2> wts = {1.0, 1.0};
 };
 
-/// One-dimensional 4-point Gauss rule on [-1, 1] (exact through degree 7) —
-/// the tensorized Q3 rule.
-struct Gauss4 {
-  static constexpr std::array<Real, 4> pts = {
-      -0.8611363115940526, -0.3399810435848563, 0.3399810435848563,
-      0.8611363115940526};
-  static constexpr std::array<Real, 4> wts = {
-      0.3478548451374538, 0.6521451548625461, 0.6521451548625461,
-      0.3478548451374538};
-};
-
-/// One-dimensional 5-point Gauss rule on [-1, 1] (exact through degree 9) —
-/// the tensorized Q4 rule.
-struct Gauss5 {
-  static constexpr std::array<Real, 5> pts = {
-      -0.9061798459386640, -0.5384693101056831, 0.0, 0.5384693101056831,
-      0.9061798459386640};
-  static constexpr std::array<Real, 5> wts = {
-      0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-      0.4786286704993665, 0.2369268850561891};
-};
-
-/// Runtime view of the n-point 1D Gauss rule, n in [2, 5] (the
-/// arbitrary-order Qk tabulations pick their rule by k at run time).
-struct GaussRule1D {
-  const Real* pts;
-  const Real* wts;
-  int n;
-};
-GaussRule1D gauss_rule_1d(int n);
-
 /// Tensorized 3D quadrature rule.
 template <class Rule1D>
 struct TensorQuadrature {

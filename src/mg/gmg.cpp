@@ -52,8 +52,6 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
         levels_[l + 1].mesh, levels_[l].mesh, &levels_[l + 1].bc);
 
   // --- operators ----------------------------------------------------------------
-  PT_ASSERT_MSG(opts.fine_kernel.order == 2,
-                "GMG hierarchies run the Q2 discretization only");
   finest.elem_op = make_viscous_backend(opts.fine_kernel, finest.mesh,
                                         finest.coeff, &finest.bc);
   finest.op = finest.elem_op.get();

@@ -37,10 +37,6 @@ struct GmgSetupCache {
   std::vector<GalerkinProduct> rap; ///< indexed by coarse level
 };
 
-// FineOperatorType lives in stokes/viscous_ops.hpp (included above) next to
-// the make_viscous_backend factory; this header re-exports it transitively
-// for the existing call sites.
-
 /// How operators below the finest level are built.
 enum class CoarseOperatorType {
   kGalerkin,       ///< assemble level L-2 by rediscretization, RAP below
@@ -49,15 +45,13 @@ enum class CoarseOperatorType {
 
 struct GmgOptions {
   int levels = 3;
-  /// The finest-level kernel description (backend, order, SIMD batch width,
-  /// subdomain engine — fem/kernel_registry.hpp). StokesSolver sets it to
-  /// its whole StokesSolverOptions::kernel, so the finest level smooths with
-  /// the requested back-end. Batched applies are bitwise identical to
-  /// scalar. The engine applies to the finest level only — coarse levels
-  /// stay on the global
-  /// path (their assembled SpMV has no element sweep, and the engine's halo
-  /// plans only match the finest element grid). The hierarchy requires
-  /// order == 2 (coarsening/BC layers are tied to the Q2 lattice).
+  /// The finest-level kernel description (backend, SIMD batch width,
+  /// subdomain engine — fem/kernel_spec.hpp). StokesSolver sets it to its
+  /// whole StokesSolverOptions::kernel, so the finest level smooths with the
+  /// requested back-end. Batched applies are bitwise identical to scalar.
+  /// The engine applies to the finest level only — coarse levels stay on
+  /// the global path (their assembled SpMV has no element sweep, and the
+  /// engine's halo plans only match the finest element grid).
   KernelSpec fine_kernel;
   CoarseOperatorType coarse_type = CoarseOperatorType::kGalerkin;
   int smooth_pre = 2;  ///< V(2,2) by default (§IV-A)

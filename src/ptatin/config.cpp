@@ -1,17 +1,15 @@
 #include "ptatin/config.hpp"
 
 #include "common/error.hpp"
-#include "fem/kernel_registry.hpp"
 #include "fem/subdomain_engine.hpp"
 #include "saddle/stokes_solver.hpp"
-#include "stokes/viscous_qk.hpp"
 
 namespace ptatin {
 
 namespace {
 
-// -backend parsing lives in the kernel registry (parse_fine_operator) —
-// the one place that spells the back-end tokens.
+// -backend parsing lives next to KernelSpec (parse_fine_operator) — the one
+// place that spells the back-end tokens.
 
 GmgCoarseSolve parse_coarse(const std::string& s) {
   if (s == "bjacobi") return GmgCoarseSolve::kBJacobiLu;
@@ -63,21 +61,11 @@ std::vector<std::array<Index, 3>> parse_decomp_shapes(
 
 void SolverConfig::describe_options() {
   Options::describe("backend", "asmb|mf|tens|tensc", "J_uu operator back-end");
-  Options::describe("order", "2|3|4",
-                    "Qk velocity polynomial order (default 2). The full\n"
-                    "solver stack runs k=2; k=3,4 select the standalone\n"
-                    "matrix-free applies (kernel registry, docs/KERNELS.md)");
   Options::describe("decomp", "px,py,pz",
                     "subdomain decomposition shape (\"2x2x2\" or \"2,2,2\";\n"
                     "default 1,1,1 = global paths, docs/PARALLELISM.md)");
   Options::describe("levels", "N", "GMG levels (default auto)");
   Options::describe("coarse", "amg|bjacobi|asmcg", "coarse-grid solver");
-  Options::describe("mg_rap_cache", "true|false",
-                    "cache Galerkin RAP patterns across operator rebuilds");
-  Options::describe("mg_blocked_spmv", "true|false",
-                    "blocked SELL-8 SpMV for assembled coarse levels");
-  Options::describe("mg_fused_smoother", "true|false",
-                    "fused Chebyshev sweep (one vector pass per iteration)");
   Options::describe("amg_coarse_size", "N",
                     "AMG coarsening stops at this many rows");
   Options::describe("newton", "true|false", "Newton linearization");
@@ -137,31 +125,10 @@ SolverConfig SolverConfig::from_options(const Options& o) {
 
   StokesSolverOptions& so = po.nonlinear.linear;
   so.kernel.type = parse_fine_operator(o.get_string("backend", "tens"));
-  so.kernel.order = o.get_int("order", 2);
-  PT_ASSERT_MSG(so.kernel.order >= 2 && so.kernel.order <= 4,
-                "-order must be 2, 3, or 4");
-  // Reject unsupported (backend, order) combinations at the solver's batch
-  // width right here, with the registry's nearest-key diagnosis (asmb only
-  // exists at k = 2; mf reaches k = 3, 4 only through the scalar fallback).
-  ensure_qk_kernels_registered();
-  if (!KernelRegistry::instance().is_registered(so.kernel)) {
-    PT_THROW("no kernel registered for " +
-             KernelKey::of(so.kernel).str() + "; " +
-             KernelRegistry::instance().nearest_keys_message(so.kernel));
-  }
   const Index mres = o.get_index("mx", o.get_index("m", 8));
   so.gmg.levels = o.get_int("levels", suggest_gmg_levels(mres));
   so.coarse_solve = parse_coarse(o.get_string("coarse", "amg"));
   so.amg.coarse_size = o.get_index("amg_coarse_size", 400);
-  // Coarse-grid pipeline knobs (docs/KERNELS.md): every one of these is
-  // bitwise-neutral — identical Krylov histories and -final_state digests
-  // either way — so they exist for parity tests and perf A/B runs.
-  so.gmg.rap_cache = o.get_bool("mg_rap_cache", true);
-  so.gmg.blocked_spmv = o.get_bool("mg_blocked_spmv", true);
-  so.amg.blocked_spmv = so.gmg.blocked_spmv;
-  const bool fused = o.get_bool("mg_fused_smoother", true);
-  so.gmg.chebyshev.fused = fused;
-  so.amg.chebyshev.fused = fused;
   so.krylov.rtol = o.get_real("krylov_rtol", 1e-5);
   so.krylov.max_it = o.get_int("krylov_maxit", 500);
   so.krylov.dtol = o.get_real("dtol", 1e5);
@@ -170,6 +137,7 @@ SolverConfig SolverConfig::from_options(const Options& o) {
   PT_ASSERT_MSG(so.krylov.sentinel_every >= 0,
                 "-sentinel_every must be >= 0");
   PT_ASSERT_MSG(so.krylov.sentinel_tol > 0, "-sentinel_tol must be > 0");
+  PT_ASSERT_MSG(po.points_per_dim >= 1, "-ppd must be >= 1");
 
   if (o.has("decomp")) {
     const auto shapes = parse_decomp_shapes(o.get_string("decomp", "1,1,1"));
@@ -189,6 +157,7 @@ SolverConfig SolverConfig::from_options(const Options& o) {
   sg.checkpoint_dir = o.get_string("checkpoint_dir", "");
   sg.checkpoint_every = o.get_int("checkpoint_every", 0);
   sg.checkpoint_keep = o.get_int("checkpoint_keep", 3);
+  PT_ASSERT_MSG(sg.checkpoint_keep >= 1, "-checkpoint_keep must be >= 1");
   sg.seal_state = o.get_bool("seal_state", true);
   sg.scrub_every = o.get_int("scrub_every", 0);
   PT_ASSERT_MSG(sg.scrub_every >= 0, "-scrub_every must be >= 0");

@@ -41,7 +41,7 @@ public:
   SolverConfig() = default;
 
   /// Build a config from a parsed options database. Recognizes the full
-  /// driver flag set (-backend, -order, -decomp, -levels, -coarse, -newton,
+  /// driver flag set (-backend, -decomp, -levels, -coarse, -newton,
   /// -safeguard, -checkpoint_*, ...); unknown keys are ignored.
   /// Also registers the option descriptions, so Options::help_text()
   /// documents every flag this function reads.
@@ -62,11 +62,6 @@ public:
   // --- fluent setters ------------------------------------------------------
   SolverConfig& backend(FineOperatorType t) {
     ptatin_.nonlinear.linear.kernel.type = t;
-    return *this;
-  }
-  /// Qk velocity order (2..4; the full solver stack requires 2).
-  SolverConfig& order(int k) {
-    ptatin_.nonlinear.linear.kernel.order = k;
     return *this;
   }
   /// Subdomain decomposition shape; {1,1,1} = global (non-decomposed) paths.

@@ -20,10 +20,6 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
     : mesh_(mesh), bc_(bc), opts_(opts) {
   Timer t;
 
-  PT_ASSERT_MSG(opts.kernel.order == 2,
-                "the full Stokes solver stack runs the Q2-P1disc pair only; "
-                "orders 3..4 are standalone matrix-free applies (use "
-                "make_viscous_backend / bench/table1_operator)");
   a_ = make_viscous_backend(opts.kernel, mesh, coeff, &bc);
   if (opts.newton_operator) a_->set_newton(true);
   op_ = std::make_unique<StokesOperator>(mesh, *a_, bc);

@@ -32,15 +32,13 @@ enum class GmgCoarseSolve {
 enum class OuterKrylov { kGcr, kFgmres };
 
 struct StokesSolverOptions {
-  /// The fine-level kernel description — backend, polynomial order, SIMD
-  /// batch width, and subdomain engine in one spec (fem/kernel_registry.hpp).
-  /// Applies to the Krylov operator and is forwarded whole to the GMG
-  /// finest-level operator (GmgOptions::fine_kernel is overwritten). The
-  /// width is kSolverBatchWidth, in the global loop and in the engine's
-  /// sweeps alike. When `kernel.engine` is set, solve_stacked records the
-  /// engine's halo/timing stats in the solver report's `decomposition`
-  /// section. The full solver stack requires kernel.order == 2 (higher
-  /// orders are standalone applies).
+  /// The fine-level kernel description — backend, SIMD batch width, and
+  /// subdomain engine in one spec (fem/kernel_spec.hpp). Applies to the
+  /// Krylov operator and is forwarded whole to the GMG finest-level operator
+  /// (GmgOptions::fine_kernel is overwritten). The width is
+  /// kSolverBatchWidth, in the global loop and in the engine's sweeps alike.
+  /// When `kernel.engine` is set, solve_stacked records the engine's
+  /// halo/timing stats in the solver report's `decomposition` section.
   KernelSpec kernel{.batch_width = kSolverBatchWidth};
   VelocityPcType velocity_pc = VelocityPcType::kGmg;
   GmgOptions gmg;               ///< used when velocity_pc == kGmg

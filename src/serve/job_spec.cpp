@@ -9,7 +9,7 @@ namespace ptatin::serve {
 
 namespace {
 
-// Back-end tokens come from the kernel registry (fine_operator_token) — the
+// Back-end tokens come from fem/kernel_spec.hpp (fine_operator_token) — the
 // one place that spells them.
 
 const char* coarse_name(GmgCoarseSolve c) {
@@ -96,9 +96,6 @@ obs::JsonValue JobSpec::canonical_json() const {
   // defaults indistinguishable by construction.
   obs::JsonValue s = obs::JsonValue::object();
   s["backend"] = obs::JsonValue(fine_operator_token(so.kernel.type));
-  // Order is result-determining (it changes the discretization entirely), so
-  // it is part of the digest even while the fleet runs k = 2 solves only.
-  s["order"] = obs::JsonValue(so.kernel.order);
   obs::JsonValue decomp = obs::JsonValue::array();
   for (Index d : po.decomp) decomp.push_back(obs::JsonValue((long long)d));
   s["decomp"] = std::move(decomp);

@@ -1,83 +1,37 @@
-// The one viscous back-end construction path, now routed through the kernel
-// registry (fem/kernel_registry.hpp). The switch over FineOperatorType that
-// used to live here became data: every hot k = 2 combination — each back-end
-// at batch widths 0/4/8, global and subdomain-engine execution — is a
-// compile-time specialization registered below, and higher-order kernels
-// plug in from viscous_qk.cpp without this file changing again.
-//
-// The k = 2 factories construct exactly the objects the old switch did (same
-// constructors, same set_subdomain_engine call), so dispatching through the
-// registry is digest-invariant.
+// The one viscous back-end construction path: a switch over the back-end,
+// with the batch width passed to the constructor and the subdomain engine
+// wired afterwards.
 #include "common/error.hpp"
-#include "fem/subdomain_engine.hpp"
 #include "stokes/viscous_ops.hpp"
-#include "stokes/viscous_qk.hpp"
 
 namespace ptatin {
-
-namespace {
-
-template <class Op, int W>
-std::unique_ptr<ViscousOperatorBase>
-make_q2(const KernelSpec& spec, const StructuredMesh& mesh,
-        const QuadCoefficients& coeff, const DirichletBc* bc) {
-  auto op = std::make_unique<Op>(mesh, coeff, bc, W);
-  if (spec.engine != nullptr) op->set_subdomain_engine(spec.engine);
-  return op;
-}
-
-/// The assembled back-end has no batched path: width is accepted and
-/// ignored (its constructor never took one), exactly as before the registry.
-template <int W>
-std::unique_ptr<ViscousOperatorBase>
-make_q2_asmb(const KernelSpec& spec, const StructuredMesh& mesh,
-             const QuadCoefficients& coeff, const DirichletBc* bc) {
-  auto op = std::make_unique<AsmbViscousOperator>(mesh, coeff, bc);
-  if (spec.engine != nullptr) op->set_subdomain_engine(spec.engine);
-  return op;
-}
-
-} // namespace
-
-// k = 2 specializations: every back-end x width {0, 4, 8} x engine mode.
-// (The engine pointer lives in the spec; mode only keys the dispatch, the
-// factory body is shared.)
-#define PT_REGISTER_Q2(token, type, Op)                                     \
-  PT_REGISTER_KERNEL(q2_##token##_b0_g, type, 2, 0, kGlobal,                \
-                     (&make_q2<Op, 0>));                                    \
-  PT_REGISTER_KERNEL(q2_##token##_b4_g, type, 2, 4, kGlobal,                \
-                     (&make_q2<Op, 4>));                                    \
-  PT_REGISTER_KERNEL(q2_##token##_b8_g, type, 2, 8, kGlobal,                \
-                     (&make_q2<Op, 8>));                                    \
-  PT_REGISTER_KERNEL(q2_##token##_b0_s, type, 2, 0, kSubdomain,             \
-                     (&make_q2<Op, 0>));                                    \
-  PT_REGISTER_KERNEL(q2_##token##_b4_s, type, 2, 4, kSubdomain,             \
-                     (&make_q2<Op, 4>));                                    \
-  PT_REGISTER_KERNEL(q2_##token##_b8_s, type, 2, 8, kSubdomain,             \
-                     (&make_q2<Op, 8>))
-
-PT_REGISTER_Q2(mf, kMatrixFree, MfViscousOperator);
-PT_REGISTER_Q2(tens, kTensor, TensorViscousOperator);
-PT_REGISTER_Q2(tensc, kTensorC, TensorCViscousOperator);
-#undef PT_REGISTER_Q2
-
-PT_REGISTER_KERNEL(q2_asmb_b0_g, kAssembled, 2, 0, kGlobal, &make_q2_asmb<0>);
-PT_REGISTER_KERNEL(q2_asmb_b4_g, kAssembled, 2, 4, kGlobal, &make_q2_asmb<4>);
-PT_REGISTER_KERNEL(q2_asmb_b8_g, kAssembled, 2, 8, kGlobal, &make_q2_asmb<8>);
-PT_REGISTER_KERNEL(q2_asmb_b0_s, kAssembled, 2, 0, kSubdomain,
-                   &make_q2_asmb<0>);
-PT_REGISTER_KERNEL(q2_asmb_b4_s, kAssembled, 2, 4, kSubdomain,
-                   &make_q2_asmb<4>);
-PT_REGISTER_KERNEL(q2_asmb_b8_s, kAssembled, 2, 8, kSubdomain,
-                   &make_q2_asmb<8>);
 
 std::unique_ptr<ViscousOperatorBase>
 make_viscous_backend(const KernelSpec& spec, const StructuredMesh& mesh,
                      const QuadCoefficients& coeff, const DirichletBc* bc) {
-  // Reference the Qk TU so its registrars survive static-library linking.
-  ensure_qk_kernels_registered();
-  const KernelResolution r = KernelRegistry::instance().resolve(spec);
-  return r.factory(spec, mesh, coeff, bc);
+  const int w = spec.batch_width;
+  // Checked here for every back-end: the assembled constructor takes no
+  // width, so it would otherwise accept any.
+  if (w != 0 && !is_batch_width(w))
+    PT_THROW("kernel " << kernel_label(spec)
+                       << ": batch width must be 0 (scalar), 4, or 8");
+  std::unique_ptr<ViscousOperatorBase> op;
+  switch (spec.type) {
+    case FineOperatorType::kAssembled:
+      op = std::make_unique<AsmbViscousOperator>(mesh, coeff, bc);
+      break;
+    case FineOperatorType::kMatrixFree:
+      op = std::make_unique<MfViscousOperator>(mesh, coeff, bc, w);
+      break;
+    case FineOperatorType::kTensor:
+      op = std::make_unique<TensorViscousOperator>(mesh, coeff, bc, w);
+      break;
+    case FineOperatorType::kTensorC:
+      op = std::make_unique<TensorCViscousOperator>(mesh, coeff, bc, w);
+      break;
+  }
+  op->set_subdomain_engine(spec.engine);
+  return op;
 }
 
 } // namespace ptatin

@@ -1,16 +1,15 @@
 // One-dimensional contraction kernels shared by the tensor-product operators.
 //
-// The P^3 nodal lattice of a Qk element (P = k+1) is contracted axis-by-axis
-// with the PxP one-dimensional basis (B̂) and derivative (D̂) matrices — the
-// sum factorization of §III-D that applies the reference gradient in
-// O(P^4) flops per direction instead of the O(P^6) dense contraction. The
-// historical Q2 case is P = 3: 3 * 2 * 3^4 = 4374 flops vs 13122.
+// The 3^3 nodal lattice of a Q2 element is contracted axis-by-axis with the
+// 3x3 one-dimensional basis (B̂) and derivative (D̂) matrices — the sum
+// factorization of §III-D that applies the reference gradient in
+// 3 * 2 * 3^4 = 4374 flops instead of the 13122 of the dense contraction.
 //
-// Everything here is templated over the compile-time 1D point count P so the
-// kernel registry's Qk specializations (k = 2..4) instantiate fully-unrolled
-// contractions; the P = 3 instantiation generates the exact arithmetic (same
-// loads, same left-associated accumulation) the hard-coded Q2 kernels always
-// had, keeping the k = 2 digest contract intact.
+// The kernels are templated over the compile-time 1D point count P (P = 3
+// for Q2) so every loop has a fixed trip count and unrolls fully. Each sum
+// accumulates left-associated in a fixed order, scalar and batched alike:
+// the bitwise batched == scalar contract and the -final_state digests
+// depend on it.
 #pragma once
 
 #include "common/aligned.hpp"

@@ -29,7 +29,7 @@
 #include "common/parallel.hpp"
 #include "fem/bc.hpp"
 #include "fem/dofmap.hpp"
-#include "fem/kernel_registry.hpp"
+#include "fem/kernel_spec.hpp"
 #include "fem/mesh.hpp"
 #include "fem/subdomain_engine.hpp"
 #include "ksp/operator.hpp"
@@ -38,10 +38,6 @@
 #include "stokes/geometry.hpp"
 
 namespace ptatin {
-
-// FineOperatorType, KernelSpec, and the dispatch registry live in
-// fem/kernel_registry.hpp (included above) — re-exported here for the many
-// existing call sites that name them through this header.
 
 /// Flop / byte models per element for the four back-ends, as analyzed in
 /// §III-D (Table I). "paper_*" are the published analytic counts.
@@ -130,17 +126,9 @@ private:
   void sweep_batches(Vector& y, LanesFn& lanes, ElemFn& efn) const;
 };
 
-/// Deprecated name for the construction-time kernel description — the
-/// KernelSpec (fem/kernel_registry.hpp) absorbed it, adding the polynomial
-/// order. Note the field rename: the engine pointer is `engine` (was
-/// `decomp`).
-using ViscousBackendSpec = KernelSpec;
-
-/// Build a viscous back-end from its spec by resolving the kernel registry
-/// (the one construction path; mg/gmg and saddle/stokes_solver previously
-/// each had a private copy of a switch over the type). Unregistered
-/// (backend, order, width, engine-mode) combinations throw with the nearest
-/// registered keys named.
+/// Build a viscous back-end from its spec (fem/kernel_spec.hpp) — the one
+/// construction path. A batch width outside {0, 4, 8} throws a typed Error
+/// for every back-end.
 std::unique_ptr<ViscousOperatorBase>
 make_viscous_backend(const KernelSpec& spec, const StructuredMesh& mesh,
                      const QuadCoefficients& coeff, const DirichletBc* bc);

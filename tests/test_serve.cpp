@@ -112,7 +112,7 @@ TEST_F(Serve, DigestDistinguishesDistinctConfigs) {
       R"({"model":"sinker","m":8,"steps":3})",
       R"({"model":"sinker","m":6,"steps":4})",
       R"({"model":"sinker","m":6,"steps":3,"backend":"mf"})",
-      R"({"model":"sinker","m":6,"steps":3,"order":3})",
+      R"({"model":"sinker","m":6,"steps":3,"ppd":4})",
       R"({"model":"sinker","m":6,"steps":3,"contrast":100})",
       R"({"model":"sinker","m":6,"steps":3,"dt":0.001})",
       R"({"model":"sinker","m":6,"steps":3,"max_retries":1})",
@@ -170,6 +170,8 @@ TEST_F(Serve, FromJsonValidatesBudgetsAndModel) {
   EXPECT_THROW(spec_from(R"({"steps":0})"), Error);
   EXPECT_THROW(spec_from(R"({"dt":-1})"), Error);
   EXPECT_THROW(spec_from(R"({"model":"volcano"})"), Error);
+  EXPECT_THROW(spec_from(R"({"ppd":0})"), Error);
+  EXPECT_THROW(spec_from(R"({"checkpoint_keep":0})"), Error);
 }
 
 TEST_F(Serve, SolverConfigFromJsonMatchesFromOptions) {

@@ -1,13 +1,16 @@
-// Unit tests for the Stokes discretization: back-end equivalence, operator
-// properties (symmetry, null space), coupling blocks, field evaluation, and
-// the Newton linearization.
+// Unit tests for the Stokes discretization: back-end equivalence and the
+// back-end factory, operator properties (symmetry, null space, energy
+// convergence), coupling blocks, field evaluation, and the Newton
+// linearization.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fem/bc.hpp"
+#include "fem/subdomain_engine.hpp"
 #include "rheology/flow_law.hpp"
 #include "stokes/blocks.hpp"
 #include "stokes/fields.hpp"
@@ -16,8 +19,8 @@
 namespace ptatin {
 namespace {
 
-StructuredMesh make_deformed_mesh(Index m) {
-  StructuredMesh mesh = StructuredMesh::box(m, m, m, {0, 0, 0}, {1, 1, 1});
+StructuredMesh make_deformed_mesh(Index mx, Index my, Index mz) {
+  StructuredMesh mesh = StructuredMesh::box(mx, my, mz, {0, 0, 0}, {1, 1, 1});
   mesh.deform([](const Vec3& x) {
     return Vec3{x[0] + 0.04 * std::sin(3 * x[1]) * x[2],
                 x[1] + 0.05 * std::cos(2 * x[0]),
@@ -25,6 +28,8 @@ StructuredMesh make_deformed_mesh(Index m) {
   });
   return mesh;
 }
+
+StructuredMesh make_deformed_mesh(Index m) { return make_deformed_mesh(m, m, m); }
 
 QuadCoefficients make_variable_coeff(const StructuredMesh& mesh,
                                      unsigned seed = 3) {
@@ -204,6 +209,128 @@ TEST(ViscousOp, ViscosityScalesLinearly) {
   op1.apply(x, y1);
   op2.apply(x, y2);
   for (Index i = 0; i < y1.size(); ++i) EXPECT_NEAR(y2[i], 7.5 * y1[i], 1e-9);
+}
+
+// The viscous bilinear form is a(u,v) = \int 2 eta D(u):D(v). For
+// u = (sin(pi x) sin(pi y) sin(pi z), 0, 0) on [0,1]^3 with eta = 1:
+// a(u,u) = \int |grad f|^2 + (df/dx)^2 = 3 pi^2/8 + pi^2/8 = pi^2/2.
+// Interpolating u onto the Q2 nodes and evaluating x^T A x must converge to
+// that value at O(h^4) as the mesh refines (measured rate 3.97 from m = 4 to
+// m = 8).
+TEST(ViscousOp, Q2EnergyConvergesAtFourthOrder) {
+  const Real exact = 0.5 * M_PI * M_PI;
+  auto energy_error = [&](Index m) {
+    StructuredMesh mesh = StructuredMesh::box(m, m, m, {0, 0, 0}, {1, 1, 1});
+    QuadCoefficients coeff(mesh.num_elements());
+    for (Index e = 0; e < mesh.num_elements(); ++e)
+      for (int q = 0; q < kQuadPerEl; ++q) {
+        coeff.eta(e, q) = 1.0;
+        coeff.rho(e, q) = 1.0;
+      }
+    TensorViscousOperator op(mesh, coeff, nullptr);
+    Vector u(op.rows(), 0.0);
+    for (Index n = 0; n < mesh.num_nodes(); ++n) {
+      const Vec3 x = mesh.node_coord(n);
+      u[velocity_dof(n, 0)] = std::sin(M_PI * x[0]) * std::sin(M_PI * x[1]) *
+                              std::sin(M_PI * x[2]);
+    }
+    Vector au(u.size());
+    op.apply(u, au);
+    return std::abs(u.dot(au) - exact);
+  };
+  const Real e4 = energy_error(4);
+  const Real e8 = energy_error(8);
+  EXPECT_LT(e8, e4);
+  const Real rate = std::log2(e4 / e8);
+  EXPECT_GE(rate, Real(3.5)) << "e4=" << e4 << " e8=" << e8;
+}
+
+// --- the back-end factory -----------------------------------------------------
+
+TEST(ViscousOp, BackendTokensRoundTripThroughParse) {
+  for (FineOperatorType t :
+       {FineOperatorType::kAssembled, FineOperatorType::kMatrixFree,
+        FineOperatorType::kTensor, FineOperatorType::kTensorC})
+    EXPECT_EQ(parse_fine_operator(fine_operator_token(t)), t);
+  EXPECT_THROW(parse_fine_operator("tensor"), Error);
+}
+
+TEST(ViscousOp, FactoryMatchesDirectConstructionBitwise) {
+  StructuredMesh mesh = make_deformed_mesh(5, 3, 4);
+  QuadCoefficients coeff = make_variable_coeff(mesh);
+  DirichletBc bc = sinker_boundary_conditions(mesh);
+  const Vector x = random_vector(num_velocity_dofs(mesh), 31);
+  Vector y_fac(x.size()), y_dir(x.size());
+
+  auto direct = [&](FineOperatorType t,
+                    int w) -> std::unique_ptr<ViscousOperatorBase> {
+    if (t == FineOperatorType::kAssembled)
+      return std::make_unique<AsmbViscousOperator>(mesh, coeff, &bc);
+    if (t == FineOperatorType::kMatrixFree)
+      return std::make_unique<MfViscousOperator>(mesh, coeff, &bc, w);
+    if (t == FineOperatorType::kTensor)
+      return std::make_unique<TensorViscousOperator>(mesh, coeff, &bc, w);
+    return std::make_unique<TensorCViscousOperator>(mesh, coeff, &bc, w);
+  };
+
+  for (FineOperatorType t :
+       {FineOperatorType::kAssembled, FineOperatorType::kMatrixFree,
+        FineOperatorType::kTensor, FineOperatorType::kTensorC})
+    for (int w : {0, 4, 8}) {
+      auto fac_op = make_viscous_backend(KernelSpec{.type = t, .batch_width = w},
+                                         mesh, coeff, &bc);
+      auto dir_op = direct(t, w);
+      fac_op->apply(x, y_fac);
+      dir_op->apply(x, y_dir);
+      for (Index i = 0; i < x.size(); ++i)
+        ASSERT_EQ(y_fac[i], y_dir[i])
+            << fac_op->name() << " w=" << w << " dof " << i;
+    }
+}
+
+TEST(ViscousOp, FactoryWiresTheSubdomainEngine) {
+  StructuredMesh mesh = make_deformed_mesh(4);
+  QuadCoefficients coeff = make_variable_coeff(mesh);
+  DirichletBc bc = sinker_boundary_conditions(mesh);
+  SubdomainEngine eng(mesh, 2, 1, 1);
+  const Vector x = random_vector(num_velocity_dofs(mesh), 37);
+  Vector y_fac(x.size()), y_dir(x.size());
+
+  const KernelSpec spec{.type = FineOperatorType::kTensor, .engine = &eng};
+  auto fac_op = make_viscous_backend(spec, mesh, coeff, &bc);
+  TensorViscousOperator dir_op(mesh, coeff, &bc, 0);
+  dir_op.set_subdomain_engine(&eng);
+  fac_op->apply(x, y_fac);
+  dir_op.apply(x, y_dir);
+  for (Index i = 0; i < x.size(); ++i) ASSERT_EQ(y_fac[i], y_dir[i]);
+  EXPECT_EQ(fac_op->subdomain_engine(), &eng);
+  EXPECT_EQ(kernel_label(spec), "tens/b0/subdomain");
+  EXPECT_EQ(kernel_label({.type = FineOperatorType::kMatrixFree,
+                          .batch_width = 8}),
+            "mf/b8/global");
+}
+
+TEST(ViscousOp, FactoryRejectsUnsupportedBatchWidthOnEveryBackend) {
+  StructuredMesh mesh = make_deformed_mesh(2);
+  QuadCoefficients coeff = make_variable_coeff(mesh);
+  DirichletBc bc = sinker_boundary_conditions(mesh);
+  for (FineOperatorType t :
+       {FineOperatorType::kAssembled, FineOperatorType::kMatrixFree,
+        FineOperatorType::kTensor, FineOperatorType::kTensorC}) {
+    try {
+      make_viscous_backend(KernelSpec{.type = t, .batch_width = 3}, mesh,
+                           coeff, &bc);
+      FAIL() << fine_operator_token(t) << ": expected a typed error";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string(fine_operator_token(t)) + "/b3/global"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("batch width must be 0 (scalar), 4, or 8"),
+                std::string::npos)
+          << msg;
+    }
+  }
 }
 
 // --- Newton linearization -----------------------------------------------------
