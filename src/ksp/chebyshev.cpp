@@ -49,8 +49,8 @@ void ChebyshevSmoother::setup(const LinearOperator& a, Vector diag,
   p_.resize(n);
 }
 
-void ChebyshevSmoother::smooth(const Vector& b, Vector& x,
-                               int iterations) const {
+void ChebyshevSmoother::smooth(const Vector& b, Vector& x, int iterations,
+                               bool zero_guess) const {
   PT_ASSERT(a_ != nullptr);
   // -smooth_pre 0 / -smooth_post 0 must mean ZERO smoothing work: the
   // pre-loop half step below used to run unconditionally, so a 0-iteration
@@ -78,18 +78,20 @@ void ChebyshevSmoother::smooth(const Vector& b, Vector& x,
     // the ±1-coefficient and single-multiply statements are exact under any
     // contraction choice, and the one genuine mul+add (the axpy step of the
     // recurrence) uses pt_muladd to match Vector::axpy's FMA codegen — so
-    // the result stays bitwise identical to the unfused path.
+    // the result stays bitwise identical to the unfused path. A zero guess
+    // takes the residual b directly; it can differ from b - A 0 only in the
+    // sign of a zero, which adding it to x = +0 erases.
     const Real* bp = b.data();
     Real* rp = r_.data();
     Real* pp = p_.data();
     Real* xp = x.data();
 
-    a_->apply(x, r_);
+    if (!zero_guess) a_->apply(x, r_);
     Real rho = Real(1) / sigma;
     {
       const Real inv_theta = Real(1) / theta;
       parallel_for(n, [&](Index i) {
-        const Real ri = Real(-1) * rp[i] + bp[i];
+        const Real ri = zero_guess ? bp[i] : Real(-1) * rp[i] + bp[i];
         const Real zi = ri * idg[i];
         const Real pi = zi * inv_theta;
         pp[i] = pi;
@@ -121,7 +123,11 @@ void ChebyshevSmoother::smooth(const Vector& b, Vector& x,
   Vector& p = p_;
 
   // r = b - A x ; z = D^{-1} r
-  a_->residual(b, x, r);
+  if (zero_guess) {
+    r.copy_from(b);
+  } else {
+    a_->residual(b, x, r);
+  }
   {
     const Real* rp = r.data();
     Real* zp = z.data();

@@ -38,8 +38,11 @@ public:
   /// `diag` is the operator diagonal; λmax is estimated internally.
   void setup(const LinearOperator& a, Vector diag, const ChebyshevOptions& opt);
 
-  /// In-place smoothing of A x = b starting from x (zero or nonzero).
-  void smooth(const Vector& b, Vector& x, int iterations) const;
+  /// In-place smoothing of A x = b starting from x (zero or nonzero). With
+  /// `zero_guess` the caller promises x == 0 on entry: the first residual is
+  /// then b itself, and the operator apply on the zero vector is skipped.
+  void smooth(const Vector& b, Vector& x, int iterations,
+              bool zero_guess = false) const;
 
   /// Run the same semi-iteration as a stand-alone solver with per-iteration
   /// residual monitoring and the shared convergence/divergence guards (NaN,

@@ -55,6 +55,14 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
   finest.elem_op = make_viscous_backend(opts.fine_kernel, finest.mesh,
                                         finest.coeff, &finest.bc);
   finest.op = finest.elem_op.get();
+  // Below a matrix-free finest level, the first coarse level runs the same
+  // kernel at the same width on its restricted coefficients, on the global
+  // colored path (the engine's halo plans match the finest grid only). It
+  // keeps an assembled matrix only as the input of the Galerkin product
+  // below it. The coarsest level always stays assembled for the coarse
+  // solver, and an assembled finest level keeps its all-CSR Galerkin chain.
+  const bool matrix_free_coarse =
+      L >= 3 && opts.fine_kernel.type != FineOperatorType::kAssembled;
 
   GmgSetupCache* cache =
       (opts.setup_cache != nullptr && opts.rap_cache) ? opts.setup_cache
@@ -64,7 +72,20 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
 
   for (int l = L - 2; l >= 0; --l) {
     Level& lev = levels_[l];
-    const Level& finer = levels_[l + 1];
+    Level& finer = levels_[l + 1];
+    if (l == L - 2 && matrix_free_coarse) {
+      lev.elem_op = make_viscous_backend(
+          KernelSpec{.type = opts.fine_kernel.type,
+                     .batch_width = opts.fine_kernel.batch_width},
+          lev.mesh, lev.coeff, &lev.bc);
+      lev.op = lev.elem_op.get();
+      if (opts.coarse_type == CoarseOperatorType::kGalerkin) {
+        lev.assembled = std::make_unique<CsrMatrix>(
+            assemble_viscous_matrix(lev.mesh, lev.coeff));
+        lev.bc.apply_to_matrix_symmetric(*lev.assembled);
+      }
+      continue;
+    }
     // A Galerkin product needs an assembled finer matrix: either a coarse
     // assembled level, or an assembled finest level (GMG-i/ii of Table IV).
     const CsrMatrix* finer_mat = finer.assembled.get();
@@ -103,9 +124,10 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
         ++rap_setups_;
         obs::MetricsRegistry::instance().counter("mg.rap.setups").inc();
       }
+      // A matrix-free finer level needed its matrix for this product only.
+      if (finer.elem_op != nullptr) finer.assembled.reset();
     } else {
-      // First level below a matrix-free finest (or rediscretize-all):
-      // assemble from restricted coefficients.
+      // Rediscretize: assemble from restricted coefficients.
       lev.assembled = std::make_unique<CsrMatrix>(
           assemble_viscous_matrix(lev.mesh, lev.coeff));
       lev.bc.apply_to_matrix_symmetric(*lev.assembled);
@@ -160,6 +182,16 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
         const std::string prefix = "L" + std::to_string(l);
         if (lev.assembled != nullptr && lev.assembled->nnz() > 0)
           lev.assembled->append_seal_regions(prefix, regions);
+        // A matrix-free coarse level's operator is its restricted
+        // coefficients on its mesh (the finest level's are the caller's).
+        if (lev.elem_op != nullptr && l + 1 < levels_.size()) {
+          const auto& eta = lev.coeff.eta_data();
+          const auto& xyz = lev.mesh.coords();
+          regions.push_back({prefix + ".eta", eta.data(),
+                             eta.size() * sizeof(Real)});
+          regions.push_back({prefix + ".coords", xyz.data(),
+                             xyz.size() * sizeof(Real)});
+        }
         if (lev.prolongation.nnz() > 0)
           lev.prolongation.append_seal_regions(prefix + ".prolongation",
                                                regions);
@@ -180,15 +212,17 @@ void GmgHierarchy::apply(const Vector& r, Vector& z) const {
   PerfScope perf("PCApply(GMG)");
   if (z.size() != r.size()) z.resize(r.size());
   z.set_all(0.0);
-  for (int c = 0; c < opts_.cycles_per_apply; ++c) vcycle(r, z);
+  obs::MetricsRegistry::instance().counter("mg.vcycles").inc();
+  cycle(static_cast<int>(levels_.size()) - 1, r, z, /*zero_guess=*/true);
 }
 
 void GmgHierarchy::vcycle(const Vector& b, Vector& x) const {
   obs::MetricsRegistry::instance().counter("mg.vcycles").inc();
-  cycle(static_cast<int>(levels_.size()) - 1, b, x);
+  cycle(static_cast<int>(levels_.size()) - 1, b, x, /*zero_guess=*/false);
 }
 
-void GmgHierarchy::cycle(int level, const Vector& b, Vector& x) const {
+void GmgHierarchy::cycle(int level, const Vector& b, Vector& x,
+                         bool zero_guess) const {
   const Level& lev = levels_[level];
 
   if (level == 0) {
@@ -196,7 +230,8 @@ void GmgHierarchy::cycle(int level, const Vector& b, Vector& x) const {
     if (coarse_solver_) {
       coarse_solver_->apply(b, x);
     } else {
-      lev.smoother.smooth(b, x, opts_.smooth_pre + opts_.smooth_post);
+      lev.smoother.smooth(b, x, opts_.smooth_pre + opts_.smooth_post,
+                          zero_guess);
     }
     return;
   }
@@ -204,7 +239,7 @@ void GmgHierarchy::cycle(int level, const Vector& b, Vector& x) const {
   // Pre-smooth.
   {
     PerfScope perf(level_tag("MGSmooth", level));
-    lev.smoother.smooth(b, x, opts_.smooth_pre);
+    lev.smoother.smooth(b, x, opts_.smooth_pre, zero_guess);
   }
 
   // Residual and restriction (R = P^T, cached explicitly so the restriction
@@ -225,12 +260,9 @@ void GmgHierarchy::cycle(int level, const Vector& b, Vector& x) const {
   // Coarse Dirichlet rows carry no residual equation.
   coarse.bc.zero_constrained(coarse.rc);
 
-  // Recurse from a zero initial guess; gamma > 1 gives a W-cycle (repeating
-  // the recursion refines the coarse correction on intermediate levels; on
-  // the coarsest level the solve is idempotent, so run it once).
+  // Recurse from a zero initial guess.
   coarse.ec.set_all(0.0);
-  const int gamma = (level - 1 == 0) ? 1 : std::max(1, opts_.cycle_gamma);
-  for (int g = 0; g < gamma; ++g) cycle(level - 1, coarse.rc, coarse.ec);
+  cycle(level - 1, coarse.rc, coarse.ec, /*zero_guess=*/true);
 
   // Prolongate and correct.
   {

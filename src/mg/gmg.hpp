@@ -1,12 +1,15 @@
 // Geometric multigrid hierarchy for the viscous block J_uu (§III-C).
 //
 // The production configuration of the paper: the finest level is applied
-// matrix-free (MF / Tens / TensC), the next level is assembled by
-// rediscretization, levels below it are Galerkin triple products of the
-// assembled level, and the coarsest level is handed to a pluggable coarse
-// solver (block-Jacobi+LU, smoothed-aggregation AMG, or an inexact Krylov
-// solve — §IV-A, §IV-C, §V-A). Every level smooths with Jacobi-preconditioned
-// Chebyshev targeting [0.2 λmax, 1.1 λmax].
+// matrix-free (MF / Tens / TensC), the next level is rediscretized, levels
+// below it are Galerkin triple products of that level's assembled matrix,
+// and the coarsest level is handed to a pluggable coarse solver
+// (block-Jacobi+LU, smoothed-aggregation AMG, or an inexact Krylov solve —
+// §IV-A, §IV-C, §V-A). Unlike the paper, the rediscretized level smooths
+// matrix-free on the finest level's kernel whenever a coarser level exists;
+// its assembled matrix lives only until the Galerkin product below it is
+// formed. Every level smooths with Jacobi-preconditioned Chebyshev targeting
+// [0.2 λmax, 1.1 λmax].
 #pragma once
 
 #include <functional>
@@ -49,24 +52,20 @@ struct GmgOptions {
   /// subdomain engine — fem/kernel_spec.hpp). StokesSolver sets it to its
   /// whole StokesSolverOptions::kernel, so the finest level smooths with the
   /// requested back-end. Batched applies are bitwise identical to scalar.
-  /// The engine applies to the finest level only — coarse levels stay on
-  /// the global path (their assembled SpMV has no element sweep, and the
-  /// engine's halo plans only match the finest element grid).
+  /// A matrix-free type and width also serve the first coarse level. The
+  /// engine applies to the finest level only — coarse levels stay on the
+  /// global path (the engine's halo plans only match the finest grid).
   KernelSpec fine_kernel;
   CoarseOperatorType coarse_type = CoarseOperatorType::kGalerkin;
   int smooth_pre = 2;  ///< V(2,2) by default (§IV-A)
   int smooth_post = 2;
   ChebyshevOptions chebyshev;
-  /// Number of V-cycles per preconditioner application (paper: 1).
-  int cycles_per_apply = 1;
-  /// Recursion count per level: 1 = V-cycle (the paper's choice), 2 =
-  /// W-cycle (ablation; more coarse work per application).
-  int cycle_gamma = 1;
-  /// Register the assembled coarse operators and prolongations with the SDC
-  /// seal registry (docs/ROBUSTNESS.md): these matrices are setup-immutable,
-  /// so the periodic scrubber can detect a flipped bit in them. Enabled by
-  /// the config layer when -scrub_every > 0; off by default to keep the CRC
-  /// pass out of setups that never scrub.
+  /// Register the coarse operators and prolongations with the SDC seal
+  /// registry (docs/ROBUSTNESS.md): the assembled matrices, and the
+  /// restricted coefficients and mesh coordinates of a matrix-free coarse
+  /// level, are setup-immutable, so the periodic scrubber can detect a
+  /// flipped bit in them. Enabled by the config layer when -scrub_every > 0;
+  /// off by default to keep the CRC pass out of setups that never scrub.
   bool seal_operators = false;
   /// Borrowed cross-rebuild setup cache (may be null = no caching). With
   /// `rap_cache`, Galerkin products replay numeric-only against the cached
@@ -107,8 +106,8 @@ public:
                const GmgOptions& opts, const BcFactory& bc_factory,
                const CoarseSolverFactory& coarse_factory);
 
-  /// Preconditioner interface: z ~ A^{-1} r via cycles_per_apply V-cycles
-  /// from a zero initial guess.
+  /// Preconditioner interface: z ~ A^{-1} r via one V-cycle from a zero
+  /// initial guess (its pre-smooths skip the apply on the zero vector).
   void apply(const Vector& r, Vector& z) const override;
 
   /// One V-cycle updating x in place (nonzero initial guess allowed).
@@ -121,6 +120,12 @@ public:
   }
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
+
+  /// The operator level `level` smooths with and forms its residual with
+  /// (0 = coarsest).
+  const LinearOperator& level_operator(int level) const {
+    return *levels_[level].op;
+  }
 
   /// Setup time spent assembling Galerkin products (reported in Table IV as
   /// the extra R^T A R cost). Sum of the setup and refresh buckets below.
@@ -145,9 +150,12 @@ private:
     StructuredMesh mesh;    ///< owned copy (fine level included)
     QuadCoefficients coeff; ///< rediscretized coefficients
     DirichletBc bc;
-    /// Finest level: a typed element-kernel operator (Asmb/MF/Tens/TensC).
+    /// Finest level, and the first coarse level below a matrix-free finest
+    /// one: a typed element-kernel operator (Asmb/MF/Tens/TensC).
     std::unique_ptr<ViscousOperatorBase> elem_op;
-    /// Coarse levels: assembled matrix (rediscretized or Galerkin).
+    /// Other coarse levels: assembled matrix (rediscretized or Galerkin).
+    /// A matrix-free coarse level holds one only until the Galerkin product
+    /// of the level below has consumed it.
     std::unique_ptr<CsrMatrix> assembled;
     std::unique_ptr<MatrixOperator> mat_op;
     const LinearOperator* op = nullptr; ///< operator the smoother uses
@@ -161,7 +169,9 @@ private:
                                  // allocation on the V-cycle hot path)
   };
 
-  void cycle(int level, const Vector& b, Vector& x) const;
+  /// One V-cycle from `level` down. `zero_guess` promises x == 0 on entry,
+  /// so the pre-smooth skips the operator apply on it.
+  void cycle(int level, const Vector& b, Vector& x, bool zero_guess) const;
 
   std::vector<Level> levels_; ///< [0] = coarsest ... [L-1] = finest
   std::unique_ptr<Preconditioner> coarse_solver_;
@@ -172,7 +182,7 @@ private:
   /// Captured once: counter lookup by name allocates for long names.
   obs::Counter* restrict_counter_ = nullptr;
   obs::Counter* prolong_counter_ = nullptr;
-  sdc::ScopedSeal seal_; ///< over the assembled/prolongation arrays
+  sdc::ScopedSeal seal_; ///< over the coarse operator/prolongation data
 };
 
 } // namespace ptatin

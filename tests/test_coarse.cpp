@@ -1,9 +1,10 @@
 // Bitwise-parity suite for the coarse-grid pipeline (docs/KERNELS.md,
 // "Coarse-grid pipeline"): cached Galerkin RAP vs from-scratch ptap,
 // parallel cached-transpose restriction vs serial mult_transpose, fused vs
-// unfused Chebyshev, blocked vs plain SpMV — each checked at 1/2/8 threads —
-// plus the GMG solve-iteration-identity check and the
-// zero-allocations-per-apply guard on the V-cycle hot path.
+// unfused and zero-guess vs general Chebyshev, blocked vs plain SpMV — each
+// checked at 1/2/8 threads — plus the matrix-free level 1 against its
+// assembled matrix, its operator seal, the GMG solve-iteration-identity
+// check and the zero-allocations-per-apply guard on the V-cycle hot path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -342,7 +343,7 @@ TEST(Chebyshev, FusedMatchesUnfusedBitwise) {
   unfused.setup(op, fx.a.diagonal(), unfused_opt);
   ASSERT_EQ(fused.lambda_max(), unfused.lambda_max());
 
-  const Vector b = random_vector(fx.a.rows(), 29);
+  Vector b = random_vector(fx.a.rows(), 29);
   at_thread_counts([&](int nt) {
     for (int its : {1, 2, 4}) {
       Vector xf = random_vector(fx.a.rows(), 31);
@@ -353,6 +354,28 @@ TEST(Chebyshev, FusedMatchesUnfusedBitwise) {
       for (Index i = 0; i < xf.size(); ++i)
         ASSERT_EQ(xf[i], xu[i])
             << "threads " << nt << " its " << its << " i " << i;
+    }
+  });
+
+  // The zero-guess skip, fused and unfused, reproduces the general path from
+  // x = 0. Dirichlet rows give b exact zeros, and a few -0.0 entries check
+  // that a residual differing from b - A 0 in the sign of a zero cannot
+  // reach x.
+  fx.bc.zero_constrained(b);
+  for (Index i = 0; i < b.size(); i += 97) b[i] = -0.0;
+  at_thread_counts([&](int nt) {
+    for (int its : {1, 2, 3}) {
+      for (const ChebyshevSmoother* s : {&fused, &unfused}) {
+        Vector x_general(b.size(), 0.0), x_skip(b.size(), 0.0);
+        s->smooth(b, x_general, its);
+        s->smooth(b, x_skip, its, /*zero_guess=*/true);
+        for (Index i = 0; i < b.size(); ++i)
+          ASSERT_EQ(std::signbit(x_skip[i]), std::signbit(x_general[i]))
+              << "threads " << nt << " its " << its << " i " << i;
+        for (Index i = 0; i < b.size(); ++i)
+          ASSERT_EQ(x_skip[i], x_general[i])
+              << "threads " << nt << " its " << its << " i " << i;
+      }
     }
   });
 }
@@ -455,6 +478,144 @@ TEST(GmgCoarse, SetupCacheTurnsRebuildsIntoRefreshes) {
   for (Index i = 0; i < z1.size(); ++i) ASSERT_EQ(z1[i], z2[i]) << "i " << i;
 }
 
+// --- matrix-free level 1 -------------------------------------------------------
+
+/// A 12x8x12 box under a smooth deformation, with a viscosity varying by
+/// about e^8 and the sinker's free-slip Dirichlet rows. Its 6x4x6 level 1
+/// has colors of 18 elements: two full W=8 batches plus a scalar tail.
+struct DeformedFixture {
+  StructuredMesh mesh = StructuredMesh::box(12, 8, 12, {0, 0, 0}, {1, 1, 1});
+  QuadCoefficients coeff;
+  DirichletBc bc;
+  DeformedFixture() {
+    mesh.deform([](const Vec3& x) {
+      return Vec3{x[0] + 0.05 * std::sin(M_PI * x[1]) * std::sin(M_PI * x[2]),
+                  x[1] + 0.04 * std::sin(M_PI * x[0]) * x[2],
+                  x[2] + 0.06 * x[0] * x[1] * (1.0 - x[2])};
+    });
+    coeff = QuadCoefficients(mesh.num_elements());
+    for (Index e = 0; e < mesh.num_elements(); ++e) {
+      ElementGeometry g;
+      element_geometry(mesh, e, g);
+      for (int q = 0; q < kQuadPerEl; ++q)
+        coeff.eta(e, q) = std::exp(4.0 * std::sin(2 * M_PI * g.xq[q][0]) *
+                                   std::cos(2 * M_PI * g.xq[q][1]) *
+                                   g.xq[q][2]);
+    }
+    bc = sinker_boundary_conditions(mesh);
+  }
+  GmgHierarchy hierarchy(FineOperatorType type) const {
+    GmgOptions opts;
+    opts.levels = 3;
+    opts.fine_kernel = {.type = type, .batch_width = kSolverBatchWidth};
+    return GmgHierarchy(mesh, coeff, bc, opts, sinker_bc_factory(),
+                        lu_coarse_factory());
+  }
+};
+
+Real relative_difference(const Vector& a, const Vector& ref) {
+  Vector d;
+  d.copy_from(a);
+  d.axpy(-1.0, ref);
+  return d.norm2() / ref.norm2();
+}
+
+TEST(GmgCoarse, MatrixFreeLevelOneMatchesAssembledOperator) {
+  const DeformedFixture fx;
+  // The reference is what level 1 used to apply: the rediscretized matrix
+  // with the symmetric Dirichlet elimination.
+  const StructuredMesh level1 = fx.mesh.coarsen();
+  const DirichletBc level1_bc = sinker_boundary_conditions(level1);
+  CsrMatrix ref = assemble_viscous_matrix(
+      level1, restrict_coefficients(fx.mesh, fx.coeff, level1));
+  level1_bc.apply_to_matrix_symmetric(ref);
+  const StructuredMesh level0 = level1.coarsen();
+  CsrMatrix rap = CsrMatrix::ptap(
+      ref, build_velocity_prolongation(level1, level0, &level1_bc));
+  sinker_boundary_conditions(level0).apply_to_matrix_symmetric(rap);
+
+  const Vector x = random_vector(ref.rows(), 47);
+  Vector y_ref;
+  ref.mult(x, y_ref);
+  for (FineOperatorType type :
+       {FineOperatorType::kMatrixFree, FineOperatorType::kTensor,
+        FineOperatorType::kTensorC}) {
+    const char* tok = fine_operator_token(type);
+    const GmgHierarchy mg = fx.hierarchy(type);
+    const auto* op =
+        dynamic_cast<const ViscousOperatorBase*>(&mg.level_operator(1));
+    ASSERT_NE(op, nullptr) << tok;
+    EXPECT_EQ(op->batch_width(), kSolverBatchWidth) << tok;
+    EXPECT_EQ(op->subdomain_engine(), nullptr) << tok;
+    Vector y;
+    op->apply(x, y);
+    EXPECT_LT(relative_difference(y, y_ref), 1e-12) << tok;
+    EXPECT_LT(relative_difference(op->diagonal(), ref.diagonal()), 1e-12)
+        << tok;
+    // The coarsest level is still the Galerkin product of the assembled
+    // level 1, formed before that matrix was freed.
+    const auto* coarsest =
+        dynamic_cast<const MatrixOperator*>(&mg.level_operator(0));
+    ASSERT_NE(coarsest, nullptr) << tok;
+    expect_bitwise_equal(coarsest->matrix(), rap, tok);
+  }
+}
+
+TEST(GmgCoarse, AssembledFinestKeepsGalerkinLevelOne) {
+  const DeformedFixture fx;
+  const GmgHierarchy mg = fx.hierarchy(FineOperatorType::kAssembled);
+  const auto* op = dynamic_cast<const MatrixOperator*>(&mg.level_operator(1));
+  ASSERT_NE(op, nullptr);
+  CsrMatrix a = assemble_viscous_matrix(fx.mesh, fx.coeff);
+  fx.bc.apply_to_matrix_symmetric(a);
+  const StructuredMesh level1 = fx.mesh.coarsen();
+  CsrMatrix rap = CsrMatrix::ptap(
+      a, build_velocity_prolongation(fx.mesh, level1, &fx.bc));
+  sinker_boundary_conditions(level1).apply_to_matrix_symmetric(rap);
+  expect_bitwise_equal(op->matrix(), rap, "level 1");
+}
+
+TEST(GmgCoarse, ApplyMatchesVcycleFromZeroBitwise) {
+  // apply() runs every pre-smooth on the zero-guess path; vcycle() from a
+  // zeroed x takes the general path on the finest level.
+  const DeformedFixture fx;
+  for (FineOperatorType type :
+       {FineOperatorType::kTensor, FineOperatorType::kAssembled}) {
+    const GmgHierarchy mg = fx.hierarchy(type);
+    Vector b = random_vector(mg.level_dofs(2), 53);
+    fx.bc.zero_constrained(b);
+    Vector z, x(b.size(), 0.0);
+    mg.apply(b, z);
+    mg.vcycle(b, x);
+    for (Index i = 0; i < b.size(); ++i)
+      ASSERT_EQ(z[i], x[i]) << fine_operator_token(type) << " i " << i;
+  }
+}
+
+TEST(GmgCoarse, SealCoversMatrixFreeLevelCoefficients) {
+  const DeformedFixture fx;
+  GmgOptions opts;
+  opts.levels = 3;
+  opts.fine_kernel = {.type = FineOperatorType::kTensor,
+                      .batch_width = kSolverBatchWidth};
+  opts.seal_operators = true;
+  const GmgHierarchy mg(fx.mesh, fx.coeff, fx.bc, opts, sinker_bc_factory(),
+                        lu_coarse_factory());
+  EXPECT_TRUE(mg.verify_seal().empty());
+
+  // Simulate a stray write into level 1's restricted viscosity.
+  const auto& op =
+      dynamic_cast<const ViscousOperatorBase&>(mg.level_operator(1));
+  auto* byte = reinterpret_cast<unsigned char*>(
+      const_cast<Real*>(op.coefficients().eta_data().data()) + 5);
+  *byte ^= 0x10;
+  const std::vector<std::string> bad = mg.verify_seal();
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_NE(bad[0].find("L1.eta"), std::string::npos) << bad[0];
+  *byte ^= 0x10;
+  EXPECT_TRUE(mg.verify_seal().empty());
+}
+
 TEST(GmgCoarse, VcycleApplyIsAllocationFree) {
 #if defined(PTATIN_TSAN)
   GTEST_SKIP() << "TSan team path allocates per parallel region";
@@ -470,7 +631,8 @@ TEST(GmgCoarse, VcycleApplyIsAllocationFree) {
   QuadCoefficients coeff = sinker_coeff(mesh, 1e2);
   DirichletBc bc = sinker_boundary_conditions(mesh);
   GmgOptions opts;
-  opts.levels = 3;
+  opts.levels = 3; // level 1 smooths matrix-free on the batched kernel
+  opts.fine_kernel.batch_width = kSolverBatchWidth;
   GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(),
                   lu_coarse_factory());
   Vector b(num_velocity_dofs(mesh), 1.0);

@@ -474,6 +474,27 @@ TEST(SolverConfig, FromOptionsWiresDecompAndSolverKnobs) {
   EXPECT_EQ(SolverConfig().make_engine(mesh), nullptr);
 }
 
+TEST(SolverConfig, FromOptionsRejectsPicardOnlyBackendsUnderNewton) {
+  for (const char* backend : {"asmb", "tensc"}) {
+    const char* newton[] = {"prog", "-backend", backend};
+    try {
+      SolverConfig::from_options(Options::from_args(3, newton));
+      FAIL() << backend << " with the default -newton was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("-newton false"), std::string::npos)
+          << e.what();
+    }
+    const char* picard[] = {"prog", "-backend", backend, "-newton", "false"};
+    const SolverConfig cfg =
+        SolverConfig::from_options(Options::from_args(5, picard));
+    EXPECT_FALSE(cfg.ptatin().nonlinear.use_newton) << backend;
+  }
+  const char* mf[] = {"prog", "-backend", "mf"};
+  EXPECT_TRUE(SolverConfig::from_options(Options::from_args(3, mf))
+                  .ptatin()
+                  .nonlinear.use_newton);
+}
+
 TEST(SolverConfig, RunsTheSolverBatchWidthWithoutAKnob) {
   EXPECT_EQ(SolverConfig::from_options(Options()).stokes().kernel.batch_width,
             kSolverBatchWidth);

@@ -1,12 +1,11 @@
 // Verification: h-convergence on a manufactured trigonometric Stokes
-// solution, W-cycle behaviour, and shear heating.
+// solution, and shear heating.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "ksp/gcr.hpp"
 #include "ptatin/context.hpp"
-#include "ptatin/models_sinker.hpp"
 #include "saddle/stokes_solver.hpp"
 
 namespace ptatin {
@@ -91,33 +90,6 @@ TEST(Convergence, Q2VelocityIsThirdOrder) {
   const Real e4 = solve_and_error(4);
   EXPECT_LT(e4, e2);
   EXPECT_GT(e2 / e4, 5.0) << "observed rate " << std::log2(e2 / e4);
-}
-
-// --- W-cycle --------------------------------------------------------------------
-
-TEST(Wcycle, AtLeastAsGoodAsVcycle) {
-  SinkerParams p;
-  p.mx = p.my = p.mz = 12; // 3 levels: W differs from V only with >2 levels
-  p.contrast = 1e2;
-  StructuredMesh mesh =
-      StructuredMesh::box(p.mx, p.my, p.mz, {0, 0, 0}, {1, 1, 1});
-  QuadCoefficients coeff = sinker_coefficients(mesh, p);
-  DirichletBc bc = sinker_boundary_conditions(mesh);
-  Vector f = assemble_body_force(mesh, coeff, {0, 0, -9.8});
-
-  auto iterations = [&](int gamma) {
-    StokesSolverOptions so;
-    so.gmg.levels = 3;
-    so.gmg.cycle_gamma = gamma;
-    so.coarse_solve = GmgCoarseSolve::kBJacobiLu;
-    so.coarse_bjacobi_blocks = 2;
-    so.krylov.max_it = 500;
-    StokesSolver solver(mesh, coeff, bc, so);
-    StokesSolveResult res = solver.solve(f);
-    EXPECT_TRUE(res.stats.converged);
-    return res.stats.iterations;
-  };
-  EXPECT_LE(iterations(2), iterations(1) + 2);
 }
 
 // --- shear heating ----------------------------------------------------------------
