@@ -61,6 +61,21 @@ public:
                         Vector& T,
                         const std::vector<Real>* element_source = nullptr) const;
 
+  /// The backward-Euler system step() solves: A on the closed-form vertex
+  /// lattice pattern (fem/lattice_pattern.hpp), Dirichlet rows replaced by
+  /// identity rows and their values. Returns the largest SUPG tau.
+  Real assemble(const Vector& u, Real dt, const VertexBc& bc, const Vector& T,
+                const std::vector<Real>* element_source, CsrMatrix& A,
+                Vector& rhs) const;
+
+  /// Element matrix and load vector of element e, rows and columns in the
+  /// corner order of element_corner_vertices. Returns the element's largest
+  /// SUPG tau.
+  Real element_system(const Vector& u, Real dt, const Vector& T, Index e,
+                      const std::vector<Real>* element_source,
+                      Real Ae[kQ1NodesPerEl][kQ1NodesPerEl],
+                      Real be[kQ1NodesPerEl]) const;
+
   Index num_dofs() const { return mesh_.num_vertices(); }
 
   /// Enable the Krylov SDC sentinel on the internal GMRES solve

@@ -61,23 +61,6 @@ void DirichletBc::apply_to_matrix_symmetric(CsrMatrix& a) const {
   });
 }
 
-void DirichletBc::zero_rows(CsrMatrix& a) const {
-  PT_ASSERT(a.rows() == num_dofs());
-  parallel_for(a.rows(), [&](Index i) {
-    if (!mask_[i]) return;
-    for (Index k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k)
-      a.values()[k] = 0.0;
-  });
-}
-
-void DirichletBc::zero_cols(CsrMatrix& a) const {
-  PT_ASSERT(a.cols() == num_dofs());
-  parallel_for(a.rows(), [&](Index i) {
-    for (Index k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k)
-      if (mask_[a.col_idx()[k]]) a.values()[k] = 0.0;
-  });
-}
-
 const std::vector<Index>& DirichletBc::constrained_dofs() const {
   if (!dof_list_valid_) {
     dof_list_.clear();

@@ -49,13 +49,6 @@ public:
   /// constrained rows and columns and place 1 on the diagonal.
   void apply_to_matrix_symmetric(CsrMatrix& a) const;
 
-  /// Zero constrained ROWS of a rectangular coupling block (e.g. the
-  /// gradient block J_up whose rows live in the velocity space).
-  void zero_rows(CsrMatrix& a) const;
-  /// Zero constrained COLUMNS of a block whose columns live in the velocity
-  /// space (e.g. the divergence block J_pu).
-  void zero_cols(CsrMatrix& a) const;
-
   const std::vector<Index>& constrained_dofs() const;
 
 private:

@@ -101,12 +101,6 @@ const Real* CsrMatrix::find(Index i, Index j) const {
   return const_cast<CsrMatrix*>(this)->find(i, j);
 }
 
-void CsrMatrix::add_value(Index i, Index j, Real v) {
-  Real* p = find(i, j);
-  PT_ASSERT_MSG(p != nullptr, "add_value: entry not in CSR pattern");
-  *p += v;
-}
-
 void CsrMatrix::zero_values() { std::fill(vals_.begin(), vals_.end(), 0.0); }
 
 void CsrMatrix::zero_row_set_identity(Index i) {
@@ -301,30 +295,6 @@ Real CsrMatrix::frobenius_norm() const {
   const Real s =
       parallel_reduce_sum(nnz(), [&](Index k) { return va[k] * va[k]; });
   return std::sqrt(s);
-}
-
-void CsrPattern::add_row_entries(Index row, const Index* cols, Index n) {
-  PT_DEBUG_ASSERT(row >= 0 && row < rows_);
-  auto& rc = row_cols_[row];
-  rc.insert(rc.end(), cols, cols + n);
-}
-
-CsrMatrix CsrPattern::finalize() {
-  std::vector<Index> rp(rows_ + 1, 0);
-  parallel_for(rows_, [&](Index i) {
-    auto& rc = row_cols_[i];
-    std::sort(rc.begin(), rc.end());
-    rc.erase(std::unique(rc.begin(), rc.end()), rc.end());
-  });
-  for (Index i = 0; i < rows_; ++i)
-    rp[i + 1] = rp[i] + static_cast<Index>(row_cols_[i].size());
-  std::vector<Index> ci(rp[rows_]);
-  std::vector<Real> va(rp[rows_], 0.0);
-  parallel_for(rows_, [&](Index i) {
-    std::copy(row_cols_[i].begin(), row_cols_[i].end(), ci.begin() + rp[i]);
-  });
-  row_cols_.clear();
-  return CsrMatrix(rows_, cols_, std::move(rp), std::move(ci), std::move(va));
 }
 
 } // namespace ptatin

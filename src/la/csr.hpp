@@ -50,8 +50,6 @@ public:
   /// Extract the diagonal (missing diagonal entries read as 0).
   Vector diagonal() const;
 
-  /// Add v to entry (i, j); the entry must exist in the pattern.
-  void add_value(Index i, Index j, Real v);
   /// Find entry (i, j) by binary search; nullptr if not in pattern.
   Real* find(Index i, Index j);
   const Real* find(Index i, Index j) const;
@@ -90,26 +88,6 @@ private:
   std::vector<Real> vals_;
 
   friend class CooMatrix;
-  friend class CsrPattern;
-};
-
-/// Symbolic CSR pattern builder: rows are assembled from sorted unique column
-/// lists (produced by mesh connectivity), then numeric assembly scatters
-/// element matrices with binary search — the MatSetValues-with-preallocation
-/// pattern from PETSc that avoids COO's triplet memory blow-up.
-class CsrPattern {
-public:
-  CsrPattern(Index rows, Index cols) : rows_(rows), cols_(cols), row_cols_(rows) {}
-
-  /// Register columns for a row (duplicates allowed; compressed in finalize).
-  void add_row_entries(Index row, const Index* cols, Index n);
-
-  /// Produce a zero-valued CSR matrix with the accumulated pattern.
-  CsrMatrix finalize();
-
-private:
-  Index rows_, cols_;
-  std::vector<std::vector<Index>> row_cols_;
 };
 
 } // namespace ptatin

@@ -29,32 +29,40 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
   const int L = opts.levels;
   levels_.resize(L);
 
-  // --- build meshes / coefficients / BCs top-down ---------------------------
+  // Setup spans (docs/OBSERVABILITY.md): the grids, each level's operator,
+  // each smoother and the coarse solver.
   Level& finest = levels_[L - 1];
-  finest.mesh = fine_mesh;
-  finest.coeff = fine_coeff;
-  finest.bc = fine_bc;
-  for (int l = L - 2; l >= 0; --l) {
-    const Level& finer = levels_[l + 1];
-    PT_ASSERT_MSG(finer.mesh.can_coarsen(),
-                  "mesh not coarsenable to requested depth");
-    levels_[l].mesh = finer.mesh.coarsen();
-    levels_[l].coeff =
-        restrict_coefficients(finer.mesh, finer.coeff, levels_[l].mesh);
-    levels_[l].bc = bc_factory(levels_[l].mesh);
-  }
-  for (int l = 0; l < L; ++l)
-    levels_[l].ndofs = num_velocity_dofs(levels_[l].mesh);
+  {
+    PerfScope span("MGSetupGrids");
+    // --- build meshes / coefficients / BCs top-down -------------------------
+    finest.mesh = fine_mesh;
+    finest.coeff = fine_coeff;
+    finest.bc = fine_bc;
+    for (int l = L - 2; l >= 0; --l) {
+      const Level& finer = levels_[l + 1];
+      PT_ASSERT_MSG(finer.mesh.can_coarsen(),
+                    "mesh not coarsenable to requested depth");
+      levels_[l].mesh = finer.mesh.coarsen();
+      levels_[l].coeff =
+          restrict_coefficients(finer.mesh, finer.coeff, levels_[l].mesh);
+      levels_[l].bc = bc_factory(levels_[l].mesh);
+    }
+    for (int l = 0; l < L; ++l)
+      levels_[l].ndofs = num_velocity_dofs(levels_[l].mesh);
 
-  // --- prolongations ----------------------------------------------------------
-  for (int l = 0; l < L - 1; ++l)
-    levels_[l].prolongation = build_velocity_prolongation(
-        levels_[l + 1].mesh, levels_[l].mesh, &levels_[l + 1].bc);
+    // --- prolongations ------------------------------------------------------
+    for (int l = 0; l < L - 1; ++l)
+      levels_[l].prolongation = build_velocity_prolongation(
+          levels_[l + 1].mesh, levels_[l].mesh, &levels_[l + 1].bc);
+  }
 
   // --- operators ----------------------------------------------------------------
-  finest.elem_op = make_viscous_backend(opts.fine_kernel, finest.mesh,
-                                        finest.coeff, &finest.bc);
-  finest.op = finest.elem_op.get();
+  {
+    PerfScope span(level_tag("MGSetupOperator", L - 1));
+    finest.elem_op = make_viscous_backend(opts.fine_kernel, finest.mesh,
+                                          finest.coeff, &finest.bc);
+    finest.op = finest.elem_op.get();
+  }
   // Below a matrix-free finest level, the first coarse level runs the same
   // kernel at the same width on its restricted coefficients, on the global
   // colored path (the engine's halo plans match the finest grid only). It
@@ -71,6 +79,7 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
     cache->rap.resize(static_cast<std::size_t>(L - 1));
 
   for (int l = L - 2; l >= 0; --l) {
+    PerfScope span(level_tag("MGSetupOperator", l));
     Level& lev = levels_[l];
     Level& finer = levels_[l + 1];
     if (l == L - 2 && matrix_free_coarse) {
@@ -139,11 +148,15 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
 
   // Explicit transposes so the per-cycle restriction runs row-parallel
   // (CsrMatrix::mult) instead of through the serial mult_transpose scatter.
-  for (int l = 0; l < L - 1; ++l)
-    levels_[l].restriction = levels_[l].prolongation.transpose();
+  {
+    PerfScope span("MGSetupGrids");
+    for (int l = 0; l < L - 1; ++l)
+      levels_[l].restriction = levels_[l].prolongation.transpose();
+  }
 
   // --- smoothers (all levels except the coarsest, which gets the solver) ----
   for (int l = 1; l < L; ++l) {
+    PerfScope span(level_tag("MGSetupSmoother", l));
     Level& lev = levels_[l];
     lev.smoother.setup(*lev.op, lev.op->diagonal(), opts.chebyshev);
   }
@@ -164,10 +177,12 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
   // --- coarse solver ---------------------------------------------------------
   if (L == 1) {
     // Degenerate single-level "hierarchy": smoother-only preconditioner.
+    PerfScope span(level_tag("MGSetupSmoother", 0));
     levels_[0].smoother.setup(*levels_[0].op, levels_[0].op->diagonal(),
                               opts.chebyshev);
   } else {
     PT_ASSERT_MSG(coarse_factory != nullptr, "coarse solver factory required");
+    PerfScope span("MGSetupCoarse");
     coarse_solver_ = coarse_factory(*levels_[0].assembled);
   }
 

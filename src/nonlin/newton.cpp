@@ -26,7 +26,7 @@ void NonlinearStokesSolver::residual(const QuadCoefficients& coeff,
   // F_u = A(eta) u + B p - f, with the raw (unmasked) bilinear form: u
   // carries the boundary values, so constrained rows are simply zeroed (the
   // boundary equation u_bc = g_bc is satisfied by construction).
-  TensorViscousOperator a_raw(mesh_, coeff, nullptr);
+  TensorViscousOperator a_raw(mesh_, coeff, nullptr, kSolverBatchWidth);
   a_raw.apply(u, fu);
   Vector bp;
   b_full_.mult(p, bp);
@@ -120,19 +120,22 @@ NonlinearResult NonlinearStokesSolver::solve(
       Real lambda = 1.0;
       Real fnorm_new = fnorm;
       Vector u_trial(nu), p_trial(np);
-      QuadCoefficients coeff_trial(mesh_.num_elements());
       bool accepted = false;
-      for (int ls = 0; ls <= opts_.line_search_max; ++ls) {
-        u_trial.copy_from(u);
-        u_trial.axpy(lambda, lin.u);
-        p_trial.copy_from(p);
-        p_trial.axpy(lambda, lin.p);
-        fnorm_new = residual_norm(u_trial, p_trial, coeff_trial);
-        if (fnorm_new <= (1.0 - opts_.line_search_alpha * lambda) * fnorm) {
-          accepted = true;
-          break;
+      {
+        PerfScope ls_span("NewtonLineSearch");
+        QuadCoefficients coeff_trial(mesh_.num_elements());
+        for (int ls = 0; ls <= opts_.line_search_max; ++ls) {
+          u_trial.copy_from(u);
+          u_trial.axpy(lambda, lin.u);
+          p_trial.copy_from(p);
+          p_trial.axpy(lambda, lin.p);
+          fnorm_new = residual_norm(u_trial, p_trial, coeff_trial);
+          if (fnorm_new <= (1.0 - opts_.line_search_alpha * lambda) * fnorm) {
+            accepted = true;
+            break;
+          }
+          lambda *= 0.5;
         }
-        lambda *= 0.5;
       }
       // Accept the last trial even without sufficient decrease (the next
       // iteration's Picard refresh often recovers).

@@ -12,10 +12,8 @@ StokesOperator::StokesOperator(const StructuredMesh& mesh,
   np_ = num_pressure_dofs(mesh);
   PT_ASSERT(a.rows() == nu_);
 
-  b_full_ = assemble_gradient_block(mesh);
-  b_masked_ = b_full_;
-  bc_.zero_rows(b_masked_);
-  bt_masked_ = b_masked_.transpose();
+  PerfScope span("MatAssembly(B)");
+  assemble_gradient_blocks(mesh, bc, b_full_, b_masked_, bt_masked_);
 }
 
 void StokesOperator::extract_u(const Vector& x, Vector& u) const {
@@ -72,7 +70,8 @@ Vector StokesOperator::build_rhs(const Vector& f) const {
   // apply on the same coefficients.
   Vector ag(nu_);
   {
-    TensorViscousOperator lift_op(mesh_, a_.coefficients(), nullptr);
+    TensorViscousOperator lift_op(mesh_, a_.coefficients(), nullptr,
+                                  kSolverBatchWidth);
     Vector gg;
     gg.copy_from(g);
     lift_op.apply(gg, ag);

@@ -19,11 +19,20 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
                            const StokesSolverOptions& opts)
     : mesh_(mesh), bc_(bc), opts_(opts) {
   Timer t;
+  // Child spans: the viscous back-end, MatAssembly(B) in the coupled
+  // operator, the Schur blocks, and the GMG (MGSetup*) or AMG setup.
+  PerfScope span("PCSetup(Stokes)");
 
-  a_ = make_viscous_backend(opts.kernel, mesh, coeff, &bc);
-  if (opts.newton_operator) a_->set_newton(true);
+  {
+    PerfScope child("ViscousOperatorSetup");
+    a_ = make_viscous_backend(opts.kernel, mesh, coeff, &bc);
+    if (opts.newton_operator) a_->set_newton(true);
+  }
   op_ = std::make_unique<StokesOperator>(mesh, *a_, bc);
-  schur_ = std::make_unique<PressureMassSchur>(mesh, coeff);
+  {
+    PerfScope child("SchurSetup");
+    schur_ = std::make_unique<PressureMassSchur>(mesh, coeff);
+  }
 
   if (opts.velocity_pc == VelocityPcType::kGmg) {
     // The preconditioner always smooths with the Picard operator (§III-A):
@@ -100,6 +109,7 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
     vpc_ = gmg_.get();
   } else {
     // Standalone SA-AMG on the assembled fine matrix (SA-i / SAML configs).
+    PerfScope child("AMGSetup");
     const AsmbViscousOperator* asmb =
         dynamic_cast<const AsmbViscousOperator*>(a_.get());
     std::unique_ptr<AsmbViscousOperator> owned;

@@ -5,58 +5,99 @@
 #include "common/parallel.hpp"
 #include "fem/basis.hpp"
 #include "fem/dofmap.hpp"
+#include "fem/lattice_pattern.hpp"
 #include "fem/subdomain_engine.hpp"
 #include "stokes/geometry.hpp"
 #include "stokes/viscous_ops.hpp"
 
 namespace ptatin {
 
-CsrMatrix assemble_gradient_block(const StructuredMesh& mesh) {
+void gradient_element_matrix(const StructuredMesh& mesh, Index e,
+                             Real Be[3 * kQ2NodesPerEl][kP1NodesPerEl]) {
   const auto& tab = q2_tabulation();
-  const Index nv = num_velocity_dofs(mesh);
-  const Index np = num_pressure_dofs(mesh);
+  ElementGeometry g;
+  element_geometry(mesh, e, g);
+  const P1Frame frame = element_p1_frame(mesh, e);
 
-  CsrPattern pattern(nv, np);
-  {
-    Index vdofs[3 * kQ2NodesPerEl];
-    Index pdofs[kP1NodesPerEl];
-    for (Index e = 0; e < mesh.num_elements(); ++e) {
-      element_velocity_dofs(mesh, e, vdofs);
-      for (int k = 0; k < kP1NodesPerEl; ++k) pdofs[k] = pressure_dof(e, k);
-      for (int a = 0; a < 3 * kQ2NodesPerEl; ++a)
-        pattern.add_row_entries(vdofs[a], pdofs, kP1NodesPerEl);
+  for (int a = 0; a < 3 * kQ2NodesPerEl; ++a)
+    for (int k = 0; k < kP1NodesPerEl; ++k) Be[a][k] = 0.0;
+  for (int q = 0; q < kQuadPerEl; ++q) {
+    const Mat3& ga = g.gamma[q];
+    Real psi[kP1NodesPerEl];
+    p1disc_eval(frame, g.xq[q], psi);
+    for (int i = 0; i < kQ2NodesPerEl; ++i) {
+      Real gi[3];
+      for (int r = 0; r < 3; ++r)
+        gi[r] = tab.dN[q][i][0] * ga[0 + r] + tab.dN[q][i][1] * ga[3 + r] +
+                tab.dN[q][i][2] * ga[6 + r];
+      for (int c = 0; c < 3; ++c)
+        for (int k = 0; k < kP1NodesPerEl; ++k)
+          Be[3 * i + c][k] -= g.wdetj[q] * psi[k] * gi[c];
     }
   }
-  CsrMatrix b = pattern.finalize();
+}
+
+namespace {
+
+/// B, and with `bc` also the masked B and B^T, in one element pass on the
+/// closed-form lattice patterns (fem/lattice_pattern.hpp). Each entry of
+/// these blocks belongs to one element — a pressure mode lives in one
+/// element — so it receives exactly one addition, 0.0 + Be; a masked entry
+/// stays 0.0, the value zeroing a row of B leaves.
+void assemble_gradient(const StructuredMesh& mesh, const DirichletBc* bc,
+                       CsrMatrix& b, CsrMatrix* b_masked,
+                       CsrMatrix* bt_masked) {
+  const LatticePattern bp = LatticePattern::gradient(mesh);
+  const LatticePattern btp = LatticePattern::divergence(mesh);
+  b = bp.matrix();
+  if (bc != nullptr) {
+    *b_masked = b;
+    *bt_masked = btp.matrix();
+  }
+  const Index* rp = b.row_ptr().data();
+  const Index* rpt = bc != nullptr ? bt_masked->row_ptr().data() : nullptr;
+  Real* vb = b.values().data();
+  Real* vm = bc != nullptr ? b_masked->values().data() : nullptr;
+  Real* vt = bc != nullptr ? bt_masked->values().data() : nullptr;
 
   for_each_element_colored(mesh, [&](Index e) {
-    ElementGeometry g;
-    element_geometry(mesh, e, g);
-    const P1Frame frame = element_p1_frame(mesh, e);
-
-    Real Be[3 * kQ2NodesPerEl][kP1NodesPerEl] = {};
-    for (int q = 0; q < kQuadPerEl; ++q) {
-      const Mat3& ga = g.gamma[q];
-      Real psi[kP1NodesPerEl];
-      p1disc_eval(frame, g.xq[q], psi);
-      for (int i = 0; i < kQ2NodesPerEl; ++i) {
-        Real gi[3];
-        for (int r = 0; r < 3; ++r)
-          gi[r] = tab.dN[q][i][0] * ga[0 + r] + tab.dN[q][i][1] * ga[3 + r] +
-                  tab.dN[q][i][2] * ga[6 + r];
-        for (int c = 0; c < 3; ++c)
-          for (int k = 0; k < kP1NodesPerEl; ++k)
-            Be[3 * i + c][k] -= g.wdetj[q] * psi[k] * gi[c];
-      }
-    }
-
+    Real Be[3 * kQ2NodesPerEl][kP1NodesPerEl];
+    gradient_element_matrix(mesh, e, Be);
+    Index ei, ej, ek;
+    mesh.element_ijk(e, ei, ej, ek);
     Index vdofs[3 * kQ2NodesPerEl];
     element_velocity_dofs(mesh, e, vdofs);
-    for (int a = 0; a < 3 * kQ2NodesPerEl; ++a)
-      for (int k = 0; k < kP1NodesPerEl; ++k)
-        b.add_value(vdofs[a], pressure_dof(e, k), Be[a][k]);
+    for (int a = 0; a < kQ2NodesPerEl; ++a) {
+      const Index i = 2 * ei + a % 3, j = 2 * ej + (a / 3) % 3,
+                  k = 2 * ek + a / 9;
+      const Index off = bp.column_offset(i, j, k, ei, ej, ek, 0);
+      const Index off_t = btp.column_offset(ei, ej, ek, i, j, k, 0);
+      for (int c = 0; c < 3; ++c) {
+        const Index v = vdofs[3 * a + c];
+        const bool masked = bc != nullptr && bc->is_constrained(v);
+        for (int m = 0; m < kP1NodesPerEl; ++m) {
+          const Real val = vb[rp[v] + off + m] += Be[3 * a + c][m];
+          if (bc == nullptr || masked) continue;
+          vm[rp[v] + off + m] = val;
+          vt[rpt[pressure_dof(e, m)] + off_t + c] = val;
+        }
+      }
+    }
   });
+}
+
+} // namespace
+
+CsrMatrix assemble_gradient_block(const StructuredMesh& mesh) {
+  CsrMatrix b;
+  assemble_gradient(mesh, nullptr, b, nullptr, nullptr);
   return b;
+}
+
+void assemble_gradient_blocks(const StructuredMesh& mesh, const DirichletBc& bc,
+                              CsrMatrix& b, CsrMatrix& b_masked,
+                              CsrMatrix& bt_masked) {
+  assemble_gradient(mesh, &bc, b, &b_masked, &bt_masked);
 }
 
 namespace {

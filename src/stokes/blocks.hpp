@@ -17,10 +17,23 @@ namespace ptatin {
 
 class SubdomainEngine;
 
+/// Element block of B for element e: rows in the local dof order of
+/// element_velocity_dofs, columns the element's 4 pressure modes.
+void gradient_element_matrix(const StructuredMesh& mesh, Index e,
+                             Real Be[3 * kQ2NodesPerEl][kP1NodesPerEl]);
+
 /// Assemble the gradient block B (nvel x npres):
 /// B[(i,c)(e,k)] = -int_e psi_k dN_i/dx_c dV, so that the coupled system is
 /// [A B; B^T 0][u p] = [f 0].
 CsrMatrix assemble_gradient_block(const StructuredMesh& mesh);
+
+/// B and, from the same element pass, the blocks of the Dirichlet-masked
+/// coupled operator: `b_masked` is B with the rows of constrained velocity
+/// dofs zeroed and `bt_masked` its transpose. Patterns and value bits equal
+/// those of zeroing the rows of a copy of B and transposing it.
+void assemble_gradient_blocks(const StructuredMesh& mesh, const DirichletBc& bc,
+                              CsrMatrix& b, CsrMatrix& b_masked,
+                              CsrMatrix& bt_masked);
 
 /// Gravitational body-force RHS of the system [A B; B^T 0][u p] = [f 0]:
 /// f[(i,c)] = +int rho g_c N_i dV, so dense material sinks when g points

@@ -5,14 +5,13 @@
 // the memory bus on every application (§III-D, Table I "Assembled").
 #include "stokes/viscous_ops.hpp"
 
+#include "fem/lattice_pattern.hpp"
+
 namespace ptatin {
 
-namespace {
-
-/// Element stiffness: K[(i,c)(j,c')] = sum_q w detJ eta
-/// (delta_cc' g_i.g_j + g_i[c'] g_j[c]), the Picard form.
-void element_stiffness(const StructuredMesh& mesh, const QuadCoefficients& coeff,
-                       Index e, Real Ke[3 * kQ2NodesPerEl][3 * kQ2NodesPerEl]) {
+void viscous_element_matrix(const StructuredMesh& mesh,
+                            const QuadCoefficients& coeff, Index e,
+                            Real Ke[3 * kQ2NodesPerEl][3 * kQ2NodesPerEl]) {
   const auto& tab = q2_tabulation();
   ElementGeometry g;
   element_geometry(mesh, e, g);
@@ -43,33 +42,40 @@ void element_stiffness(const StructuredMesh& mesh, const QuadCoefficients& coeff
   }
 }
 
-} // namespace
-
 CsrMatrix assemble_viscous_matrix(const StructuredMesh& mesh,
                                   const QuadCoefficients& coeff) {
-  const Index nv = num_velocity_dofs(mesh);
+  // Symbolic pattern in closed form (fem/lattice_pattern.hpp).
+  const LatticePattern pattern = LatticePattern::q2_velocity(mesh);
+  CsrMatrix a = pattern.matrix();
+  const Index* rp = a.row_ptr().data();
+  Real* va = a.values().data();
 
-  // Symbolic pattern: union of element dof couplings per row.
-  CsrPattern pattern(nv, nv);
-  {
-    Index dofs[3 * kQ2NodesPerEl];
-    for (Index e = 0; e < mesh.num_elements(); ++e) {
-      element_velocity_dofs(mesh, e, dofs);
-      for (int a = 0; a < 3 * kQ2NodesPerEl; ++a)
-        pattern.add_row_entries(dofs[a], dofs, 3 * kQ2NodesPerEl);
-    }
-  }
-  CsrMatrix a = pattern.finalize();
-
-  // Numeric assembly: element colors prevent concurrent writes to a row.
+  // Numeric assembly: element colors prevent concurrent writes to a row and
+  // fix the order of the additions into each entry (color order) at any
+  // thread count. Entries start at +0.0 and never become -0.0, so adding
+  // an exact-zero element entry leaves them unchanged: no zero test needed.
   for_each_element_colored(mesh, [&](Index e) {
     Real Ke[3 * kQ2NodesPerEl][3 * kQ2NodesPerEl];
-    element_stiffness(mesh, coeff, e, Ke);
-    Index dofs[3 * kQ2NodesPerEl];
-    element_velocity_dofs(mesh, e, dofs);
-    for (int r = 0; r < 3 * kQ2NodesPerEl; ++r)
-      for (int c = 0; c < 3 * kQ2NodesPerEl; ++c)
-        if (Ke[r][c] != 0.0) a.add_value(dofs[r], dofs[c], Ke[r][c]);
+    viscous_element_matrix(mesh, coeff, e, Ke);
+    Index ei, ej, ek;
+    mesh.element_ijk(e, ei, ej, ek);
+    Index nodes[kQ2NodesPerEl];
+    mesh.element_nodes(e, nodes);
+    for (int a = 0; a < kQ2NodesPerEl; ++a) {
+      const Index i = 2 * ei + a % 3, j = 2 * ej + (a / 3) % 3,
+                  k = 2 * ek + a / 9;
+      // The three component rows of a node have the same length.
+      const Index row0 = rp[velocity_dof(nodes[a], 0)];
+      const Index len = rp[velocity_dof(nodes[a], 1)] - row0;
+      for (int b = 0; b < kQ2NodesPerEl; ++b) {
+        const Index off = row0 + pattern.column_offset(
+                                     i, j, k, 2 * ei + b % 3,
+                                     2 * ej + (b / 3) % 3, 2 * ek + b / 9, 0);
+        for (int c = 0; c < 3; ++c)
+          for (int cp = 0; cp < 3; ++cp)
+            va[off + c * len + cp] += Ke[3 * a + c][3 * b + cp];
+      }
+    }
   });
   return a;
 }

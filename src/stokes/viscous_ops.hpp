@@ -228,7 +228,14 @@ private:
 
 // ---------------------------------------------------------------------------
 
-/// Assemble the Picard viscous matrix (no BC treatment).
+/// Picard element matrix of element e, rows and columns in the local dof
+/// order of element_velocity_dofs.
+void viscous_element_matrix(const StructuredMesh& mesh,
+                            const QuadCoefficients& coeff, Index e,
+                            Real Ke[3 * kQ2NodesPerEl][3 * kQ2NodesPerEl]);
+
+/// Assemble the Picard viscous matrix (no BC treatment) on the closed-form
+/// lattice pattern (fem/lattice_pattern.hpp).
 CsrMatrix assemble_viscous_matrix(const StructuredMesh& mesh,
                                   const QuadCoefficients& coeff);
 

@@ -156,14 +156,15 @@ TEST(GalerkinRap, CachedRefreshMatchesFromScratchBitwise) {
   EXPECT_FALSE(gp.last_was_refresh());
   expect_bitwise_equal(first, CsrMatrix::ptap(fx.a, fx.p), "first product");
 
-  // Re-assemble with a different viscosity field: same mesh, same sparsity,
-  // same zero-set (the exact zeros are geometric) — the refresh path must
-  // engage and must be bitwise identical to the from-scratch product, at
-  // every thread count.
+  // Scaling every viscosity by 2^k scales every element entry exactly, so
+  // the re-assembled matrix keeps the first one's exact zero-set: the
+  // refresh path must engage, and must be bitwise identical to the
+  // from-scratch product, at every thread count.
+  const QuadCoefficients base = sinker_coeff(fx.fine, 100.0);
   at_thread_counts([&](int nt) {
-    const Real contrast = 100.0 * (nt + 1);
-    CsrMatrix a2 =
-        assemble_viscous_matrix(fx.fine, sinker_coeff(fx.fine, contrast));
+    QuadCoefficients scaled = base;
+    for (Real& eta : scaled.eta_data()) eta = std::ldexp(eta, nt);
+    CsrMatrix a2 = assemble_viscous_matrix(fx.fine, scaled);
     fx.bc.apply_to_matrix_symmetric(a2);
     CsrMatrix refreshed = gp.product(a2, fx.p);
     EXPECT_TRUE(gp.last_was_refresh()) << "threads " << nt;
@@ -172,6 +173,20 @@ TEST(GalerkinRap, CachedRefreshMatchesFromScratchBitwise) {
   });
   EXPECT_EQ(gp.setups(), 1);
   EXPECT_EQ(gp.refreshes(), 3);
+
+  // A new contrast moves entries that nearly cancel, and some of them land
+  // on exact 0.0 at one contrast and not at another (depending on FMA
+  // contraction): the replay then falls back to a full setup. Whichever
+  // path each product takes, it must equal the from-scratch product.
+  at_thread_counts([&](int nt) {
+    const Real contrast = 100.0 * (nt + 1);
+    CsrMatrix a2 =
+        assemble_viscous_matrix(fx.fine, sinker_coeff(fx.fine, contrast));
+    fx.bc.apply_to_matrix_symmetric(a2);
+    expect_bitwise_equal(gp.product(a2, fx.p), CsrMatrix::ptap(a2, fx.p),
+                         "contrast re-assembly vs ptap");
+  });
+  EXPECT_EQ(gp.setups() + gp.refreshes(), 7);
 }
 
 TEST(GalerkinRap, ProductPatternDriftFallsBackToSetup) {

@@ -301,21 +301,6 @@ TEST(Csr, FrobeniusNormMatchesReferenceAndIsThreadInvariant) {
   EXPECT_NEAR(n1, expect, 1e-13 * expect);
 }
 
-TEST(CsrPattern, AssembleAfterPattern) {
-  CsrPattern pat(3, 3);
-  const Index cols01[] = {0, 1};
-  const Index cols12[] = {1, 2};
-  pat.add_row_entries(0, cols01, 2);
-  pat.add_row_entries(1, cols01, 2);
-  pat.add_row_entries(1, cols12, 2); // overlapping registration
-  pat.add_row_entries(2, cols12, 2);
-  CsrMatrix a = pat.finalize();
-  EXPECT_EQ(a.nnz(), 2 + 3 + 2);
-  a.add_value(1, 1, 5.0);
-  a.add_value(1, 1, 1.0);
-  EXPECT_DOUBLE_EQ(*a.find(1, 1), 6.0);
-}
-
 // --- Dense LU --------------------------------------------------------------
 
 TEST(DenseLu, SolvesRandomSystem) {
