@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 // Lane-vectorization pragma for the cross-element batched kernels: applied to
@@ -65,6 +67,19 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, std::align_val_t(Align));
+  }
+
+  /// A value-less resize default-initializes: arithmetic entries are left
+  /// unwritten, so a parallel pass can be their first touch (Vector::
+  /// set_scaled). Every constructor or resize that passes a value still
+  /// writes it.
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   template <class U>

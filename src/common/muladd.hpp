@@ -1,13 +1,13 @@
 // Explicit fused multiply-add matching the seed elementwise kernels.
 //
 // The build uses -O3 -march=native, where GCC's default -ffp-contract=fast
-// contracts the elementwise `yp[i] += a * xp[i]` of Vector::axpy into a
-// packed vfmadd. Contraction is a PER-LOOP compiler decision, though — a
-// fused kernel written with the identical statement shape is not guaranteed
-// to contract, and an uncontracted replay differs from axpy's result in the
-// last bit. A fused loop that must replay an axpy step bitwise therefore
-// spells the FMA out with pt_muladd instead of relying on the optimizer.
-// (Reduction loops are a different story: see blocked_spmv.hpp, which gets
+// contracts an elementwise `yp[i] += a * xp[i]` into a packed vfmadd.
+// Contraction is a PER-LOOP compiler decision, though — a fused kernel
+// written with the identical statement shape is not guaranteed to contract,
+// and an uncontracted replay differs in the last bit. So Vector::axpy and
+// Vector::dot spell their multiply-add with pt_muladd, and so does every
+// fused loop that must replay them bitwise (the Chebyshev sweep, mgs_sweep).
+// (CSR products are a different story: see blocked_spmv.hpp, which gets
 // parity by sharing CsrMatrix::mult's exact loop shape instead.)
 //
 // On targets without hardware FMA the seed loops cannot contract either, so

@@ -6,16 +6,22 @@
 // subdomain-decomposition layer (src/fem/decomposition.hpp) reproduces the
 // rank-local structure of the MPI code.
 //
-// Reductions are DETERMINISTIC: partial sums are formed over fixed-size index
-// chunks and combined in chunk order, so the result is bitwise identical for
-// any thread count. Residual histories and `-final_state` digests therefore
-// reproduce run to run, which the checkpoint/restart CI round trip relies on.
+// Reductions are DETERMINISTIC: the index range is cut into fixed 1024-entry
+// chunks; each chunk is summed in 8 fixed lanes (term i goes to lane
+// (i - lo) mod 8, lo the chunk start), the lanes combine in a fixed pairwise
+// tree, and the chunk sums combine in chunk order. None of that depends on
+// the thread count, so the result is bitwise identical for any team size.
+// Residual histories and `-final_state` digests therefore reproduce run to
+// run, which the checkpoint/restart CI round trip relies on. The 8 lanes are
+// 8 independent add chains — one AVX-512 register, two AVX2 ones — instead
+// of one serial chain of dependent adds per chunk.
 #pragma once
 
 #include <cstddef>
 #include <limits>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/types.hpp"
 
 #ifdef _OPENMP
@@ -155,30 +161,57 @@ inline void parallel_for_phased(int nphases, CountFn&& count, Body&& body) {
 /// thread count) so the combine tree — and thus the rounding — never changes.
 inline constexpr Index kReduceChunk = 1024;
 
-/// Parallel reduction (sum) over [0, n), deterministic: per-chunk partial
-/// sums are accumulated left-to-right within each fixed-size chunk and then
-/// combined in chunk-index order. Bitwise-reproducible at any thread count.
-template <class F>
-inline Real parallel_reduce_sum(Index n, F&& body) {
+/// Accumulator lanes per chunk (a multiple of every SIMD width in use).
+inline constexpr int kReduceLanes = 8;
+
+/// The deterministic sum of one chunk [lo, hi): lane l folds in the terms
+/// i = lo + l, lo + l + 8, ... in increasing i through `acc = step(i, acc)`,
+/// starting from 0; the lanes then combine as
+/// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)), the halving tree of a
+/// SIMD horizontal add. `step` may also update entry i of other arrays: the
+/// fused sweeps (la/vector.hpp) do their axpys in the same pass.
+template <class Step>
+inline Real reduce_chunk(Index lo, Index hi, Step& step) {
+  alignas(kSimdAlign) Real lane[kReduceLanes] = {};
+  const Index full = lo + (hi - lo) / kReduceLanes * kReduceLanes;
+  for (Index i = lo; i < full; i += kReduceLanes) {
+    // One SIMD statement per lane group: the lanes are independent sums.
+    PT_SIMD
+    for (int l = 0; l < kReduceLanes; ++l) lane[l] = step(i + l, lane[l]);
+  }
+  for (Index i = full; i < hi; ++i) lane[i - full] = step(i, lane[i - full]);
+  return ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+         ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
+
+/// Deterministic parallel reduction over [0, n) with a lane step
+/// `acc = step(i, acc)` (see reduce_chunk): the chunk sums, each formed by
+/// one thread, combine left to right in chunk order. Bitwise-reproducible at
+/// any thread count. Spell a multiply-add step with pt_muladd when another
+/// loop must replay the result bitwise (Vector::dot does).
+template <class Step>
+inline Real parallel_reduce_lanes(Index n, Step&& step) {
   if (n <= 0) return 0.0;
   const Index nchunks = (n + kReduceChunk - 1) / kReduceChunk;
-  if (nchunks == 1) {
-    Real sum = 0.0;
-    for (Index i = 0; i < n; ++i) sum += body(i);
-    return sum;
-  }
+  if (nchunks == 1) return reduce_chunk(0, n, step);
   std::vector<Real> partial(static_cast<std::size_t>(nchunks));
   parallel_for(nchunks, [&](Index c) {
     const Index lo = c * kReduceChunk;
     const Index hi = lo + kReduceChunk < n ? lo + kReduceChunk : n;
-    Real sum = 0.0;
-    for (Index i = lo; i < hi; ++i) sum += body(i);
-    partial[static_cast<std::size_t>(c)] = sum;
+    partial[static_cast<std::size_t>(c)] = reduce_chunk(lo, hi, step);
   });
   Real sum = 0.0;
   for (Index c = 0; c < nchunks; ++c)
     sum += partial[static_cast<std::size_t>(c)];
   return sum;
+}
+
+/// Parallel reduction (sum) over [0, n) of body(i), deterministic: chunks,
+/// lanes and combine order as parallel_reduce_lanes.
+template <class F>
+inline Real parallel_reduce_sum(Index n, F&& body) {
+  return parallel_reduce_lanes(
+      n, [&](Index i, Real acc) { return acc + body(i); });
 }
 
 /// Parallel reduction (max) over [0, n). The identity is -inf (lowest), NOT

@@ -109,8 +109,11 @@ public:
   /// parallel, scattering into the ncomp-interleaved scratch slab `w`
   /// (w[ncomp*point + c]; for velocity ncomp = 3 this is exactly the
   /// velocity_dof layout), then halo-exchange into the full-length output
-  /// `y`. `fn` may read any shared input (e.g. the global x vector) but must
-  /// write only through `w`.
+  /// `y`. `fn` may read any shared input (e.g. the global x vector). Lattice
+  /// outputs it must write only through `w`; an output that belongs to
+  /// element e alone (e.g. its P1disc pressure rows) it may write straight
+  /// into a global array, since each element is visited once, by the one
+  /// thread that runs its subdomain (the coupled Tens sweep does).
   template <class ElemFn>
   void apply_nodes(int ncomp, Real* y, ElemFn&& fn) const {
     run(kNodeLattice, ncomp, y,

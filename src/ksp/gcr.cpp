@@ -37,13 +37,15 @@ SolveStats gcr_solve(const LinearOperator& a, const Preconditioner& pc,
       pc.apply(r, z);
       a.apply(z, az);
 
-      // Orthogonalize (z, az) against previous directions (classical GCR).
-      for (int i = 0; i < k; ++i) {
-        const Real beta = az.dot(AS[i]);
-        z.axpy(-beta, S[i]);
-        az.axpy(-beta, AS[i]);
-      }
-      Real aznorm = az.norm2();
+      // Orthogonalize (z, az) against the previous directions by modified
+      // Gram–Schmidt: one fused sweep per direction subtracts beta_i (S_i,
+      // AS_i) and forms the next beta, (az, AS_{i+1}), while AS_{i+1} is in
+      // cache for its own update; the last sweep forms (az, az). Bitwise the
+      // dot, axpy, axpy sequence (la/vector.hpp).
+      Real d = az.dot(k > 0 ? AS[0] : az);
+      for (int i = 0; i < k; ++i)
+        d = mgs_sweep(d, AS[i], az, i + 1 < k ? AS[i + 1] : az, &S[i], &z);
+      Real aznorm = std::sqrt(d);
       if (fault::fires("ksp.breakdown")) aznorm = 0.0;
       if (!(aznorm > 0.0) || !std::isfinite(aznorm)) {
         reason = std::isfinite(aznorm) ? ConvergedReason::kDivergedBreakdown
@@ -51,12 +53,8 @@ SolveStats gcr_solve(const LinearOperator& a, const Preconditioner& pc,
         stats.detail = "A-image of search direction vanished";
         break;
       }
-      if (S[k].size() != n) S[k].resize(n);
-      if (AS[k].size() != n) AS[k].resize(n);
-      S[k].copy_from(z);
-      S[k].scale(Real(1) / aznorm);
-      AS[k].copy_from(az);
-      AS[k].scale(Real(1) / aznorm);
+      S[k].set_scaled(Real(1) / aznorm, z);
+      AS[k].set_scaled(Real(1) / aznorm, az);
 
       const Real alpha = r.dot(AS[k]);
       x.axpy(alpha, S[k]);

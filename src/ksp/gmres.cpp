@@ -68,8 +68,7 @@ SolveStats gmres_impl(const LinearOperator& a, const Preconditioner& pc,
   ConvergedReason reason = conv.test(rnorm, total_it);
   while (reason == ConvergedReason::kIterating) {
     // --- start (restart) cycle ---
-    V[0].copy_from(r);
-    V[0].scale(Real(1) / rnorm);
+    V[0].set_scaled(Real(1) / rnorm, r);
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = rnorm;
 
@@ -85,16 +84,19 @@ SolveStats gmres_impl(const LinearOperator& a, const Preconditioner& pc,
         pc.apply(V[j], ztmp);
         a.apply(ztmp, w);
       }
-      // Modified Gram–Schmidt.
+      // Modified Gram–Schmidt, one fused sweep per basis vector: the sweep
+      // that subtracts H_ji V_i forms the next coefficient (w, V_{i+1}), the
+      // last one (w, w) — GCR's kernel without z (la/vector.hpp).
+      Real h = w.dot(V[0]);
       for (int i = 0; i <= j; ++i) {
-        H[j][i] = w.dot(V[i]);
-        w.axpy(-H[j][i], V[i]);
+        H[j][i] = h;
+        h = mgs_sweep(h, V[i], w, i < j ? V[i + 1] : w);
       }
-      H[j][j + 1] = w.norm2();
-      if (V[j + 1].size() != n) V[j + 1].resize(n);
+      H[j][j + 1] = std::sqrt(h);
       if (H[j][j + 1] > 0.0) {
-        V[j + 1].copy_from(w);
-        V[j + 1].scale(Real(1) / H[j][j + 1]);
+        V[j + 1].set_scaled(Real(1) / H[j][j + 1], w);
+      } else if (V[j + 1].size() != n) {
+        V[j + 1].resize(n);
       }
 
       // Apply accumulated Givens rotations to the new column.

@@ -39,11 +39,15 @@ public:
   void scale(Real alpha);
   /// this <- x (deep copy, sizes must match or this is resized).
   void copy_from(const Vector& x);
+  /// this <- alpha x in one parallel pass, bitwise copy_from + scale. A
+  /// resize skips the zero-fill, so the pass is the entries' first touch.
+  void set_scaled(Real alpha, const Vector& x);
   /// Pointwise multiply: this_i <- this_i * x_i.
   void pointwise_mult(const Vector& x);
   /// Pointwise divide: this_i <- this_i / x_i.
   void pointwise_div(const Vector& x);
 
+  /// Deterministic (parallel_reduce_lanes order, pt_muladd terms).
   Real dot(const Vector& x) const;
   Real norm2() const;
   Real norm_inf() const;
@@ -61,5 +65,15 @@ public:
 private:
   AlignedVector<Real> data_;
 };
+
+/// One modified Gram–Schmidt step fused with the next step's dot, in one
+/// parallel pass over the vectors: w <- w - beta u, and z <- z - beta s when
+/// z is given; returns dot(w, next), with `next` = w for the squared norm
+/// that ends an orthogonalization. Bitwise equal to w.axpy(-beta, u),
+/// z->axpy(-beta, *s), w.dot(next): every multiply-add is pt_muladd and the
+/// dot takes Vector::dot's lane order. GCR (with z) and the (F)GMRES Arnoldi
+/// step (without) orthogonalize through it.
+Real mgs_sweep(Real beta, const Vector& u, Vector& w, const Vector& next,
+               const Vector* s = nullptr, Vector* z = nullptr);
 
 } // namespace ptatin

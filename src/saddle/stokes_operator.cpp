@@ -46,6 +46,14 @@ void StokesOperator::apply(const Vector& x, Vector& y) const {
   PT_ASSERT(x.size() == rows());
   if (y.size() != rows()) y.resize(rows());
 
+  // The Tens back-end folds B and B^T into its element sweep and works on
+  // the stacked vectors in place, when it masks with these constraints.
+  const auto* tens = dynamic_cast<const TensorViscousOperator*>(&a_);
+  if (tens != nullptr && tens->bc() == &bc_) {
+    tens->apply_stokes(x, y);
+    return;
+  }
+
   extract_u(x, xu_);
   extract_p(x, xp_);
 

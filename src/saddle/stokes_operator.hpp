@@ -6,9 +6,12 @@
 // J_uu is any of the viscous back-ends (optionally with the Newton term:
 // "we use the true Newton linearization only when applying the Krylov
 // operator ... For the preconditioner ... we use the Picard linearization",
-// §III-A). J_up = B is always assembled (it has only 4 columns per element);
-// J_pu = B^T. Dirichlet constraints are imposed by masking; inhomogeneous
-// values enter through build_rhs (lifting).
+// §III-A). J_up = B and J_pu = B^T are assembled (4 columns per element):
+// the block preconditioner, SCR and the lifting use them, and so does
+// apply() on the Asmb, MF and TensC back-ends. On the Tens back-end apply()
+// instead folds B and B^T into the viscous element sweep
+// (TensorViscousOperator::apply_stokes). Dirichlet constraints are imposed
+// by masking; inhomogeneous values enter through build_rhs (lifting).
 #pragma once
 
 #include <memory>

@@ -20,11 +20,21 @@ void ViscousOperatorBase::apply(const Vector& x, Vector& y) const {
     apply_unmasked(x, y);
     return;
   }
-  work_.copy_from(x);
-  bc_->zero_constrained(work_);
-  apply_unmasked(work_, y);
+  apply_unmasked(masked_velocity(x), y);
   // Constrained rows: identity (overwrites any couplings into those rows).
   bc_->copy_constrained(x, y);
+}
+
+const Vector& ViscousOperatorBase::masked_velocity(const Vector& x) const {
+  const Index n = rows();
+  PT_ASSERT(bc_ != nullptr && x.size() >= n);
+  if (work_.size() != n) work_.resize(n);
+  const Real* xp = x.data();
+  Real* wp = work_.data();
+  parallel_for(n, [&](Index i) {
+    wp[i] = bc_->is_constrained(i) ? Real(0) : xp[i];
+  });
+  return work_;
 }
 
 Vector ViscousOperatorBase::diagonal() const {

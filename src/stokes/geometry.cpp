@@ -50,19 +50,50 @@ void element_geometry(const StructuredMesh& mesh, Index e, ElementGeometry& g) {
   compute_element_geometry(xe, g);
 }
 
+namespace {
+
+/// element_geometry_batch, with the lanes' P1 basis when p1 is non-null.
 template <int W>
-void element_geometry_batch(const StructuredMesh& mesh, const Index* elems,
-                            ElementGeometryBatch<W>& g) {
+void geometry_batch(const StructuredMesh& mesh, const Index* elems,
+                    ElementGeometryBatch<W>& g, P1BasisBatch<W>* p1) {
   const auto& geom = geom_tabulation();
   const auto& tab = q2_tabulation();
 
-  // Gather corner coordinates into lanes: xe[v][r][lane].
+  // Gather corner coordinates into lanes: xe[v][r][lane]; with p1 also each
+  // lane's pressure frame, from the scalar compute_p1_frame.
   alignas(kSimdAlign) Real xe[kQ1NodesPerEl][3][W];
+  alignas(kSimdAlign) Real center[3][W], inv_half[3][W];
   for (int l = 0; l < W; ++l) {
     Real xs[kQ1NodesPerEl][3];
     mesh.element_corner_coords(elems[l], xs);
     for (int v = 0; v < kQ1NodesPerEl; ++v)
       for (int r = 0; r < 3; ++r) xe[v][r][l] = xs[v][r];
+    if (p1 != nullptr) {
+      const P1Frame f = compute_p1_frame(xs);
+      for (int r = 0; r < 3; ++r) {
+        center[r][l] = f.center[r];
+        inv_half[r][l] = f.scale[r];
+      }
+    }
+  }
+  if (p1 != nullptr) {
+    for (int q = 0; q < kQuadPerEl; ++q) {
+      // x_q in compute_element_geometry's order (v-major sums from 0), then
+      // p1disc_eval's (x - center) * scale.
+      alignas(kSimdAlign) Real xq[3][W] = {};
+      for (int v = 0; v < kQ1NodesPerEl; ++v)
+        for (int r = 0; r < 3; ++r) {
+          const Real nv = geom.N[q][v];
+          PT_SIMD
+          for (int l = 0; l < W; ++l) xq[r][l] += nv * xe[v][r][l];
+        }
+      for (int r = 0; r < 3; ++r) {
+        Real* psi = p1->psi[q][r];
+        PT_SIMD
+        for (int l = 0; l < W; ++l)
+          psi[l] = (xq[r][l] - center[r][l]) * inv_half[r][l];
+      }
+    }
   }
 
   for (int q = 0; q < kQuadPerEl; ++q) {
@@ -108,10 +139,30 @@ void element_geometry_batch(const StructuredMesh& mesh, const Index* elems,
   }
 }
 
+} // namespace
+
+template <int W>
+void element_geometry_batch(const StructuredMesh& mesh, const Index* elems,
+                            ElementGeometryBatch<W>& g) {
+  geometry_batch<W>(mesh, elems, g, nullptr);
+}
+
+template <int W>
+void element_geometry_batch(const StructuredMesh& mesh, const Index* elems,
+                            ElementGeometryBatch<W>& g, P1BasisBatch<W>& p1) {
+  geometry_batch<W>(mesh, elems, g, &p1);
+}
+
 template void element_geometry_batch<4>(const StructuredMesh&, const Index*,
                                         ElementGeometryBatch<4>&);
 template void element_geometry_batch<8>(const StructuredMesh&, const Index*,
                                         ElementGeometryBatch<8>&);
+template void element_geometry_batch<4>(const StructuredMesh&, const Index*,
+                                        ElementGeometryBatch<4>&,
+                                        P1BasisBatch<4>&);
+template void element_geometry_batch<8>(const StructuredMesh&, const Index*,
+                                        ElementGeometryBatch<8>&,
+                                        P1BasisBatch<8>&);
 
 P1Frame element_p1_frame(const StructuredMesh& mesh, Index e) {
   Real xe[kQ1NodesPerEl][3];

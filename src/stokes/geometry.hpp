@@ -38,18 +38,32 @@ void element_geometry(const StructuredMesh& mesh, Index e, ElementGeometry& g);
 /// Metric terms of W elements in SoA lane layout (lane = element in batch).
 /// Each lane holds exactly the values ElementGeometry would: the batched
 /// evaluation performs the scalar arithmetic per lane, so lanes are bitwise
-/// identical to per-element results. xq is omitted (the batched operator
-/// kernels never read it).
+/// identical to per-element results. xq is omitted: only the folded Stokes
+/// sweep needs the quadrature points, as the P1 basis of P1BasisBatch.
 template <int W>
 struct ElementGeometryBatch {
   alignas(kSimdAlign) Real gamma[kQuadPerEl][9][W];
   alignas(kSimdAlign) Real wdetj[kQuadPerEl][W];
 };
 
+/// The P1(disc) pressure basis of W elements at the quadrature points, SoA:
+/// psi[q][k - 1][lane] = psi_k(x_q) for k = 1..3 (psi_0 = 1). Each lane is
+/// bitwise p1disc_eval(element_p1_frame(e), ElementGeometry::xq[q]).
+template <int W>
+struct P1BasisBatch {
+  alignas(kSimdAlign) Real psi[kQuadPerEl][3][W];
+};
+
 /// Gather corners of elems[0..W) and compute their geometry lane-parallel.
 template <int W>
 void element_geometry_batch(const StructuredMesh& mesh, const Index* elems,
                             ElementGeometryBatch<W>& g);
+
+/// The same, plus the lanes' pressure basis at the quadrature points (the
+/// coupled Tens sweep, docs/KERNELS.md).
+template <int W>
+void element_geometry_batch(const StructuredMesh& mesh, const Index* elems,
+                            ElementGeometryBatch<W>& g, P1BasisBatch<W>& p1);
 
 P1Frame element_p1_frame(const StructuredMesh& mesh, Index e);
 

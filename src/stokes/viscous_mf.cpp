@@ -226,7 +226,7 @@ void MfViscousOperator::apply_unmasked(const Vector& x, Vector& y) const {
   const auto& tab = q2_tabulation();
   const Real* xp = x.data();
   sweep(
-      y,
+      y.data(),
       [&](auto lanes, const Index* elems, Real* yp) {
         apply_lanes<decltype(lanes)::value>(elems, xp, yp);
       },

@@ -98,14 +98,23 @@ public:
 protected:
   virtual void apply_unmasked(const Vector& x, Vector& y) const = 0;
 
+  /// The first rows() entries of x with the constrained dofs zeroed, in one
+  /// pass into the operator's scratch (requires a bc). The masked applies
+  /// read their velocity input through it.
+  const Vector& masked_velocity(const Vector& x) const;
+
   /// The element sweep of the matrix-free back-ends at the operator's batch
-  /// width. `efn(e, yp)` adds one element's contribution into yp;
+  /// width, into the rows() velocity entries at y. `efn(e, yp)` adds one
+  /// element's contribution into yp;
   /// `lanes(std::integral_constant<int, W>{}, elems, yp)` adds the W
   /// elements elems[0..W) lane by lane, and `efn` takes each ragged tail.
   /// Through the subdomain engine when one is set (per-subdomain scratch +
   /// halo exchange into y), else the global colored loop over a zeroed y.
+  /// Either way each element is visited once, by one thread, so a kernel may
+  /// also write outputs that belong to its element alone straight to a
+  /// global array (the coupled Tens sweep's pressure rows).
   template <class LanesFn, class ElemFn>
-  void sweep(Vector& y, LanesFn&& lanes, ElemFn&& efn) const;
+  void sweep(Real* y, LanesFn&& lanes, ElemFn&& efn) const;
 
   /// "Name" or "Name[bW]" for the batched variants (Table I row labels).
   std::string decorated_name(const char* base) const {
@@ -123,7 +132,7 @@ protected:
 
 private:
   template <int W, class LanesFn, class ElemFn>
-  void sweep_batches(Vector& y, LanesFn& lanes, ElemFn& efn) const;
+  void sweep_batches(Real* y, LanesFn& lanes, ElemFn& efn) const;
 };
 
 /// Build a viscous back-end from its spec (fem/kernel_spec.hpp) — the one
@@ -184,14 +193,31 @@ public:
   std::string name() const override { return decorated_name("Tens"); }
   OperatorCostModel cost_model() const override;
 
+  /// The coupled Stokes apply [y_u; y_p] = [A B; B^T 0] [x_u; x_p] on the
+  /// stacked vectors, with B and B^T folded into this operator's element
+  /// sweep (docs/KERNELS.md "Coupled Tens sweep"), at its batch width and
+  /// through its subdomain engine if set. Masked by this operator's
+  /// constraints the way StokesOperator masks its CSR blocks: B^T reads the
+  /// velocity with constrained dofs zeroed, and constrained velocity rows
+  /// are the identity.
+  void apply_stokes(const Vector& x, Vector& y) const;
+
 protected:
   void apply_unmasked(const Vector& x, Vector& y) const override;
 
 private:
+  /// The element sweep into the velocity rows at yp; with Pressure also the
+  /// pressure terms, reading the modes at pin and writing each element's 4
+  /// pressure rows at pout.
+  template <bool Pressure>
+  void sweep_tensor(const Real* xp, Real* yp, const Real* pin,
+                    Real* pout) const;
+
   /// The W-lane batch kernel: adds elements elems[0..W) of x into yp,
-  /// scattering lane by lane.
-  template <int W>
-  void apply_lanes(const Index* elems, const Real* xp, Real* yp) const;
+  /// scattering lane by lane (pin, pout as for sweep_tensor).
+  template <int W, bool Pressure>
+  void apply_lanes(const Index* elems, const Real* xp, Real* yp,
+                   const Real* pin, Real* pout) const;
 };
 
 /// Stored-coefficient tensor back-end ("Tensor C"): per quadrature point the
@@ -310,7 +336,7 @@ void for_each_element_batched_colored(const StructuredMesh& mesh, BatchFn&& bfn,
 }
 
 template <class LanesFn, class ElemFn>
-void ViscousOperatorBase::sweep(Vector& y, LanesFn&& lanes,
+void ViscousOperatorBase::sweep(Real* y, LanesFn&& lanes,
                                 ElemFn&& efn) const {
   switch (batch_width_) {
     case 8: sweep_batches<8>(y, lanes, efn); return;
@@ -318,29 +344,27 @@ void ViscousOperatorBase::sweep(Vector& y, LanesFn&& lanes,
     default: break;
   }
   if (engine_ != nullptr) {
-    engine_->apply_nodes(3, y.data(), efn);
+    engine_->apply_nodes(3, y, efn);
     return;
   }
-  y.set_all(0.0);
-  Real* yp = y.data();
-  for_each_element_colored(mesh_, [&](Index e) { efn(e, yp); });
+  parallel_for(rows(), [&](Index i) { y[i] = 0.0; });
+  for_each_element_colored(mesh_, [&](Index e) { efn(e, y); });
 }
 
 template <int W, class LanesFn, class ElemFn>
-void ViscousOperatorBase::sweep_batches(Vector& y, LanesFn& lanes,
+void ViscousOperatorBase::sweep_batches(Real* y, LanesFn& lanes,
                                         ElemFn& efn) const {
   const auto bfn = [&](const Index* elems, Real* yp) {
     lanes(std::integral_constant<int, W>{}, elems, yp);
   };
   if (engine_ != nullptr) {
-    engine_->apply_nodes_batched<W>(3, y.data(), bfn, efn);
+    engine_->apply_nodes_batched<W>(3, y, bfn, efn);
     return;
   }
-  y.set_all(0.0);
-  Real* yp = y.data();
+  parallel_for(rows(), [&](Index i) { y[i] = 0.0; });
   for_each_element_batched_colored<W>(
-      mesh_, [&](const Index* elems) { bfn(elems, yp); },
-      [&](Index e) { efn(e, yp); });
+      mesh_, [&](const Index* elems) { bfn(elems, y); },
+      [&](Index e) { efn(e, y); });
 }
 
 } // namespace ptatin

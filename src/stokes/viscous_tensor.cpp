@@ -13,6 +13,18 @@
 // lane performs the scalar arithmetic in the scalar order and the lanes
 // scatter one after another, so batched applies are bitwise identical to the
 // per-element path (asserted in tests).
+//
+// Both paths are templated on Pressure. Without it they are the viscous
+// block alone (the GMG smoothers, the Table I rows). With it they are the
+// coupled Stokes apply with B and B^T folded in (docs/KERNELS.md "Coupled
+// Tens sweep"): at each quadrature point the pressure p(x_q) =
+// sum_k p_k psi_k(x_q) comes off the stress diagonal, so the transpose
+// contraction also yields B p, and -w|J| psi_k div u goes into the element's
+// 4 pressure outputs, which is B^T u. The pressure terms are spelled with
+// pt_muladd, so the scalar and lane paths round them alike whatever the
+// compiler contracts.
+#include "common/muladd.hpp"
+#include "fem/dofmap.hpp"
 #include "stokes/tensor_contract.hpp"
 #include "stokes/viscous_ops.hpp"
 
@@ -26,11 +38,15 @@ using tensor_kernel::tensor_gradient_transpose_batched;
 namespace {
 
 /// One element of the scalar path; also handles the ragged tail of the
-/// batched path so both paths share the same per-element code.
+/// batched path so both paths share the same per-element code. With
+/// Pressure, pin/pout are the pressure blocks of the coupled input/output:
+/// the element reads its 4 modes and writes its 4 divergence outputs.
+template <bool Pressure>
 inline void apply_tensor_element(const StructuredMesh& mesh,
                                  const QuadCoefficients& coeff,
                                  const Q2Tabulation& tab, bool newton, Index e,
-                                 const Real* xp, Real* yp) {
+                                 const Real* xp, Real* yp, const Real* pin,
+                                 Real* pout) {
   Index nodes[kQ2NodesPerEl];
   mesh.element_nodes(e, nodes);
 
@@ -41,6 +57,15 @@ inline void apply_tensor_element(const StructuredMesh& mesh,
 
   ElementGeometry g;
   element_geometry(mesh, e, g);
+
+  // Pressure side: the element's modes, its P1 frame, and the running
+  // sums flux[k] = sum_q w|J| psi_k div u.
+  [[maybe_unused]] Real pe[kP1NodesPerEl], flux[kP1NodesPerEl] = {};
+  [[maybe_unused]] P1Frame frame;
+  if constexpr (Pressure) {
+    for (int k = 0; k < kP1NodesPerEl; ++k) pe[k] = pin[pressure_dof(e, k)];
+    frame = element_p1_frame(mesh, e);
+  }
 
   // Reference gradients of all three components at all quadrature points.
   Real gref[3][3][kQuadPerEl]; // [component][ref-direction][q]
@@ -65,9 +90,23 @@ inline void apply_tensor_element(const StructuredMesh& mesh,
     const Real Dyz = Real(0.5) * (G[1][2] + G[2][1]);
 
     Real s[3][3];
-    s[0][0] = 2 * eta * Dxx;
-    s[1][1] = 2 * eta * Dyy;
-    s[2][2] = 2 * eta * Dzz;
+    if constexpr (Pressure) {
+      Real psi[kP1NodesPerEl];
+      p1disc_eval(frame, g.xq[q], psi);
+      const Real pq = pt_muladd(
+          pe[3], psi[3],
+          pt_muladd(pe[2], psi[2], pt_muladd(pe[1], psi[1], pe[0])));
+      s[0][0] = pt_muladd(2 * eta, Dxx, -pq);
+      s[1][1] = pt_muladd(2 * eta, Dyy, -pq);
+      s[2][2] = pt_muladd(2 * eta, Dzz, -pq);
+      const Real dv = scale * (Dxx + Dyy + Dzz);
+      for (int k = 0; k < kP1NodesPerEl; ++k)
+        flux[k] = pt_muladd(dv, psi[k], flux[k]);
+    } else {
+      s[0][0] = 2 * eta * Dxx;
+      s[1][1] = 2 * eta * Dyy;
+      s[2][2] = 2 * eta * Dzz;
+    }
     s[0][1] = s[1][0] = 2 * eta * Dxy;
     s[0][2] = s[2][0] = 2 * eta * Dxz;
     s[1][2] = s[2][1] = 2 * eta * Dyz;
@@ -104,13 +143,17 @@ inline void apply_tensor_element(const StructuredMesh& mesh,
 
   for (int i = 0; i < kQ2NodesPerEl; ++i)
     for (int c = 0; c < 3; ++c) yp[velocity_dof(nodes[i], c)] += ye[c][i];
+  if constexpr (Pressure)
+    for (int k = 0; k < kP1NodesPerEl; ++k)
+      pout[pressure_dof(e, k)] = -flux[k];
 }
 
 } // namespace
 
-template <int W>
+template <int W, bool Pressure>
 void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
-                                        Real* yp) const {
+                                        Real* yp, const Real* pin,
+                                        Real* pout) const {
   const auto& tab = q2_tabulation();
   const bool newton = newton_;
   Index nodes[W][kQ2NodesPerEl];
@@ -127,7 +170,19 @@ void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
     }
 
   ElementGeometryBatch<W> g;
-  element_geometry_batch<W>(mesh_, elems, g);
+  [[maybe_unused]] P1BasisBatch<W> p1;
+  [[maybe_unused]] alignas(kSimdAlign) Real pe[kP1NodesPerEl][W];
+  [[maybe_unused]] alignas(kSimdAlign) Real flux[kP1NodesPerEl][W];
+  if constexpr (Pressure) {
+    element_geometry_batch<W>(mesh_, elems, g, p1);
+    for (int k = 0; k < kP1NodesPerEl; ++k)
+      for (int l = 0; l < W; ++l) {
+        pe[k][l] = pin[pressure_dof(elems[l], k)];
+        flux[k][l] = 0.0;
+      }
+  } else {
+    element_geometry_batch<W>(mesh_, elems, g);
+  }
 
   alignas(kSimdAlign) Real gref[3][3][kQuadPerEl * W];
   for (int c = 0; c < 3; ++c)
@@ -154,6 +209,7 @@ void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
     alignas(kSimdAlign) Real eta[W];
     for (int l = 0; l < W; ++l) eta[l] = coeff_.eta(elems[l], q);
 
+    const Real* wd = g.wdetj[q];
     alignas(kSimdAlign) Real s[3][3][W];
     PT_SIMD
     for (int l = 0; l < W; ++l) {
@@ -161,9 +217,25 @@ void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
       const Real Dxy = Real(0.5) * (G[0][1][l] + G[1][0][l]);
       const Real Dxz = Real(0.5) * (G[0][2][l] + G[2][0][l]);
       const Real Dyz = Real(0.5) * (G[1][2][l] + G[2][1][l]);
-      s[0][0][l] = 2 * eta[l] * Dxx;
-      s[1][1][l] = 2 * eta[l] * Dyy;
-      s[2][2][l] = 2 * eta[l] * Dzz;
+      if constexpr (Pressure) {
+        const Real psi1 = p1.psi[q][0][l], psi2 = p1.psi[q][1][l],
+                   psi3 = p1.psi[q][2][l];
+        const Real pq = pt_muladd(
+            pe[3][l], psi3,
+            pt_muladd(pe[2][l], psi2, pt_muladd(pe[1][l], psi1, pe[0][l])));
+        s[0][0][l] = pt_muladd(2 * eta[l], Dxx, -pq);
+        s[1][1][l] = pt_muladd(2 * eta[l], Dyy, -pq);
+        s[2][2][l] = pt_muladd(2 * eta[l], Dzz, -pq);
+        const Real dv = wd[l] * (Dxx + Dyy + Dzz);
+        flux[0][l] = pt_muladd(dv, Real(1), flux[0][l]);
+        flux[1][l] = pt_muladd(dv, psi1, flux[1][l]);
+        flux[2][l] = pt_muladd(dv, psi2, flux[2][l]);
+        flux[3][l] = pt_muladd(dv, psi3, flux[3][l]);
+      } else {
+        s[0][0][l] = 2 * eta[l] * Dxx;
+        s[1][1][l] = 2 * eta[l] * Dyy;
+        s[2][2][l] = 2 * eta[l] * Dzz;
+      }
       s[0][1][l] = s[1][0][l] = 2 * eta[l] * Dxy;
       s[0][2][l] = s[2][0][l] = 2 * eta[l] * Dxz;
       s[1][2][l] = s[2][1][l] = 2 * eta[l] * Dyz;
@@ -201,7 +273,6 @@ void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
       }
     }
 
-    const Real* wd = g.wdetj[q];
     for (int c = 0; c < 3; ++c)
       for (int d = 0; d < 3; ++d) {
         Real* out = &sref[c][d][q * W];
@@ -227,19 +298,49 @@ void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
       yp[base + 1] += ye[1][i * W + l];
       yp[base + 2] += ye[2][i * W + l];
     }
+  if constexpr (Pressure)
+    for (int l = 0; l < W; ++l)
+      for (int k = 0; k < kP1NodesPerEl; ++k)
+        pout[pressure_dof(elems[l], k)] = -flux[k][l];
+}
+
+template <bool Pressure>
+void TensorViscousOperator::sweep_tensor(const Real* xp, Real* yp,
+                                         const Real* pin, Real* pout) const {
+  const auto& tab = q2_tabulation();
+  sweep(
+      yp,
+      [&](auto lanes, const Index* elems, Real* w) {
+        apply_lanes<decltype(lanes)::value, Pressure>(elems, xp, w, pin, pout);
+      },
+      [&](Index e, Real* w) {
+        apply_tensor_element<Pressure>(mesh_, coeff_, tab, newton_, e, xp, w,
+                                       pin, pout);
+      });
 }
 
 void TensorViscousOperator::apply_unmasked(const Vector& x, Vector& y) const {
-  const auto& tab = q2_tabulation();
-  const Real* xp = x.data();
-  sweep(
-      y,
-      [&](auto lanes, const Index* elems, Real* yp) {
-        apply_lanes<decltype(lanes)::value>(elems, xp, yp);
-      },
-      [&](Index e, Real* yp) {
-        apply_tensor_element(mesh_, coeff_, tab, newton_, e, xp, yp);
-      });
+  sweep_tensor<false>(x.data(), y.data(), nullptr, nullptr);
+}
+
+void TensorViscousOperator::apply_stokes(const Vector& x, Vector& y) const {
+  const Index nu = rows();
+  PT_ASSERT(x.size() == nu + num_pressure_dofs(mesh_));
+  if (y.size() != x.size()) y.resize(x.size());
+  const bool masked = bc_ != nullptr && bc_->num_constrained() > 0;
+  // The kernel reads the velocity with constrained dofs zeroed — the one
+  // copy of the apply — which masks B^T's columns; the identity rows below
+  // mask B's rows. Velocity rows go through the sweep (y or the engine's
+  // scratch); each element writes its own pressure rows straight into y.
+  const Real* xu = masked ? masked_velocity(x).data() : x.data();
+  sweep_tensor<true>(xu, y.data(), x.data() + nu, y.data() + nu);
+  if (masked) {
+    const Real* xp = x.data();
+    Real* yp = y.data();
+    parallel_for(nu, [&](Index i) {
+      if (bc_->is_constrained(i)) yp[i] = xp[i];
+    });
+  }
 }
 
 OperatorCostModel TensorViscousOperator::cost_model() const {

@@ -178,7 +178,7 @@ void TensorCViscousOperator::apply_unmasked(const Vector& x, Vector& y) const {
   const Real* xp = x.data();
   const Real* gtilde = gtilde_.data();
   sweep(
-      y,
+      y.data(),
       [&](auto lanes, const Index* elems, Real* yp) {
         apply_lanes<decltype(lanes)::value>(elems, xp, yp);
       },

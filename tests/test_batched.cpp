@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "fem/bc.hpp"
 #include "mg/gmg.hpp"
+#include "saddle/stokes_operator.hpp"
 #include "stokes/viscous_ops.hpp"
 
 namespace ptatin {
@@ -180,6 +181,40 @@ INSTANTIATE_TEST_SUITE_P(
         BitwiseCase{Backend::kMf, 4, 4, 4, false},
         BitwiseCase{Backend::kMf, 5, 3, 7, true},
         BitwiseCase{Backend::kMf, 3, 5, 2, false}));
+
+// The coupled apply with B and B^T folded into the Tens sweep
+// (TensorViscousOperator::apply_stokes): the scalar element path and the
+// lanes fold the pressure terms bitwise alike, ragged color tails included.
+TEST(FoldedStokesBitwise, MatchesScalarAtEveryWidth) {
+  for (const BitwiseCase& p : {BitwiseCase{Backend::kTens, 4, 4, 4, false},
+                               BitwiseCase{Backend::kTens, 5, 3, 7, false},
+                               BitwiseCase{Backend::kTens, 5, 3, 7, true},
+                               BitwiseCase{Backend::kTens, 3, 5, 2, true}}) {
+    SCOPED_TRACE(testing::PrintToString(p));
+    StructuredMesh mesh = make_deformed_mesh(p.mx, p.my, p.mz);
+    QuadCoefficients coeff = make_variable_coeff(mesh, p.newton);
+    DirichletBc bc = sinker_boundary_conditions(mesh);
+    const Vector x =
+        random_vector(num_velocity_dofs(mesh) + num_pressure_dofs(mesh), 29);
+
+    auto folded = [&](int width) {
+      TensorViscousOperator a(mesh, coeff, &bc, width);
+      a.set_newton(p.newton);
+      const StokesOperator op(mesh, a, bc);
+      Vector y;
+      op.apply(x, y);
+      return y;
+    };
+    const Vector y0 = folded(0);
+    for (int width : kBatchWidths) {
+      const Vector y = folded(width);
+      ASSERT_EQ(y.size(), y0.size());
+      for (Index i = 0; i < y.size(); ++i)
+        ASSERT_EQ(y[i], y0[i]) << "folded lane drift at row " << i
+                               << " (width " << width << ")";
+    }
+  }
+}
 
 // --- interchangeability property test ---------------------------------------
 

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -92,6 +94,50 @@ TEST(Parallel, ReduceSumDeterministicAcrossThreadCounts) {
   set_num_threads(saved);
   EXPECT_EQ(s1, s2);
   EXPECT_EQ(s1, s8);
+}
+
+/// The documented order of the deterministic reductions, written out
+/// serially: 1024-entry chunks; within a chunk term i goes to lane
+/// (i - lo) mod 8, each lane sums its terms in increasing i from 0, and the
+/// lanes combine as ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)); the
+/// chunk sums then add left to right from 0 (a single chunk is the sum).
+Real reference_sum(const std::vector<Real>& t) {
+  const Index n = static_cast<Index>(t.size());
+  std::vector<Real> chunks;
+  for (Index lo = 0; lo < n; lo += 1024) {
+    Real lane[8] = {};
+    for (Index i = lo; i < std::min(n, lo + 1024); ++i)
+      lane[(i - lo) % 8] += t[i];
+    chunks.push_back(((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+                     ((lane[1] + lane[5]) + (lane[3] + lane[7])));
+  }
+  if (chunks.size() == 1) return chunks[0];
+  Real sum = 0.0;
+  for (Real c : chunks) sum += c;
+  return sum;
+}
+
+TEST(Parallel, ReduceSumFollowsTheDocumentedLaneOrder) {
+  // Terms spanning 14 decades with random signs: any other association
+  // order rounds differently. The lengths cover a partial lane group, one
+  // exact group, a chunk minus one, a chunk plus one (a one-term chunk) and
+  // the stokes_sinker12 system size.
+  const int saved = num_threads();
+  for (Index n : {1, 7, 8, 1023, 1025, 53787}) {
+    std::vector<Real> t(static_cast<std::size_t>(n));
+    Rng rng(static_cast<std::uint64_t>(n));
+    for (Real& v : t)
+      v = rng.uniform(-1, 1) * std::pow(10.0, rng.uniform(-7, 7));
+    const Real want = reference_sum(t);
+    for (int nt : {1, 2, 8}) {
+      set_num_threads(nt);
+      const Real got = parallel_reduce_sum(n, [&](Index i) { return t[i]; });
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "n " << n << ", threads " << nt << ": " << got << " vs " << want;
+    }
+  }
+  set_num_threads(saved);
 }
 
 TEST(Parallel, ForPhasedCoversAllPhasesInOrder) {

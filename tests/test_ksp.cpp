@@ -2,8 +2,13 @@
 // Chebyshev, Richardson, eigenvalue estimation).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "ksp/cg.hpp"
 #include "ksp/chebyshev.hpp"
@@ -237,6 +242,112 @@ TEST(Gcr, AgreesWithGmresIterationsOnEasyProblem) {
   EXPECT_TRUE(g.converged);
   EXPECT_TRUE(c.converged);
   EXPECT_NEAR(Real(g.iterations), Real(c.iterations), 2.0);
+}
+
+// --- fused Gram–Schmidt sweep and thread-count determinism -----------------
+
+Vector random_vector(Index n, unsigned seed) {
+  Vector v(n);
+  Rng rng(seed);
+  for (Index i = 0; i < n; ++i) v[i] = rng.uniform(-1, 1);
+  return v;
+}
+
+void expect_bitwise(const Vector& got, const Vector& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (Index i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " differs at entry " << i;
+}
+
+TEST(MgsSweep, ReplaysAxpyAxpyDotBitwise) {
+  // Lengths with a partial lane group, a one-term last chunk, and the
+  // stokes_sinker12 system size; `self` is the sweep that ends an
+  // orthogonalization, dotting the updated vector with itself.
+  const int saved = num_threads();
+  for (Index n : {7, 1025, 53787})
+    for (int nt : {1, 2, 8})
+      for (bool with_z : {true, false})
+        for (bool self : {false, true}) {
+          set_num_threads(nt);
+          SCOPED_TRACE("n " + std::to_string(n) + ", threads " +
+                       std::to_string(nt) + (with_z ? ", z" : ", no z") +
+                       (self ? ", self dot" : ""));
+          const Vector u = random_vector(n, 1), sv = random_vector(n, 2),
+                       next = random_vector(n, 3);
+          const Real beta = 0.3141592653589793;
+          Vector w0 = random_vector(n, 4), z0 = random_vector(n, 5);
+          Vector w1, z1;
+          w1.copy_from(w0);
+          z1.copy_from(z0);
+
+          if (with_z) z0.axpy(-beta, sv);
+          w0.axpy(-beta, u);
+          const Real d0 = w0.dot(self ? w0 : next);
+          const Real d1 = mgs_sweep(beta, u, w1, self ? w1 : next,
+                                    with_z ? &sv : nullptr,
+                                    with_z ? &z1 : nullptr);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(d1),
+                    std::bit_cast<std::uint64_t>(d0))
+              << d1 << " vs " << d0;
+          expect_bitwise(w1, w0, "w");
+          expect_bitwise(z1, z0, "z");
+        }
+  set_num_threads(saved);
+}
+
+TEST(Vector, SetScaledIsCopyThenScale) {
+  const Vector x = random_vector(3001, 6);
+  Vector want;
+  want.copy_from(x);
+  want.scale(1.0 / 3.0);
+  Vector got;
+  got.set_scaled(1.0 / 3.0, x);
+  expect_bitwise(got, want, "fresh");
+  got.set_scaled(1.0 / 3.0, x); // reused storage
+  expect_bitwise(got, want, "reused");
+}
+
+/// Iterates and residual histories of one solve at 1, 2 and 8 threads must
+/// agree bitwise: every reduction has a thread-independent order.
+template <class Solve>
+void expect_thread_independent(Solve&& solve) {
+  const int saved = num_threads();
+  Vector x0;
+  std::vector<Real> h0;
+  for (int nt : {1, 2, 8}) {
+    set_num_threads(nt);
+    Vector x;
+    const SolveStats st = solve(x);
+    EXPECT_GT(st.iterations, 5);
+    if (x0.size() == 0) {
+      x0 = x;
+      h0 = st.history;
+      continue;
+    }
+    expect_bitwise(x, x0, "iterate");
+    ASSERT_EQ(st.history.size(), h0.size());
+    for (std::size_t k = 0; k < h0.size(); ++k)
+      ASSERT_EQ(st.history[k], h0[k]) << "residual " << k << ", threads " << nt;
+  }
+  set_num_threads(saved);
+}
+
+TEST(Krylov, GcrAndFgmresAreBitwiseAcrossThreadCounts) {
+  // Long enough for many reduction chunks, restarted so the sweeps run over
+  // stored directions of every age.
+  Problem p = make_problem(convdiff1d(5000, 0.3));
+  MatrixOperator op(&p.a);
+  JacobiPc pc(p.a.diagonal());
+  KrylovSettings s;
+  s.rtol = 1e-30;
+  s.max_it = 40;
+  s.restart = 15;
+  expect_thread_independent(
+      [&](Vector& x) { return gcr_solve(op, pc, p.b, x, s); });
+  expect_thread_independent(
+      [&](Vector& x) { return fgmres_solve(op, pc, p.b, x, s); });
 }
 
 // --- Eigenvalue estimate & Chebyshev ---------------------------------------
