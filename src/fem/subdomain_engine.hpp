@@ -78,8 +78,7 @@ class SubdomainEngine {
 public:
   /// Build the halo plans for `decomp` over `mesh`. Both are copied/borrowed
   /// by value where needed; the engine only keeps lattice topology, so any
-  /// mesh with the same element dimensions (e.g. the GMG finest-level copy)
-  /// may be driven through it.
+  /// mesh with the same element dimensions may be driven through it.
   SubdomainEngine(const StructuredMesh& mesh, const Decomposition& decomp);
   SubdomainEngine(const StructuredMesh& mesh, Index px, Index py, Index pz);
 

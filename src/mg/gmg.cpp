@@ -35,32 +35,37 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
   {
     PerfScope span("MGSetupGrids");
     // --- build meshes / coefficients / BCs top-down -------------------------
-    finest.mesh = fine_mesh;
-    finest.coeff = fine_coeff;
-    finest.bc = fine_bc;
+    // The finest level borrows the caller's; each coarse level owns its own.
+    finest.mesh = &fine_mesh;
+    finest.coeff = &fine_coeff;
+    finest.bc = &fine_bc;
     for (int l = L - 2; l >= 0; --l) {
       const Level& finer = levels_[l + 1];
-      PT_ASSERT_MSG(finer.mesh.can_coarsen(),
+      Level& lev = levels_[l];
+      PT_ASSERT_MSG(finer.mesh->can_coarsen(),
                     "mesh not coarsenable to requested depth");
-      levels_[l].mesh = finer.mesh.coarsen();
-      levels_[l].coeff =
-          restrict_coefficients(finer.mesh, finer.coeff, levels_[l].mesh);
-      levels_[l].bc = bc_factory(levels_[l].mesh);
+      lev.coarse_mesh = finer.mesh->coarsen();
+      lev.coarse_coeff =
+          restrict_coefficients(*finer.mesh, *finer.coeff, lev.coarse_mesh);
+      lev.coarse_bc = bc_factory(lev.coarse_mesh);
+      lev.mesh = &lev.coarse_mesh;
+      lev.coeff = &lev.coarse_coeff;
+      lev.bc = &lev.coarse_bc;
     }
     for (int l = 0; l < L; ++l)
-      levels_[l].ndofs = num_velocity_dofs(levels_[l].mesh);
+      levels_[l].ndofs = num_velocity_dofs(*levels_[l].mesh);
 
     // --- prolongations ------------------------------------------------------
     for (int l = 0; l < L - 1; ++l)
       levels_[l].prolongation = build_velocity_prolongation(
-          levels_[l + 1].mesh, levels_[l].mesh, &levels_[l + 1].bc);
+          *levels_[l + 1].mesh, *levels_[l].mesh, levels_[l + 1].bc);
   }
 
   // --- operators ----------------------------------------------------------------
   {
     PerfScope span(level_tag("MGSetupOperator", L - 1));
-    finest.elem_op = make_viscous_backend(opts.fine_kernel, finest.mesh,
-                                          finest.coeff, &finest.bc);
+    finest.elem_op = make_viscous_backend(opts.fine_kernel, *finest.mesh,
+                                          *finest.coeff, finest.bc);
     finest.op = finest.elem_op.get();
   }
   // Below a matrix-free finest level, the first coarse level runs the same
@@ -86,12 +91,12 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
       lev.elem_op = make_viscous_backend(
           KernelSpec{.type = opts.fine_kernel.type,
                      .batch_width = opts.fine_kernel.batch_width},
-          lev.mesh, lev.coeff, &lev.bc);
+          *lev.mesh, *lev.coeff, lev.bc);
       lev.op = lev.elem_op.get();
       if (opts.coarse_type == CoarseOperatorType::kGalerkin) {
         lev.assembled = std::make_unique<CsrMatrix>(
-            assemble_viscous_matrix(lev.mesh, lev.coeff));
-        lev.bc.apply_to_matrix_symmetric(*lev.assembled);
+            assemble_viscous_matrix(*lev.mesh, *lev.coeff));
+        lev.bc->apply_to_matrix_symmetric(*lev.assembled);
       }
       continue;
     }
@@ -121,7 +126,7 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
         lev.assembled = std::make_unique<CsrMatrix>(
             CsrMatrix::ptap(*finer_mat, lev.prolongation));
       }
-      lev.bc.apply_to_matrix_symmetric(*lev.assembled);
+      lev.bc->apply_to_matrix_symmetric(*lev.assembled);
       const double dt = t.seconds();
       galerkin_seconds_ += dt;
       if (refreshed) {
@@ -138,8 +143,8 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
     } else {
       // Rediscretize: assemble from restricted coefficients.
       lev.assembled = std::make_unique<CsrMatrix>(
-          assemble_viscous_matrix(lev.mesh, lev.coeff));
-      lev.bc.apply_to_matrix_symmetric(*lev.assembled);
+          assemble_viscous_matrix(*lev.mesh, *lev.coeff));
+      lev.bc->apply_to_matrix_symmetric(*lev.assembled);
     }
     lev.mat_op = std::make_unique<MatrixOperator>(lev.assembled.get());
     if (opts.blocked_spmv) lev.mat_op->enable_blocked();
@@ -190,7 +195,15 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
   // levels_ is never resized after construction, so the provider's pointers
   // into the per-level containers stay valid for the hierarchy's lifetime.
   if (opts.seal_operators) {
-    seal_ = sdc::ScopedSeal("gmg.operators", [this]() {
+    // The Tens levels' geometry caches, which the λmax estimates built; a
+    // cache first built after arming stays outside the seal.
+    std::vector<const TensorViscousOperator*> cached(levels_.size(), nullptr);
+    for (std::size_t l = 0; l < levels_.size(); ++l) {
+      const auto* tens =
+          dynamic_cast<const TensorViscousOperator*>(levels_[l].elem_op.get());
+      if (tens != nullptr && !tens->geometry_cache().empty()) cached[l] = tens;
+    }
+    seal_ = sdc::ScopedSeal("gmg.operators", [this, cached]() {
       std::vector<sdc::Region> regions;
       for (std::size_t l = 0; l < levels_.size(); ++l) {
         const Level& lev = levels_[l];
@@ -200,12 +213,17 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
         // A matrix-free coarse level's operator is its restricted
         // coefficients on its mesh (the finest level's are the caller's).
         if (lev.elem_op != nullptr && l + 1 < levels_.size()) {
-          const auto& eta = lev.coeff.eta_data();
-          const auto& xyz = lev.mesh.coords();
+          const auto& eta = lev.coeff->eta_data();
+          const auto& xyz = lev.mesh->coords();
           regions.push_back({prefix + ".eta", eta.data(),
                              eta.size() * sizeof(Real)});
           regions.push_back({prefix + ".coords", xyz.data(),
                              xyz.size() * sizeof(Real)});
+        }
+        if (cached[l] != nullptr) {
+          const auto geometry = cached[l]->geometry_cache();
+          regions.push_back(
+              {prefix + ".geometry", geometry.data(), geometry.size()});
         }
         if (lev.prolongation.nnz() > 0)
           lev.prolongation.append_seal_regions(prefix + ".prolongation",
@@ -273,7 +291,7 @@ void GmgHierarchy::cycle(int level, const Vector& b, Vector& x,
   restrict_counter_->inc();
 
   // Coarse Dirichlet rows carry no residual equation.
-  coarse.bc.zero_constrained(coarse.rc);
+  coarse.bc->zero_constrained(coarse.rc);
 
   // Recurse from a zero initial guess.
   coarse.ec.set_all(0.0);

@@ -61,11 +61,12 @@ struct GmgOptions {
   int smooth_post = 2;
   ChebyshevOptions chebyshev;
   /// Register the coarse operators and prolongations with the SDC seal
-  /// registry (docs/ROBUSTNESS.md): the assembled matrices, and the
-  /// restricted coefficients and mesh coordinates of a matrix-free coarse
-  /// level, are setup-immutable, so the periodic scrubber can detect a
-  /// flipped bit in them. Enabled by the config layer when -scrub_every > 0;
-  /// off by default to keep the CRC pass out of setups that never scrub.
+  /// registry (docs/ROBUSTNESS.md): the assembled matrices, the restricted
+  /// coefficients and mesh coordinates of a matrix-free coarse level, and
+  /// each Tens level's geometry cache are setup-immutable, so the periodic
+  /// scrubber can detect a flipped bit in them. Enabled by the config layer
+  /// when -scrub_every > 0; off by default to keep the CRC pass out of
+  /// setups that never scrub.
   bool seal_operators = false;
   /// Borrowed cross-rebuild setup cache (may be null = no caching). With
   /// `rap_cache`, Galerkin products replay numeric-only against the cached
@@ -147,9 +148,14 @@ public:
 
 private:
   struct Level {
-    StructuredMesh mesh;    ///< owned copy (fine level included)
-    QuadCoefficients coeff; ///< rediscretized coefficients
-    DirichletBc bc;
+    /// The level's grid, coefficients and constraints: the caller's on the
+    /// finest level (borrowed), the owned coarse_* below on coarse levels.
+    const StructuredMesh* mesh = nullptr;
+    const QuadCoefficients* coeff = nullptr;
+    const DirichletBc* bc = nullptr;
+    StructuredMesh coarse_mesh;
+    QuadCoefficients coarse_coeff; ///< restricted from the finer level
+    DirichletBc coarse_bc;
     /// Finest level, and the first coarse level below a matrix-free finest
     /// one: a typed element-kernel operator (Asmb/MF/Tens/TensC).
     std::unique_ptr<ViscousOperatorBase> elem_op;

@@ -13,7 +13,7 @@ StokesOperator::StokesOperator(const StructuredMesh& mesh,
   PT_ASSERT(a.rows() == nu_);
 
   PerfScope span("MatAssembly(B)");
-  assemble_gradient_blocks(mesh, bc, b_full_, b_masked_, bt_masked_);
+  assemble_gradient_blocks(mesh, bc, b_full_, bt_masked_);
 }
 
 void StokesOperator::extract_u(const Vector& x, Vector& u) const {
@@ -57,10 +57,12 @@ void StokesOperator::apply(const Vector& x, Vector& y) const {
   extract_u(x, xu_);
   extract_p(x, xp_);
 
-  // yu = A xu (masked) + B xp (rows at constrained dofs are zero in B).
+  // yu = A xu (masked) + B xp with B's constrained rows zeroed (each row
+  // of the product starts at +0.0, so zeroing it after is bitwise masking B).
   a_.apply(xu_, yu_);
-  b_masked_.mult(xp_, yp_); // yp_ reused as a velocity-sized temporary
+  b_full_.mult(xp_, yp_); // yp_ reused as a velocity-sized temporary
   PT_ASSERT(yp_.size() == nu_);
+  bc_.zero_constrained(yp_);
   yu_.axpy(1.0, yp_);
 
   // yp = B^T xu (columns at constrained dofs removed).

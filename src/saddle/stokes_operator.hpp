@@ -48,7 +48,10 @@ public:
   // --- views ---------------------------------------------------------------
   ViscousOperatorBase& viscous() { return a_; }
   const ViscousOperatorBase& viscous() const { return a_; }
-  const CsrMatrix& gradient() const { return b_masked_; }
+  /// B before masking: a caller zeroes the constrained rows of its product
+  /// (bc().zero_constrained) where it needs the masked block.
+  const CsrMatrix& gradient() const { return b_full_; }
+  /// B^T with the constrained velocity columns removed.
   const CsrMatrix& divergence() const { return bt_masked_; }
   const DirichletBc& bc() const { return bc_; }
   const StructuredMesh& mesh() const { return mesh_; }
@@ -63,9 +66,8 @@ private:
   ViscousOperatorBase& a_;
   const DirichletBc& bc_;
   Index nu_ = 0, np_ = 0;
-  CsrMatrix b_full_;   ///< gradient block before BC masking (for lifting)
-  CsrMatrix b_masked_; ///< rows at constrained velocity dofs zeroed
-  CsrMatrix bt_masked_;
+  CsrMatrix b_full_;    ///< gradient block before BC masking
+  CsrMatrix bt_masked_; ///< its transpose without the constrained columns
   mutable Vector xu_, xp_, yu_, yp_;
 };
 

@@ -39,25 +39,20 @@ void gradient_element_matrix(const StructuredMesh& mesh, Index e,
 
 namespace {
 
-/// B, and with `bc` also the masked B and B^T, in one element pass on the
+/// B, and with `bc` also the masked B^T, in one element pass on the
 /// closed-form lattice patterns (fem/lattice_pattern.hpp). Each entry of
 /// these blocks belongs to one element — a pressure mode lives in one
 /// element — so it receives exactly one addition, 0.0 + Be; a masked entry
 /// stays 0.0, the value zeroing a row of B leaves.
 void assemble_gradient(const StructuredMesh& mesh, const DirichletBc* bc,
-                       CsrMatrix& b, CsrMatrix* b_masked,
-                       CsrMatrix* bt_masked) {
+                       CsrMatrix& b, CsrMatrix* bt_masked) {
   const LatticePattern bp = LatticePattern::gradient(mesh);
   const LatticePattern btp = LatticePattern::divergence(mesh);
   b = bp.matrix();
-  if (bc != nullptr) {
-    *b_masked = b;
-    *bt_masked = btp.matrix();
-  }
+  if (bc != nullptr) *bt_masked = btp.matrix();
   const Index* rp = b.row_ptr().data();
   const Index* rpt = bc != nullptr ? bt_masked->row_ptr().data() : nullptr;
   Real* vb = b.values().data();
-  Real* vm = bc != nullptr ? b_masked->values().data() : nullptr;
   Real* vt = bc != nullptr ? bt_masked->values().data() : nullptr;
 
   for_each_element_colored(mesh, [&](Index e) {
@@ -78,7 +73,6 @@ void assemble_gradient(const StructuredMesh& mesh, const DirichletBc* bc,
         for (int m = 0; m < kP1NodesPerEl; ++m) {
           const Real val = vb[rp[v] + off + m] += Be[3 * a + c][m];
           if (bc == nullptr || masked) continue;
-          vm[rp[v] + off + m] = val;
           vt[rpt[pressure_dof(e, m)] + off_t + c] = val;
         }
       }
@@ -90,14 +84,13 @@ void assemble_gradient(const StructuredMesh& mesh, const DirichletBc* bc,
 
 CsrMatrix assemble_gradient_block(const StructuredMesh& mesh) {
   CsrMatrix b;
-  assemble_gradient(mesh, nullptr, b, nullptr, nullptr);
+  assemble_gradient(mesh, nullptr, b, nullptr);
   return b;
 }
 
 void assemble_gradient_blocks(const StructuredMesh& mesh, const DirichletBc& bc,
-                              CsrMatrix& b, CsrMatrix& b_masked,
-                              CsrMatrix& bt_masked) {
-  assemble_gradient(mesh, &bc, b, &b_masked, &bt_masked);
+                              CsrMatrix& b, CsrMatrix& bt_masked) {
+  assemble_gradient(mesh, &bc, b, &bt_masked);
 }
 
 namespace {

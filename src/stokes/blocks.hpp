@@ -27,13 +27,12 @@ void gradient_element_matrix(const StructuredMesh& mesh, Index e,
 /// [A B; B^T 0][u p] = [f 0].
 CsrMatrix assemble_gradient_block(const StructuredMesh& mesh);
 
-/// B and, from the same element pass, the blocks of the Dirichlet-masked
-/// coupled operator: `b_masked` is B with the rows of constrained velocity
-/// dofs zeroed and `bt_masked` its transpose. Patterns and value bits equal
+/// B and, from the same element pass, the divergence block of the
+/// Dirichlet-masked coupled operator: `bt_masked` is the transpose of B with
+/// the rows of constrained velocity dofs zeroed. Pattern and value bits equal
 /// those of zeroing the rows of a copy of B and transposing it.
 void assemble_gradient_blocks(const StructuredMesh& mesh, const DirichletBc& bc,
-                              CsrMatrix& b, CsrMatrix& b_masked,
-                              CsrMatrix& bt_masked);
+                              CsrMatrix& b, CsrMatrix& bt_masked);
 
 /// Gravitational body-force RHS of the system [A B; B^T 0][u p] = [f 0]:
 /// f[(i,c)] = +int rho g_c N_i dV, so dense material sinks when g points

@@ -52,10 +52,11 @@ void element_geometry(const StructuredMesh& mesh, Index e, ElementGeometry& g) {
 
 namespace {
 
-/// element_geometry_batch, with the lanes' P1 basis when p1 is non-null.
+/// element_geometry_batch into g when it is non-null, with the lanes' P1
+/// basis when p1 is non-null.
 template <int W>
 void geometry_batch(const StructuredMesh& mesh, const Index* elems,
-                    ElementGeometryBatch<W>& g, P1BasisBatch<W>* p1) {
+                    ElementGeometryBatch<W>* g, P1BasisBatch<W>* p1) {
   const auto& geom = geom_tabulation();
   const auto& tab = q2_tabulation();
 
@@ -96,6 +97,7 @@ void geometry_batch(const StructuredMesh& mesh, const Index* elems,
     }
   }
 
+  if (g == nullptr) return;
   for (int q = 0; q < kQuadPerEl; ++q) {
     // Per lane, the exact accumulation order of compute_element_geometry:
     // J[3r+d] += xe[v][r] dN[q][v][d], v-major. This file is compiled with
@@ -110,8 +112,8 @@ void geometry_batch(const StructuredMesh& mesh, const Index* elems,
           for (int l = 0; l < W; ++l) J[3 * r + d][l] += xe[v][r][l] * dn;
         }
 
-    Real* ga = &g.gamma[q][0][0];
-    Real* wd = g.wdetj[q];
+    Real* ga = &g->gamma[q][0][0];
+    Real* wd = g->wdetj[q];
     const Real wq = tab.w[q];
     alignas(kSimdAlign) Real det[W];
     PT_SIMD
@@ -144,13 +146,19 @@ void geometry_batch(const StructuredMesh& mesh, const Index* elems,
 template <int W>
 void element_geometry_batch(const StructuredMesh& mesh, const Index* elems,
                             ElementGeometryBatch<W>& g) {
-  geometry_batch<W>(mesh, elems, g, nullptr);
+  geometry_batch<W>(mesh, elems, &g, nullptr);
 }
 
 template <int W>
 void element_geometry_batch(const StructuredMesh& mesh, const Index* elems,
                             ElementGeometryBatch<W>& g, P1BasisBatch<W>& p1) {
-  geometry_batch<W>(mesh, elems, g, &p1);
+  geometry_batch<W>(mesh, elems, &g, &p1);
+}
+
+template <int W>
+void p1_basis_batch(const StructuredMesh& mesh, const Index* elems,
+                    P1BasisBatch<W>& p1) {
+  geometry_batch<W>(mesh, elems, nullptr, &p1);
 }
 
 template void element_geometry_batch<4>(const StructuredMesh&, const Index*,
@@ -163,6 +171,10 @@ template void element_geometry_batch<4>(const StructuredMesh&, const Index*,
 template void element_geometry_batch<8>(const StructuredMesh&, const Index*,
                                         ElementGeometryBatch<8>&,
                                         P1BasisBatch<8>&);
+template void p1_basis_batch<4>(const StructuredMesh&, const Index*,
+                                P1BasisBatch<4>&);
+template void p1_basis_batch<8>(const StructuredMesh&, const Index*,
+                                P1BasisBatch<8>&);
 
 P1Frame element_p1_frame(const StructuredMesh& mesh, Index e) {
   Real xe[kQ1NodesPerEl][3];

@@ -65,6 +65,12 @@ template <int W>
 void element_geometry_batch(const StructuredMesh& mesh, const Index* elems,
                             ElementGeometryBatch<W>& g, P1BasisBatch<W>& p1);
 
+/// The lanes' pressure basis alone, bitwise the p1 of the call above (the
+/// coupled sweep of an operator whose geometry is cached).
+template <int W>
+void p1_basis_batch(const StructuredMesh& mesh, const Index* elems,
+                    P1BasisBatch<W>& p1);
+
 P1Frame element_p1_frame(const StructuredMesh& mesh, Index e);
 
 } // namespace ptatin

@@ -21,9 +21,12 @@
 // anywhere the scalar one is, including as an MG smoother operator.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/aligned.hpp"
 #include "common/parallel.hpp"
@@ -92,7 +95,7 @@ public:
   /// Borrowed; must outlive the operator and match its element dimensions;
   /// null restores the global path. The assembled back-end (a global SpMV,
   /// no element sweep) ignores it.
-  void set_subdomain_engine(const SubdomainEngine* engine);
+  virtual void set_subdomain_engine(const SubdomainEngine* engine);
   const SubdomainEngine* subdomain_engine() const { return engine_; }
 
 protected:
@@ -115,6 +118,12 @@ protected:
   /// global array (the coupled Tens sweep's pressure rows).
   template <class LanesFn, class ElemFn>
   void sweep(Real* y, LanesFn&& lanes, ElemFn&& efn) const;
+
+  /// fn(e) for the first element of every full W-batch that sweep() forms:
+  /// the runs of each color in the global loop, or of each subdomain list
+  /// under the engine. Each element heads at most one batch.
+  template <int W, class Fn>
+  void for_each_batch_head(Fn&& fn) const;
 
   /// "Name" or "Name[bW]" for the batched variants (Table I row labels).
   std::string decorated_name(const char* base) const {
@@ -187,11 +196,27 @@ private:
 };
 
 /// Sum-factorized tensor-product back-end (§III-D Eq. 19).
+///
+/// A batched operator caches its quadrature geometry (docs/KERNELS.md
+/// "Geometry cache"): on its second apply it stores, for every full batch
+/// its sweep forms, the ElementGeometryBatch<W> the kernel computes, and
+/// every later apply reads it back, bitwise alike. The mesh coordinates must
+/// therefore not move while the operator is alive.
 class TensorViscousOperator : public ViscousOperatorBase {
 public:
   using ViscousOperatorBase::ViscousOperatorBase;
   std::string name() const override { return decorated_name("Tens"); }
   OperatorCostModel cost_model() const override;
+
+  /// Also drops the geometry cache: the engine's batches differ.
+  void set_subdomain_engine(const SubdomainEngine* engine) override;
+
+  /// The cached geometry's bytes, 2160 per element of a full batch; empty
+  /// before the second apply and on the scalar path (the GMG seal reads it).
+  std::span<const std::byte> geometry_cache() const {
+    return batch_width_ == 4 ? std::as_bytes(std::span(geometry4_))
+                             : std::as_bytes(std::span(geometry8_));
+  }
 
   /// The coupled Stokes apply [y_u; y_p] = [A B; B^T 0] [x_u; x_p] on the
   /// stacked vectors, with B and B^T folded into this operator's element
@@ -214,16 +239,39 @@ private:
                     Real* pout) const;
 
   /// The W-lane batch kernel: adds elements elems[0..W) of x into yp,
-  /// scattering lane by lane (pin, pout as for sweep_tensor).
+  /// scattering lane by lane (pin, pout as for sweep_tensor). With a cache
+  /// it reads the batch's geometry from its slot, after computing it there
+  /// when `fill`; without one it computes it on the stack.
   template <int W, bool Pressure>
   void apply_lanes(const Index* elems, const Real* xp, Real* yp,
-                   const Real* pin, Real* pout) const;
+                   const Real* pin, Real* pout, bool fill) const;
+
+  /// Number the batches of the sweep and allocate their slots, unwritten:
+  /// the filling sweep is their first touch.
+  template <int W>
+  void allocate_geometry_cache() const;
+
+  /// The cache's slots at the operator's width (the other stays empty).
+  template <int W>
+  AlignedVector<ElementGeometryBatch<W>>& geometry() const {
+    if constexpr (W == 4) return geometry4_;
+    else return geometry8_;
+  }
+
+  /// Applies so far, counted up to 2: the second one fills the cache.
+  mutable int applies_ = 0;
+  /// Per element, the slot of the batch it heads (-1 if none).
+  mutable std::vector<Index> slot_;
+  mutable AlignedVector<ElementGeometryBatch<4>> geometry4_;
+  mutable AlignedVector<ElementGeometryBatch<8>> geometry8_;
 };
 
 /// Stored-coefficient tensor back-end ("Tensor C"): per quadrature point the
-/// scaled metric Gtilde = sqrt(w detJ eta) * (dxi/dx) is precomputed, removing
-/// per-apply geometry recomputation at the cost of 9*27 stored scalars per
-/// element. Isotropic-Picard only (the paper notes this variant pays off for
+/// scaled metric Gtilde = sqrt(w detJ eta) * (dxi/dx) is precomputed at
+/// construction, 9*27 stored scalars per element, on the scalar path too.
+/// The batched Tens operator caches its geometry as well (10*27 scalars, η
+/// still read per apply), so what TensC adds is folding η into the metric.
+/// Isotropic-Picard only (the paper notes this variant pays off for
 /// anisotropic coefficients; for isotropic eta it is marginal — we reproduce
 /// that finding).
 class TensorCViscousOperator : public ViscousOperatorBase {
@@ -349,6 +397,23 @@ void ViscousOperatorBase::sweep(Real* y, LanesFn&& lanes,
   }
   parallel_for(rows(), [&](Index i) { y[i] = 0.0; });
   for_each_element_colored(mesh_, [&](Index e) { efn(e, y); });
+}
+
+template <int W, class Fn>
+void ViscousOperatorBase::for_each_batch_head(Fn&& fn) const {
+  if (engine_ != nullptr) {
+    // apply_nodes_batched's runs: W consecutive entries of each list.
+    for (Index s = 0; s < engine_->num_subdomains(); ++s)
+      for (const std::vector<Index>* list :
+           {&engine_->boundary_elements(s), &engine_->interior_elements(s)})
+        for (std::size_t i = 0; i + W <= list->size(); i += W) fn((*list)[i]);
+    return;
+  }
+  // for_each_element_batched_colored's runs: W consecutive color members.
+  for (int color = 0; color < 8; ++color) {
+    const ColorExtent ce = color_extent(mesh_, color);
+    for (Index b = 0; b < ce.count() / W; ++b) fn(ce.element(mesh_, b * W));
+  }
 }
 
 template <int W, class LanesFn, class ElemFn>

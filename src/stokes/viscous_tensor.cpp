@@ -14,6 +14,14 @@
 // scatter one after another, so batched applies are bitwise identical to the
 // per-element path (asserted in tests).
 //
+// The batched path computes each batch's quadrature geometry (the inverse
+// Jacobian and w|J| at 27 points) on the operator's first apply, stores it
+// on the second in a per-batch slot keyed by the batch's first element, and
+// reads it back on every later one (docs/KERNELS.md "Geometry cache"). The
+// slot holds what element_geometry_batch writes, so the three applies agree
+// bitwise. The scalar path, the ragged tails and the coupled sweep's P1
+// basis still compute inline.
+//
 // Both paths are templated on Pressure. Without it they are the viscous
 // block alone (the GMG smoothers, the Table I rows). With it they are the
 // coupled Stokes apply with B and B^T folded in (docs/KERNELS.md "Coupled
@@ -152,8 +160,8 @@ inline void apply_tensor_element(const StructuredMesh& mesh,
 
 template <int W, bool Pressure>
 void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
-                                        Real* yp, const Real* pin,
-                                        Real* pout) const {
+                                        Real* yp, const Real* pin, Real* pout,
+                                        bool fill) const {
   const auto& tab = q2_tabulation();
   const bool newton = newton_;
   Index nodes[W][kQ2NodesPerEl];
@@ -169,18 +177,28 @@ void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
       u[2][i * W + l] = xp[base + 2];
     }
 
-  ElementGeometryBatch<W> g;
+  // The batch's geometry: its cache slot, or the stack without a cache.
+  ElementGeometryBatch<W> inline_g;
+  ElementGeometryBatch<W>* slot = nullptr;
+  if (!geometry<W>().empty()) {
+    PT_DEBUG_ASSERT(slot_[elems[0]] >= 0);
+    slot = geometry<W>().data() + slot_[elems[0]];
+  }
+  ElementGeometryBatch<W>& g = slot != nullptr ? *slot : inline_g;
+  const bool compute = slot == nullptr || fill;
+
   [[maybe_unused]] P1BasisBatch<W> p1;
   [[maybe_unused]] alignas(kSimdAlign) Real pe[kP1NodesPerEl][W];
   [[maybe_unused]] alignas(kSimdAlign) Real flux[kP1NodesPerEl][W];
   if constexpr (Pressure) {
-    element_geometry_batch<W>(mesh_, elems, g, p1);
+    if (compute) element_geometry_batch<W>(mesh_, elems, g, p1);
+    else p1_basis_batch<W>(mesh_, elems, p1);
     for (int k = 0; k < kP1NodesPerEl; ++k)
       for (int l = 0; l < W; ++l) {
         pe[k][l] = pin[pressure_dof(elems[l], k)];
         flux[k][l] = 0.0;
       }
-  } else {
+  } else if (compute) {
     element_geometry_batch<W>(mesh_, elems, g);
   }
 
@@ -304,14 +322,40 @@ void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
         pout[pressure_dof(elems[l], k)] = -flux[k][l];
 }
 
+template <int W>
+void TensorViscousOperator::allocate_geometry_cache() const {
+  slot_.assign(static_cast<std::size_t>(mesh_.num_elements()), -1);
+  Index slots = 0;
+  for_each_batch_head<W>([&](Index e) { slot_[e] = slots++; });
+  geometry<W>().resize(static_cast<std::size_t>(slots));
+}
+
+void TensorViscousOperator::set_subdomain_engine(
+    const SubdomainEngine* engine) {
+  ViscousOperatorBase::set_subdomain_engine(engine);
+  applies_ = 0;
+  slot_ = {};
+  geometry4_ = {};
+  geometry8_ = {};
+}
+
 template <bool Pressure>
 void TensorViscousOperator::sweep_tensor(const Real* xp, Real* yp,
                                          const Real* pin, Real* pout) const {
   const auto& tab = q2_tabulation();
+  // The second batched apply fills the geometry cache. An operator applied
+  // once (the Newton residual, the lifting) never pays for one.
+  const bool fill = batch_width_ != 0 && applies_ == 1;
+  if (applies_ < 2) ++applies_;
+  if (fill) {
+    if (batch_width_ == 8) allocate_geometry_cache<8>();
+    else allocate_geometry_cache<4>();
+  }
   sweep(
       yp,
       [&](auto lanes, const Index* elems, Real* w) {
-        apply_lanes<decltype(lanes)::value, Pressure>(elems, xp, w, pin, pout);
+        apply_lanes<decltype(lanes)::value, Pressure>(elems, xp, w, pin, pout,
+                                                      fill);
       },
       [&](Index e, Real* w) {
         apply_tensor_element<Pressure>(mesh_, coeff_, tab, newton_, e, xp, w,

@@ -9,8 +9,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <span>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -628,6 +630,19 @@ TEST(GmgCoarse, SealCoversMatrixFreeLevelCoefficients) {
   ASSERT_EQ(bad.size(), 1u);
   EXPECT_NE(bad[0].find("L1.eta"), std::string::npos) << bad[0];
   *byte ^= 0x10;
+  EXPECT_TRUE(mg.verify_seal().empty());
+
+  // Level 1's geometry cache, built by its λmax estimate before the seal
+  // was armed, is sealed too.
+  const auto& tens = dynamic_cast<const TensorViscousOperator&>(op);
+  const std::span<const std::byte> geometry = tens.geometry_cache();
+  ASSERT_FALSE(geometry.empty());
+  auto* cached = const_cast<std::byte*>(geometry.data()) + 1001;
+  *cached ^= std::byte{0x10};
+  const std::vector<std::string> flipped = mg.verify_seal();
+  ASSERT_EQ(flipped.size(), 1u);
+  EXPECT_NE(flipped[0].find("L1.geometry"), std::string::npos) << flipped[0];
+  *cached ^= std::byte{0x10};
   EXPECT_TRUE(mg.verify_seal().empty());
 }
 

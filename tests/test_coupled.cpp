@@ -6,10 +6,17 @@
 // off, the global colored loop and the 2x2x1 and 2x2x2 subdomain engines,
 // at 1, 2 and 8 threads. The engines write each element's pressure rows
 // straight into the output, so this label also runs under TSan.
+//
+// On the same cases, the Tens geometry cache (docs/KERNELS.md "Geometry
+// cache"): the inline first apply, the second that fills the cache and the
+// third that reads it agree bitwise with each other and with the scalar
+// apply, viscous and coupled alike. The slots are raw-pointer arithmetic,
+// so this label also runs under ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -78,7 +85,8 @@ Real block_rel_diff(const Vector& a, const Vector& b, Index lo, Index hi) {
 }
 
 /// The replaced form: [A x_u + B_masked x_p; B^T_masked x_u], A the masked
-/// Tens W=8 apply on the global loop.
+/// Tens W=8 apply on the global loop, B_masked x_p the product with B whose
+/// constrained rows are then zeroed.
 Vector assembled_apply(const StokesOperator& op,
                        const TensorViscousOperator& a, const Vector& x) {
   Vector xu, xp, yu, bp, yp, y;
@@ -86,6 +94,7 @@ Vector assembled_apply(const StokesOperator& op,
   op.extract_p(x, xp);
   a.apply(xu, yu);
   op.gradient().mult(xp, bp);
+  op.bc().zero_constrained(bp);
   yu.axpy(1.0, bp);
   op.divergence().mult(xu, yp);
   op.combine(yu, yp, y);
@@ -155,16 +164,148 @@ TEST_P(CoupledApply, FoldedMatchesAssembledBlocks) {
 // 1x3x2 has a one-element direction, 5x3x7 ragged color tails and subdomain
 // lists at every width; 12^3 is stokes_sinker12's fine grid, 16x4x8 the
 // rifting level-1 shape. A 2-way split needs 2 elements in that direction.
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, CoupledApply,
-    testing::Values(Case{1, 3, 2, 0, 0, 0}, Case{5, 3, 7, 0, 0, 0},
-                    Case{5, 3, 7, 2, 2, 1}, Case{5, 3, 7, 2, 2, 2},
-                    Case{12, 12, 12, 0, 0, 0}, Case{12, 12, 12, 2, 2, 1},
-                    Case{12, 12, 12, 2, 2, 2}, Case{16, 4, 8, 0, 0, 0},
-                    Case{16, 4, 8, 2, 2, 1}, Case{16, 4, 8, 2, 2, 2}),
-    [](const testing::TestParamInfo<Case>& info) {
-      return case_name(info.param);
-    });
+const Case kShapes[] = {
+    {1, 3, 2, 0, 0, 0},    {5, 3, 7, 0, 0, 0},    {5, 3, 7, 2, 2, 1},
+    {5, 3, 7, 2, 2, 2},    {12, 12, 12, 0, 0, 0}, {12, 12, 12, 2, 2, 1},
+    {12, 12, 12, 2, 2, 2}, {16, 4, 8, 0, 0, 0},   {16, 4, 8, 2, 2, 1},
+    {16, 4, 8, 2, 2, 2}};
+
+std::string shape_name(const testing::TestParamInfo<Case>& info) {
+  return case_name(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, CoupledApply, testing::ValuesIn(kShapes),
+                         shape_name);
+
+/// Index of the first entry whose bits differ, or -1 when none does.
+Index first_bit_difference(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) return 0;
+  for (Index i = 0; i < a.size(); ++i)
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(Real)) != 0) return i;
+  return -1;
+}
+
+/// Elements in the full W-batches of the sweep: color runs in the global
+/// loop, runs of each subdomain list under an engine.
+Index batched_elements(const StructuredMesh& mesh,
+                       const SubdomainEngine* engine, int width) {
+  Index n = 0;
+  if (engine == nullptr) {
+    for (int color = 0; color < 8; ++color)
+      n += color_extent(mesh, color).count() / width * width;
+    return n;
+  }
+  for (Index s = 0; s < engine->num_subdomains(); ++s)
+    for (const auto* list :
+         {&engine->boundary_elements(s), &engine->interior_elements(s)})
+      n += static_cast<Index>(list->size()) / width * width;
+  return n;
+}
+
+/// Bytes of cached geometry per batched element: 27 points of gamma (9) and
+/// w|J| (1). At W = 4 the 64-byte alignment of the w|J| block pads each
+/// slot by 64 bytes.
+std::size_t cache_bytes_per_element(int width) {
+  return width == 8 ? 2160 : 2176;
+}
+
+enum class Form { kPicard, kNewton, kStokes };
+
+const char* form_name(Form f) {
+  switch (f) {
+    case Form::kPicard: return "picard";
+    case Form::kNewton: return "newton";
+    default: return "stokes";
+  }
+}
+
+class GeometryCache : public testing::TestWithParam<Case> {};
+
+TEST_P(GeometryCache, InlineFillingAndCachedAppliesMatchScalar) {
+  const Case p = GetParam();
+  const StructuredMesh mesh = deformed_mesh(p.mx, p.my, p.mz);
+  const QuadCoefficients coeff = varying_viscosity(mesh);
+  const DirichletBc bc = sinker_boundary_conditions(mesh);
+  std::unique_ptr<SubdomainEngine> engine;
+  if (p.px > 0)
+    engine = std::make_unique<SubdomainEngine>(mesh, p.px, p.py, p.pz);
+  const Index nu = num_velocity_dofs(mesh);
+  const Vector x = random_vector(nu + num_pressure_dofs(mesh), 17);
+  Vector xu(nu);
+  for (Index i = 0; i < nu; ++i) xu[i] = x[i];
+
+  const auto apply = [&](const TensorViscousOperator& a, Form form) {
+    Vector y;
+    if (form == Form::kStokes) a.apply_stokes(x, y);
+    else a.apply(xu, y);
+    return y;
+  };
+  const auto make = [&](int width, Form form) {
+    auto a = std::make_unique<TensorViscousOperator>(mesh, coeff, &bc, width);
+    a->set_subdomain_engine(engine.get());
+    a->set_newton(form == Form::kNewton);
+    return a;
+  };
+
+  const int saved = num_threads();
+  for (int nt : {1, 2, 8}) {
+    set_num_threads(nt);
+    for (Form form : {Form::kPicard, Form::kNewton, Form::kStokes}) {
+      const Vector want = apply(*make(0, form), form);
+      for (int width : kBatchWidths) {
+        SCOPED_TRACE(std::string(form_name(form)) + ", width " +
+                     std::to_string(width) + ", threads " +
+                     std::to_string(nt));
+        const auto a = make(width, form);
+        for (const char* pass : {"inline", "filling", "cached"}) {
+          const Vector y = apply(*a, form);
+          EXPECT_EQ(first_bit_difference(y, want), -1) << pass << " apply";
+          if (std::string(pass) == "inline") {
+            EXPECT_TRUE(a->geometry_cache().empty())
+                << "an operator applied once holds a cache";
+          }
+        }
+        EXPECT_EQ(a->geometry_cache().size(),
+                  static_cast<std::size_t>(
+                      batched_elements(mesh, engine.get(), width)) *
+                      cache_bytes_per_element(width));
+      }
+    }
+  }
+  set_num_threads(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, GeometryCache, testing::ValuesIn(kShapes),
+                         shape_name);
+
+// Switching the engine changes the batches, so it drops the cache; the
+// operator then caches the new batches, still bitwise.
+TEST(GeometryCache, EngineSwitchDropsTheCache) {
+  const StructuredMesh mesh = deformed_mesh(5, 3, 7);
+  const QuadCoefficients coeff = varying_viscosity(mesh);
+  const DirichletBc bc = sinker_boundary_conditions(mesh);
+  const SubdomainEngine engine(mesh, 2, 2, 1);
+  const Vector x = random_vector(num_velocity_dofs(mesh), 19);
+  TensorViscousOperator ref(mesh, coeff, &bc, 0);
+  ref.set_subdomain_engine(&engine);
+  Vector want;
+  ref.apply(x, want);
+
+  TensorViscousOperator a(mesh, coeff, &bc, kSolverBatchWidth);
+  Vector y;
+  for (int k = 0; k < 3; ++k) a.apply(x, y);
+  ASSERT_FALSE(a.geometry_cache().empty());
+  a.set_subdomain_engine(&engine);
+  EXPECT_TRUE(a.geometry_cache().empty());
+  for (int k = 0; k < 3; ++k) {
+    a.apply(x, y);
+    EXPECT_EQ(first_bit_difference(y, want), -1) << "apply " << k;
+  }
+  EXPECT_EQ(a.geometry_cache().size(),
+            static_cast<std::size_t>(
+                batched_elements(mesh, &engine, kSolverBatchWidth)) *
+                cache_bytes_per_element(kSolverBatchWidth));
+}
 
 // The engine hands each batch W consecutive, node-sharing elements of one
 // subdomain list; the folded scalar path (ragged tails, W = 0) and the lanes
