@@ -16,7 +16,10 @@
 using namespace ptatin;
 
 int main(int argc, char** argv) {
-  Options cli = Options::from_args(argc, argv);
+  const Options cli = bench::parse_options(
+      argc, argv, "ablation_solver",
+      {{"m", "N", "sinker mesh resolution (default 8)"},
+       {"contrast", "X", "viscosity contrast (default 1e3)"}});
   const Index m = cli.get_index("m", 8);
   const Real contrast = cli.get_real("contrast", 1e3);
 

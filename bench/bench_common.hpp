@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,34 @@ private:
   std::vector<std::string> headers_;
   int w_;
 };
+
+/// One flag a bench binary reads: "-key HINT  help" in its -help text.
+struct Flag {
+  const char* key;
+  const char* hint;
+  const char* help;
+};
+
+/// Parse argv for a bench binary that reads exactly `flags`. -help prints
+/// them and exits 0; an unknown flag is a usage error (exit 2). Both happen
+/// before the bench runs, so a mistyped flag never appends a run to a
+/// BENCH_*.json trajectory.
+inline Options parse_options(int argc, char** argv, const char* name,
+                             std::initializer_list<Flag> flags) {
+  for (const Flag& f : flags) Options::describe(f.key, f.hint, f.help);
+  Options::describe("help", "", "print this help and exit");
+  const Options o = Options::from_args(argc, argv);
+  if (o.get_bool("help", false)) {
+    std::printf("%s options:\n%s", name, Options::help_text().c_str());
+    std::exit(0);
+  }
+  if (const auto unknown = o.unknown_keys(); !unknown.empty()) {
+    std::fprintf(stderr, "error: %susage: %s -help\n",
+                 Options::format_unknown(unknown).c_str(), name);
+    std::exit(2);
+  }
+  return o;
+}
 
 inline void banner(const std::string& title) {
   std::printf("\n================================================================\n");

@@ -31,7 +31,12 @@ std::vector<Real> parse_list(const std::string& s) {
 } // namespace
 
 int main(int argc, char** argv) {
-  Options opts = Options::from_args(argc, argv);
+  const Options opts = bench::parse_options(
+      argc, argv, "fig2_robustness",
+      {{"m", "N", "sinker mesh resolution (default 8)"},
+       {"levels", "N", "GMG levels (default 2)"},
+       {"contrasts", "X,Y,...", "viscosity contrasts (default 1,100,10000)"},
+       {"maxit", "N", "outer Krylov iteration cap (default 400)"}});
   const Index m = opts.get_index("m", 8);
   const int levels = opts.get_int("levels", 2);
   const auto contrasts =

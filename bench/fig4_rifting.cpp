@@ -14,7 +14,14 @@
 using namespace ptatin;
 
 int main(int argc, char** argv) {
-  Options cli = Options::from_args(argc, argv);
+  const Options cli = bench::parse_options(
+      argc, argv, "fig4_rifting",
+      {{"steps", "N", "time steps (default 8)"},
+       {"mx", "N", "elements in x (default 16)"},
+       {"my", "N", "elements in y (default 8)"},
+       {"mz", "N", "elements in z (default 8)"},
+       {"topo", "X", "initial topography amplitude"},
+       {"dt", "X", "first-step dt (default 0.004)"}});
   const int steps = cli.get_int("steps", 8);
   RiftingParams rp;
   rp.mx = cli.get_index("mx", 16);

@@ -70,7 +70,14 @@ Vector random_input(Index n) {
 } // namespace
 
 int main(int argc, char** argv) {
-  Options opts = Options::from_args(argc, argv);
+  const Options opts = bench::parse_options(
+      argc, argv, "table1_operator",
+      {{"m", "N", "mesh resolution (default 12)"},
+       {"reps", "N", "timed applies per row (default 20)"},
+       {"contrast", "X", "viscosity contrast (default 1e4)"},
+       {"op_batch_width", "W", "batched rows' SIMD width: 0, 4 or 8\n"
+                               "(default 8; 0 = no batched rows)"},
+       {"json", "FILE", "trajectory file (default BENCH_table1.json)"}});
   const Index m = opts.get_index("m", 12);
   const int reps = opts.get_int("reps", 20);
   const Real contrast = opts.get_real("contrast", 1e4);

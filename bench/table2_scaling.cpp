@@ -314,7 +314,21 @@ int run_coarse_micro(const Options& opts) {
 } // namespace
 
 int main(int argc, char** argv) {
-  Options opts = Options::from_args(argc, argv);
+  const Options opts = bench::parse_options(
+      argc, argv, "table2_scaling",
+      {{"grids", "N,N,...", "mesh resolutions (default 8,12)"},
+       {"contrast", "X", "viscosity contrast (default 1e3)"},
+       {"rtol", "X", "outer Krylov relative tolerance (default 1e-5)"},
+       {"json", "FILE", "trajectory file (default BENCH_table2.json)"},
+       {"decomp", "SHAPES", "sweep decompositions instead of back-ends\n"
+                            "(\"1x1x1,2x2x1,2x2x2\")"},
+       {"applies", "N", "timed applies per row (default 40; -micro 200)"},
+       {"solve", "true|false", "-decomp: also run a full solve per shape"},
+       {"scrub_every", "N", "-decomp: scrub cadence in applies (0 = off)"},
+       {"sentinel_every", "N", "-decomp: Krylov sentinel cadence (0 = off)"},
+       {"micro", "", "coarse-grid pipeline microbench instead"},
+       {"m", "N", "-micro: mesh resolution (default 16)"},
+       {"repeats", "N", "-micro: timed repeats (default 5)"}});
   const std::vector<Index> grids =
       opts.has("grids") ? opts.get_index_list("grids")
                         : std::vector<Index>{8, 12};

@@ -28,7 +28,12 @@ std::vector<Index> parse_grids(const std::string& s) {
 } // namespace
 
 int main(int argc, char** argv) {
-  Options opts = Options::from_args(argc, argv);
+  const Options opts = bench::parse_options(
+      argc, argv, "table3_efficiency",
+      {{"grids", "N,N,...", "mesh resolutions (default 8,12)"},
+       {"contrast", "X", "viscosity contrast (default 1e3)"},
+       {"res_reps", "N", "timed MG fine residuals (default 30)"},
+       {"op_batch_width", "W", "adds a Tens[bW] row (default 8; 0 = none)"}});
   const auto grids = parse_grids(opts.get_string("grids", "8,12"));
   const Real contrast = opts.get_real("contrast", 1e3);
   const int res_reps = opts.get_int("res_reps", 30);

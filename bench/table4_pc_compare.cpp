@@ -36,7 +36,10 @@ struct Config {
 } // namespace
 
 int main(int argc, char** argv) {
-  Options cli = Options::from_args(argc, argv);
+  const Options cli = bench::parse_options(
+      argc, argv, "table4_pc_compare",
+      {{"m", "N", "sinker mesh resolution (default 12)"},
+       {"contrast", "X", "viscosity contrast (default 1e3)"}});
   const Index m = cli.get_index("m", 12);
   const Real contrast = cli.get_real("contrast", 1e3);
 

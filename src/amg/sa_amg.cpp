@@ -165,7 +165,7 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
   for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
     Level& lev = levels_[l];
     lev.op = std::make_unique<MatrixOperator>(&lev.a);
-    if (opts.blocked_spmv) lev.op->enable_blocked();
+    lev.op->enable_blocked();
     if (opts.smoother == AmgSmoother::kChebyshev) {
       lev.smoother.setup(*lev.op, lev.a.diagonal(), opts.chebyshev);
     } else {
@@ -183,7 +183,7 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
   // Coarsest solver.
   Level& last = levels_.back();
   last.op = std::make_unique<MatrixOperator>(&last.a);
-  if (opts.blocked_spmv) last.op->enable_blocked();
+  last.op->enable_blocked();
   coarsest_.setup(last.a, std::min(opts.coarsest_blocks, last.a.rows()),
                   SubdomainSolve::kLu);
 

@@ -52,9 +52,6 @@ struct AmgOptions {
   AmgCoarsestSolve coarsest = AmgCoarsestSolve::kBlockJacobiLu;
   Index coarsest_blocks = 4; ///< block-Jacobi subdomain count
   ChebyshevOptions chebyshev;
-  /// Route level applies through the blocked SELL-8 SpMV
-  /// (la/blocked_spmv.hpp); bitwise identical to plain CSR, pure perf knob.
-  bool blocked_spmv = true;
   /// Register the per-level Galerkin operators and prolongators with the SDC
   /// seal registry (docs/ROBUSTNESS.md): the hierarchy is setup-immutable,
   /// so the periodic scrubber can detect a flipped bit. Enabled by the

@@ -51,8 +51,8 @@ public:
   };
 
   /// Keys in this database that no Options::describe call registered. The
-  /// driver and the serve job-spec parser treat a non-empty result as a typed
-  /// usage error (exit code 2) instead of silently ignoring the flags.
+  /// driver and the bench binaries treat a non-empty result as a usage error
+  /// (exit code 2) instead of silently ignoring the flags.
   std::vector<UnknownKey> unknown_keys() const;
 
   /// Near-miss suggestions for `key` from the describe() registry: registered

@@ -143,7 +143,7 @@ private:
 /// Classify a stepper failure string as silent data corruption: scrub/seal
 /// failures are prefixed "sdc:", Krylov sentinel trips surface as a
 /// "diverged_sdc" reason inside the nonlinear failure detail. The driver
-/// maps these to exit code 6 and the serve fleet to quarantine accounting.
+/// maps these to exit code 6.
 inline bool is_sdc_failure(const std::string& failure) {
   return failure.rfind("sdc:", 0) == 0 ||
          failure.find("diverged_sdc") != std::string::npos;

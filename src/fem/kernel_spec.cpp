@@ -5,9 +5,8 @@
 namespace ptatin {
 
 const char* fine_operator_token(FineOperatorType t) {
-  // The one place that spells the tokens; config parsing, serve job specs,
-  // and kernel labels route through here or its inverse
-  // parse_fine_operator().
+  // The one place that spells the tokens; config parsing and kernel labels
+  // route through here or its inverse parse_fine_operator().
   static const char* kTokens[] = {"asmb", "mf", "tens", "tensc"};
   return kTokens[static_cast<int>(t)];
 }

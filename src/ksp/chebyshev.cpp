@@ -40,7 +40,6 @@ void ChebyshevSmoother::setup(const LinearOperator& a, Vector diag,
   }
   emin_ = opt.emin_fraction * lambda_max_;
   emax_ = opt.emax_fraction * lambda_max_;
-  fused_ = opt.fused;
   // Size the sweep scratch once: smooth()/solve() are the V-cycle hot path
   // and must not allocate per call.
   const Index n = a.rows();
@@ -71,86 +70,46 @@ void ChebyshevSmoother::smooth(const Vector& b, Vector& x, int iterations,
   const Real sigma = theta / delta;
   const Real* idg = inv_diag_.data();
 
-  if (fused_) {
-    // Fused sweep: r_ holds A x; one parallel pass forms the residual,
-    // Jacobi-scales it, advances the recurrence, and applies the
-    // correction. The statement forms mirror Vector::aypx / scale / axpy —
-    // the ±1-coefficient and single-multiply statements are exact under any
-    // contraction choice, and the one genuine mul+add (the axpy step of the
-    // recurrence) uses pt_muladd to match Vector::axpy's FMA codegen — so
-    // the result stays bitwise identical to the unfused path. A zero guess
-    // takes the residual b directly; it can differ from b - A 0 only in the
-    // sign of a zero, which adding it to x = +0 erases.
-    const Real* bp = b.data();
-    Real* rp = r_.data();
-    Real* pp = p_.data();
-    Real* xp = x.data();
+  // One operator apply plus ONE pass over the vectors per iteration: r_
+  // holds A x, and the pass forms the residual, Jacobi-scales it, advances
+  // the recurrence and applies the correction. The statement forms mirror
+  // the Vector-operation sweep (residual, scale, aypx, axpy; the reference
+  // in tests/test_coarse.cpp) — the ±1-coefficient and single-multiply
+  // statements are exact under any contraction choice, and the one genuine
+  // mul+add (the axpy step of the recurrence) uses pt_muladd to match
+  // Vector::axpy's FMA codegen — so the result is bitwise that sweep's. A
+  // zero guess takes the residual b directly; it can differ from b - A 0
+  // only in the sign of a zero, which adding it to x = +0 erases.
+  const Real* bp = b.data();
+  Real* rp = r_.data();
+  Real* pp = p_.data();
+  Real* xp = x.data();
 
-    if (!zero_guess) a_->apply(x, r_);
-    Real rho = Real(1) / sigma;
-    {
-      const Real inv_theta = Real(1) / theta;
-      parallel_for(n, [&](Index i) {
-        const Real ri = zero_guess ? bp[i] : Real(-1) * rp[i] + bp[i];
-        const Real zi = ri * idg[i];
-        const Real pi = zi * inv_theta;
-        pp[i] = pi;
-        xp[i] += Real(1) * pi;
-      });
-    }
-    for (int k = 1; k < iterations; ++k) {
-      a_->apply(x, r_);
-      const Real rho_new = Real(1) / (Real(2) * sigma - rho);
-      const Real c1 = rho_new * rho;
-      const Real c2 = Real(2) * rho_new / delta;
-      parallel_for(n, [&](Index i) {
-        const Real ri = Real(-1) * rp[i] + bp[i];
-        const Real zi = ri * idg[i];
-        Real pi = pp[i] * c1;
-        pi = pt_muladd(c2, zi, pi);
-        pp[i] = pi;
-        xp[i] += Real(1) * pi;
-      });
-      rho = rho_new;
-    }
-    return;
-  }
-
-  // Unfused reference path (kept for the bitwise parity tests and A/B
-  // runs), on the persistent scratch.
-  Vector& r = r_;
-  Vector& z = z_;
-  Vector& p = p_;
-
-  // r = b - A x ; z = D^{-1} r
-  if (zero_guess) {
-    r.copy_from(b);
-  } else {
-    a_->residual(b, x, r);
-  }
-  {
-    const Real* rp = r.data();
-    Real* zp = z.data();
-    parallel_for(n, [&](Index i) { zp[i] = rp[i] * idg[i]; });
-  }
-
+  if (!zero_guess) a_->apply(x, r_);
   Real rho = Real(1) / sigma;
-  p.copy_from(z);
-  p.scale(Real(1) / theta);
-  x.axpy(1.0, p);
-
+  {
+    const Real inv_theta = Real(1) / theta;
+    parallel_for(n, [&](Index i) {
+      const Real ri = zero_guess ? bp[i] : Real(-1) * rp[i] + bp[i];
+      const Real zi = ri * idg[i];
+      const Real pi = zi * inv_theta;
+      pp[i] = pi;
+      xp[i] += Real(1) * pi;
+    });
+  }
   for (int k = 1; k < iterations; ++k) {
-    a_->residual(b, x, r);
-    {
-      const Real* rp = r.data();
-      Real* zp = z.data();
-      parallel_for(n, [&](Index i) { zp[i] = rp[i] * idg[i]; });
-    }
+    a_->apply(x, r_);
     const Real rho_new = Real(1) / (Real(2) * sigma - rho);
-    // p = rho_new * rho * p + (2 rho_new / delta) z
-    p.scale(rho_new * rho);
-    p.axpy(Real(2) * rho_new / delta, z);
-    x.axpy(1.0, p);
+    const Real c1 = rho_new * rho;
+    const Real c2 = Real(2) * rho_new / delta;
+    parallel_for(n, [&](Index i) {
+      const Real ri = Real(-1) * rp[i] + bp[i];
+      const Real zi = ri * idg[i];
+      Real pi = pp[i] * c1;
+      pi = pt_muladd(c2, zi, pi);
+      pp[i] = pi;
+      xp[i] += Real(1) * pi;
+    });
     rho = rho_new;
   }
 }

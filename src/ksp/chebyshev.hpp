@@ -20,12 +20,6 @@ struct ChebyshevOptions {
   Real emax_fraction = 1.1;
   /// Iterations used by the λmax estimator.
   int eig_est_iterations = 12;
-  /// Fused sweep: one operator apply plus ONE pass over the vectors per
-  /// iteration (residual + Jacobi scale + recurrence + correction) instead
-  /// of five. Bitwise identical to the unfused path (the kernel mirrors the
-  /// Vector method statement forms, verified by the coarse parity tests);
-  /// the knob exists for those tests and for perf A/B runs.
-  bool fused = true;
 };
 
 /// A reusable Chebyshev smoother: setup estimates λmax of D^{-1}A once, then
@@ -63,7 +57,6 @@ private:
   Vector inv_diag_;
   Real lambda_max_ = 0.0, emin_ = 0.0, emax_ = 0.0;
   bool eig_fallback_ = false;
-  bool fused_ = true;
   /// Persistent sweep scratch, sized at setup: smooth() sits on the V-cycle
   /// hot path and must not heap-allocate per call (docs/KERNELS.md).
   mutable Vector r_, z_, p_;

@@ -147,7 +147,7 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
       lev.bc->apply_to_matrix_symmetric(*lev.assembled);
     }
     lev.mat_op = std::make_unique<MatrixOperator>(lev.assembled.get());
-    if (opts.blocked_spmv) lev.mat_op->enable_blocked();
+    lev.mat_op->enable_blocked();
     lev.op = lev.mat_op.get();
   }
 

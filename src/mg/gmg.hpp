@@ -73,9 +73,6 @@ struct GmgOptions {
   /// sparsity patterns — bitwise identical to the from-scratch ptap.
   GmgSetupCache* setup_cache = nullptr;
   bool rap_cache = true;
-  /// Route coarse-level applies through the blocked SELL-8 SpMV
-  /// (la/blocked_spmv.hpp); bitwise identical to plain CSR, pure perf knob.
-  bool blocked_spmv = true;
 };
 
 /// Deepest usable hierarchy for an m^3 element mesh: coarsen while the

@@ -26,11 +26,6 @@ namespace ptatin::obs {
 
 inline constexpr const char* kSolverReportSchema = "ptatin.solver_report/1";
 inline constexpr const char* kBenchSchema = "ptatin.bench/1";
-// Serve-layer artifacts (docs/SERVICE.md): the canonical job-spec digest
-// document, the per-job cached result record, and the fleet-level report.
-inline constexpr const char* kJobSchema = "ptatin.job/4";
-inline constexpr const char* kServeResultSchema = "ptatin.serve_result/1";
-inline constexpr const char* kFleetReportSchema = "ptatin.fleet_report/1";
 
 /// One Krylov solve: label identifies the call site ("stokes_outer",
 /// "scr_outer", ...), method the algorithm ("gcr", "fgmres", "cg", ...).

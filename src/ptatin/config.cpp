@@ -20,28 +20,6 @@ GmgCoarseSolve parse_coarse(const std::string& s) {
 
 } // namespace
 
-Options options_from_json(const obs::JsonValue& obj) {
-  PT_ASSERT_MSG(obj.is_object(), "job spec must be a JSON object");
-  Options o;
-  for (const auto& [key, v] : obj.members()) {
-    switch (v.type()) {
-      case obs::JsonValue::Type::kBool:
-        o.set(key, v.as_bool() ? "true" : "false");
-        break;
-      case obs::JsonValue::Type::kNumber:
-        o.set(key, obs::json_number(v.as_number()));
-        break;
-      case obs::JsonValue::Type::kString:
-        o.set(key, v.as_string());
-        break;
-      default:
-        PT_THROW("job spec field \"" + key +
-                 "\" must be a scalar (string, number, or bool)");
-    }
-  }
-  return o;
-}
-
 std::vector<std::array<Index, 3>> parse_decomp_shapes(
     const std::string& spec) {
   Options o;
@@ -175,17 +153,6 @@ SolverConfig SolverConfig::from_options(const Options& o) {
   so.gmg.seal_operators = sg.scrub_every > 0;
   so.amg.seal_operators = sg.scrub_every > 0;
   return cfg;
-}
-
-SolverConfig SolverConfig::from_json(const obs::JsonValue& obj) {
-  describe_options();
-  const Options o = options_from_json(obj);
-  if (const auto unknown = o.unknown_keys(); !unknown.empty()) {
-    std::string msg = Options::format_unknown(unknown);
-    while (!msg.empty() && msg.back() == '\n') msg.pop_back();
-    PT_THROW("job spec: " + msg);
-  }
-  return from_options(o);
 }
 
 std::unique_ptr<SubdomainEngine> SolverConfig::make_engine(

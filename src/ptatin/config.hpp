@@ -17,18 +17,12 @@
 #include <string>
 
 #include "common/options.hpp"
-#include "obs/json.hpp"
 #include "ptatin/context.hpp"
 #include "ptatin/stepper.hpp"
 
 namespace ptatin {
 
 class StokesSolver;
-
-/// Flatten a JSON object of scalar members into an options database: strings
-/// pass through, numbers render canonically, booleans become "true"/"false".
-/// Nested arrays/objects/nulls throw a typed Error naming the offending key.
-Options options_from_json(const obs::JsonValue& obj);
 
 /// Parse a decomposition shape list: "2x2x2", "2,2,2", or a sweep
 /// "1x1x1,2x2x1,2x2x2" all decode as consecutive {px,py,pz} triples.
@@ -46,14 +40,6 @@ public:
   /// Also registers the option descriptions, so Options::help_text()
   /// documents every flag this function reads.
   static SolverConfig from_options(const Options& o);
-
-  /// Build a config from a flat JSON object (the solver section of a serve
-  /// job spec, docs/SERVICE.md). Stricter than from_options: every key must
-  /// be registered in the Options::describe() registry at call time (the
-  /// solver keys are registered here; callers owning extra keys — the serve
-  /// and model layers — register theirs first), and unknown keys throw a
-  /// typed Error listing near-miss suggestions.
-  static SolverConfig from_json(const obs::JsonValue& obj);
 
   /// Register this config's option descriptions for Options::help_text()
   /// without parsing anything (from_options does this implicitly).

@@ -3,7 +3,6 @@
 #include "common/error.hpp"
 #include "ptatin/models_rifting.hpp"
 #include "ptatin/models_sinker.hpp"
-#include "ptatin/models_subduction.hpp"
 
 namespace ptatin {
 
@@ -28,20 +27,12 @@ RiftingParams rifting_params(const Options& o) {
   return p;
 }
 
-SubductionParams subduction_params(const Options& o) {
-  SubductionParams p;
-  p.mx = o.get_index("mx", 16);
-  p.my = o.get_index("my", 4);
-  p.mz = o.get_index("mz", 8);
-  return p;
-}
-
 } // namespace
 
 void describe_model_options() {
-  Options::describe("model", "sinker|rifting|subduction", "model selection");
+  Options::describe("model", "sinker|rifting", "model selection");
   Options::describe("m", "N", "sinker mesh resolution (cubic)");
-  Options::describe("mx", "N", "mesh elements in x (rifting/subduction)");
+  Options::describe("mx", "N", "mesh elements in x (rifting)");
   Options::describe("my", "N", "mesh elements in y");
   Options::describe("mz", "N", "mesh elements in z");
   Options::describe("spheres", "N", "sinker sphere count");
@@ -58,40 +49,8 @@ ModelSetup build_model_from_options(const Options& o, int& vertical_axis) {
     vertical_axis = 1;
     return make_rifting_model(rifting_params(o));
   }
-  if (model == "subduction") return make_subduction_model(subduction_params(o));
-  PT_ASSERT_MSG(model == "sinker",
-                "unknown -model (expected sinker|rifting|subduction)");
+  PT_ASSERT_MSG(model == "sinker", "unknown -model (expected sinker|rifting)");
   return make_sinker_model(sinker_params(o));
-}
-
-obs::JsonValue canonical_model_json(const Options& o) {
-  const std::string model = o.get_string("model", "sinker");
-  obs::JsonValue j = obs::JsonValue::object();
-  j["model"] = obs::JsonValue(model);
-  if (model == "rifting") {
-    const RiftingParams p = rifting_params(o);
-    j["mx"] = obs::JsonValue((long long)p.mx);
-    j["my"] = obs::JsonValue((long long)p.my);
-    j["mz"] = obs::JsonValue((long long)p.mz);
-    j["extension"] = obs::JsonValue(p.extension_rate);
-    j["shortening"] = obs::JsonValue(p.shortening_rate);
-    return j;
-  }
-  if (model == "subduction") {
-    const SubductionParams p = subduction_params(o);
-    j["mx"] = obs::JsonValue((long long)p.mx);
-    j["my"] = obs::JsonValue((long long)p.my);
-    j["mz"] = obs::JsonValue((long long)p.mz);
-    return j;
-  }
-  PT_ASSERT_MSG(model == "sinker",
-                "unknown -model (expected sinker|rifting|subduction)");
-  const SinkerParams p = sinker_params(o);
-  j["m"] = obs::JsonValue((long long)p.mx);
-  j["spheres"] = obs::JsonValue((long long)p.num_spheres);
-  j["radius"] = obs::JsonValue(p.radius);
-  j["contrast"] = obs::JsonValue(p.contrast);
-  return j;
 }
 
 } // namespace ptatin

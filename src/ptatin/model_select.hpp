@@ -1,15 +1,10 @@
 // Model selection from the options database.
 //
-// One place translates "-model sinker -m 8 -contrast 1e3" (or the equivalent
-// JSON job-spec fields, docs/SERVICE.md) into a ModelSetup, so the CLI
-// driver and the serve job fleet resolve identical defaults. The serve
-// result cache keys jobs by a canonical digest of the *resolved* parameters
-// (canonical_model_json), which is only sound if every consumer resolves
-// them through this translation.
+// One place translates "-model sinker -m 8 -contrast 1e3" into a
+// ModelSetup, so the driver and the tests resolve identical defaults.
 #pragma once
 
 #include "common/options.hpp"
-#include "obs/json.hpp"
 #include "ptatin/model.hpp"
 
 namespace ptatin {
@@ -20,15 +15,8 @@ void describe_model_options();
 
 /// Build the model named by -model (default sinker) with its parameters
 /// resolved from the options database. `vertical_axis` receives the model's
-/// up direction (z for sinker/subduction, y for rifting). Throws Error on an
-/// unknown -model value.
+/// up direction (z for sinker, y for rifting). Throws Error on an unknown
+/// -model value.
 ModelSetup build_model_from_options(const Options& o, int& vertical_axis);
-
-/// The resolved, result-determining model parameters as a JSON object with a
-/// fixed key order — the model section of the serve layer's canonical config
-/// digest (docs/SERVICE.md). Two option databases that resolve to the same
-/// model produce identical objects; explicit defaults and absent keys are
-/// indistinguishable by construction.
-obs::JsonValue canonical_model_json(const Options& o);
 
 } // namespace ptatin

@@ -141,29 +141,6 @@ std::string SafeguardedStepper::diagnose(const StepReport& report) const {
 SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
   auto& metrics = obs::MetricsRegistry::instance();
   SafeguardedStepResult res;
-
-  // Cooperative preemption: yield at the step boundary before attempting
-  // anything, publishing a boundary checkpoint so the run can resume later
-  // bitwise-identically to one that was never interrupted.
-  if (preempt_hook_ && preempt_hook_()) {
-    res.preempted = true;
-    if (rotation_) {
-      CheckpointMeta meta;
-      meta.step = step_index_;
-      meta.sim_time = sim_time_;
-      meta.dt_cap = std::isfinite(dt_cap_) ? dt_cap_ : 0.0;
-      try {
-        res.checkpoint_path = rotation_->save(ctx_, meta);
-      } catch (const Error& e) {
-        metrics.counter("checkpoint.save_failures").inc();
-        log_warn("preempt: boundary checkpoint at step ", step_index_,
-                 " failed (", e.what(), ")");
-      }
-    }
-    metrics.counter("safeguard.preemptions").inc();
-    return res;
-  }
-
   ++step_index_;
 
   // Unrecoverable SDC exit: record the failure like an exhausted retry

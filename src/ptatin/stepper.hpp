@@ -26,7 +26,6 @@
 // trips) trigger a rollback.
 #pragma once
 
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -80,7 +79,6 @@ struct SafeguardedStepResult {
   StepReport report;  ///< per-stage stats of the final attempt
   std::vector<std::string> failures; ///< failure reason per failed attempt
   std::string checkpoint_path; ///< durable checkpoint published this step
-  bool preempted = false; ///< the preemption hook fired; no step was taken
 };
 
 class SafeguardedStepper {
@@ -116,16 +114,6 @@ public:
   /// The durable rotation, when checkpoint_dir was configured.
   CheckpointRotation* rotation() { return rotation_.get(); }
 
-  /// Cooperative preemption (docs/SERVICE.md): the hook is polled at the top
-  /// of advance(); when it returns true the step is NOT attempted — advance()
-  /// publishes a boundary checkpoint through the rotation (when configured)
-  /// and returns preempted=true, leaving the stepper at the same step
-  /// boundary so a later resume() continues bitwise-identically to an
-  /// uninterrupted run.
-  void set_preemption_hook(std::function<bool()> hook) {
-    preempt_hook_ = std::move(hook);
-  }
-
 private:
   /// Empty string = clean step; otherwise the failure diagnosis.
   std::string diagnose(const StepReport& report) const;
@@ -138,7 +126,6 @@ private:
 
   PtatinContext& ctx_;
   SafeguardOptions opts_;
-  std::function<bool()> preempt_hook_;
   std::unique_ptr<CheckpointRotation> rotation_;
   Real dt_cap_ = std::numeric_limits<Real>::infinity();
   Real sim_time_ = 0.0;

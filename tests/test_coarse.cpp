@@ -1,10 +1,11 @@
 // Bitwise-parity suite for the coarse-grid pipeline (docs/KERNELS.md,
 // "Coarse-grid pipeline"): cached Galerkin RAP vs from-scratch ptap,
-// parallel cached-transpose restriction vs serial mult_transpose, fused vs
-// unfused and zero-guess vs general Chebyshev, blocked vs plain SpMV — each
-// checked at 1/2/8 threads — plus the matrix-free level 1 against its
-// assembled matrix, its operator seal, the GMG solve-iteration-identity
-// check and the zero-allocations-per-apply guard on the V-cycle hot path.
+// parallel cached-transpose restriction vs serial mult_transpose, the fused
+// and zero-guess Chebyshev sweeps vs an unfused reference, blocked vs plain
+// SpMV — each checked at 1/2/8 threads — plus the matrix-free level 1
+// against its assembled matrix, its operator seal, the GMG
+// solve-iteration-identity check and the zero-allocations-per-apply guard
+// on the V-cycle hot path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -349,16 +350,45 @@ TEST(BlockedSpmv, RaggedRowsFallBackAndStayBitwise) {
 
 // --- Chebyshev ---------------------------------------------------------------
 
+/// The unfused Chebyshev sweep, one Vector operation per step, on the
+/// smoother's interval: the reference that ChebyshevSmoother::smooth's
+/// single fused pass per iteration must reproduce bitwise.
+void unfused_chebyshev(const LinearOperator& a, const Vector& diag,
+                       const ChebyshevSmoother& s, const Vector& b, Vector& x,
+                       int iterations) {
+  const Real theta = Real(0.5) * (s.interval_max() + s.interval_min());
+  const Real delta = Real(0.5) * (s.interval_max() - s.interval_min());
+  const Real sigma = theta / delta;
+  const Index n = b.size();
+  Vector inv_diag(n), r(n), z(n), p(n);
+  for (Index i = 0; i < n; ++i) inv_diag[i] = Real(1) / diag[i];
+  auto jacobi = [&] {
+    for (Index i = 0; i < n; ++i) z[i] = r[i] * inv_diag[i];
+  };
+
+  a.residual(b, x, r);
+  jacobi();
+  Real rho = Real(1) / sigma;
+  p.copy_from(z);
+  p.scale(Real(1) / theta);
+  x.axpy(1.0, p);
+  for (int k = 1; k < iterations; ++k) {
+    a.residual(b, x, r);
+    jacobi();
+    const Real rho_new = Real(1) / (Real(2) * sigma - rho);
+    p.scale(rho_new * rho);
+    p.axpy(Real(2) * rho_new / delta, z);
+    x.axpy(1.0, p);
+    rho = rho_new;
+  }
+}
+
 TEST(Chebyshev, FusedMatchesUnfusedBitwise) {
   RapFixture fx(6);
   MatrixOperator op(&fx.a);
-  ChebyshevOptions fused_opt, unfused_opt;
-  fused_opt.fused = true;
-  unfused_opt.fused = false;
-  ChebyshevSmoother fused, unfused;
-  fused.setup(op, fx.a.diagonal(), fused_opt);
-  unfused.setup(op, fx.a.diagonal(), unfused_opt);
-  ASSERT_EQ(fused.lambda_max(), unfused.lambda_max());
+  const Vector diag = fx.a.diagonal();
+  ChebyshevSmoother fused;
+  fused.setup(op, diag, ChebyshevOptions{});
 
   Vector b = random_vector(fx.a.rows(), 29);
   at_thread_counts([&](int nt) {
@@ -367,32 +397,33 @@ TEST(Chebyshev, FusedMatchesUnfusedBitwise) {
       Vector xu;
       xu.copy_from(xf);
       fused.smooth(b, xf, its);
-      unfused.smooth(b, xu, its);
+      unfused_chebyshev(op, diag, fused, b, xu, its);
       for (Index i = 0; i < xf.size(); ++i)
         ASSERT_EQ(xf[i], xu[i])
             << "threads " << nt << " its " << its << " i " << i;
     }
   });
 
-  // The zero-guess skip, fused and unfused, reproduces the general path from
-  // x = 0. Dirichlet rows give b exact zeros, and a few -0.0 entries check
-  // that a residual differing from b - A 0 in the sign of a zero cannot
-  // reach x.
+  // The zero-guess skip and the general fused path both reproduce the
+  // reference from x = 0. Dirichlet rows give b exact zeros, and a few -0.0
+  // entries check that a residual differing from b - A 0 in the sign of a
+  // zero cannot reach x.
   fx.bc.zero_constrained(b);
   for (Index i = 0; i < b.size(); i += 97) b[i] = -0.0;
   at_thread_counts([&](int nt) {
     for (int its : {1, 2, 3}) {
-      for (const ChebyshevSmoother* s : {&fused, &unfused}) {
-        Vector x_general(b.size(), 0.0), x_skip(b.size(), 0.0);
-        s->smooth(b, x_general, its);
-        s->smooth(b, x_skip, its, /*zero_guess=*/true);
-        for (Index i = 0; i < b.size(); ++i)
-          ASSERT_EQ(std::signbit(x_skip[i]), std::signbit(x_general[i]))
+      Vector x_ref(b.size(), 0.0), x_general(b.size(), 0.0),
+          x_skip(b.size(), 0.0);
+      unfused_chebyshev(op, diag, fused, b, x_ref, its);
+      fused.smooth(b, x_general, its);
+      fused.smooth(b, x_skip, its, /*zero_guess=*/true);
+      for (const Vector* x : {&x_general, &x_skip})
+        for (Index i = 0; i < b.size(); ++i) {
+          ASSERT_EQ(std::signbit((*x)[i]), std::signbit(x_ref[i]))
               << "threads " << nt << " its " << its << " i " << i;
-        for (Index i = 0; i < b.size(); ++i)
-          ASSERT_EQ(x_skip[i], x_general[i])
+          ASSERT_EQ((*x)[i], x_ref[i])
               << "threads " << nt << " its " << its << " i " << i;
-      }
+        }
     }
   });
 }
@@ -422,8 +453,8 @@ TEST(Chebyshev, ZeroIterationsLeavesInputBitwiseUnchanged) {
 // --- GMG with the new kernels -------------------------------------------------
 
 TEST(GmgCoarse, SolveIterationIdentityWithNewKernels) {
-  // All perf knobs (cached RAP, blocked SpMV, fused Chebyshev) vs all off:
-  // identical Krylov iteration counts and a bitwise-identical solution.
+  // The cached RAP (first setup and numeric-only refresh) vs a from-scratch
+  // ptap: identical Krylov iteration counts and a bitwise-identical solution.
   StructuredMesh mesh = StructuredMesh::box(8, 8, 8, {0, 0, 0}, {1, 1, 1});
   QuadCoefficients coeff = sinker_coeff(mesh, 1e2);
   DirichletBc bc = sinker_boundary_conditions(mesh);
@@ -432,8 +463,6 @@ TEST(GmgCoarse, SolveIterationIdentityWithNewKernels) {
     GmgOptions opts;
     opts.levels = 3;
     opts.fine_kernel.type = FineOperatorType::kAssembled; // full Galerkin chain
-    opts.blocked_spmv = optimized;
-    opts.chebyshev.fused = optimized;
     opts.setup_cache = cache;
     opts.rap_cache = optimized;
     GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(),

@@ -474,6 +474,13 @@ TEST(SolverConfig, FromOptionsWiresDecompAndSolverKnobs) {
   EXPECT_EQ(SolverConfig().make_engine(mesh), nullptr);
 }
 
+TEST(SolverConfig, FromOptionsRejectsZeroPointsAndCheckpointKeep) {
+  const char* ppd[] = {"prog", "-ppd", "0"};
+  EXPECT_THROW(SolverConfig::from_options(Options::from_args(3, ppd)), Error);
+  const char* keep[] = {"prog", "-checkpoint_keep", "0"};
+  EXPECT_THROW(SolverConfig::from_options(Options::from_args(3, keep)), Error);
+}
+
 TEST(SolverConfig, FromOptionsRejectsPicardOnlyBackendsUnderNewton) {
   for (const char* backend : {"asmb", "tensc"}) {
     const char* newton[] = {"prog", "-backend", backend};

@@ -1,16 +1,10 @@
-// Tests for post-processing diagnostics, the subduction model, and
-// MatrixMarket I/O.
+// Tests for post-processing diagnostics.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
-#include "common/rng.hpp"
-#include "la/coo.hpp"
-#include "la/matrix_io.hpp"
-#include "ptatin/context.hpp"
+#include "fem/dofmap.hpp"
 #include "ptatin/diagnostics.hpp"
-#include "ptatin/models_subduction.hpp"
 
 namespace ptatin {
 namespace {
@@ -111,96 +105,6 @@ TEST(Diagnostics, ElementMeansMatchConstants) {
     EXPECT_DOUBLE_EQ(ev[e], Real(e + 1));
     EXPECT_DOUBLE_EQ(dv[e], 10.0 * Real(e + 1));
   }
-}
-
-// --- subduction model ------------------------------------------------------------
-
-TEST(Subduction, GeometryClassification) {
-  SubductionParams p;
-  ModelSetup setup = make_subduction_model(p);
-  EXPECT_EQ(setup.materials.size(), 2);
-  // Inside the surface plate.
-  EXPECT_EQ(setup.lithology_of({1.0, 1.0, 1.95}), 1);
-  // Mantle below the plate.
-  EXPECT_EQ(setup.lithology_of({1.0, 1.0, 1.0}), 0);
-  // Beyond the plate's x-extent (no plate).
-  EXPECT_EQ(setup.lithology_of({3.5, 1.0, 1.95}), 0);
-  // On the dipping slab segment just below the hinge.
-  const Real hx = p.plate_extent, hz = p.lz - 0.5 * p.plate_thickness;
-  const Vec3 on_slab{hx + 0.3 * std::sin(p.slab_dip_angle), 1.0,
-                     hz - 0.3 * std::cos(p.slab_dip_angle)};
-  EXPECT_EQ(setup.lithology_of(on_slab), 1);
-}
-
-TEST(Subduction, SlabSinksOverSteps) {
-  SubductionParams p;
-  p.mx = 8;
-  p.my = 2;
-  p.mz = 4;
-  ModelSetup setup = make_subduction_model(p);
-  PtatinOptions opts;
-  opts.points_per_dim = 2;
-  opts.update_mesh = false;
-  opts.nonlinear.max_it = 2;
-  opts.nonlinear.rtol = 1e-2;
-  opts.nonlinear.linear.gmg.levels = 2;
-  opts.nonlinear.linear.coarse_solve = GmgCoarseSolve::kBJacobiLu;
-  opts.nonlinear.linear.coarse_bjacobi_blocks = 1;
-  PtatinContext ctx(std::move(setup), opts);
-
-  const Real tip0 = slab_tip_depth(ctx.setup(), ctx.points());
-  for (int s = 0; s < 3; ++s) {
-    Real dt = std::min(ctx.suggest_dt(0.25), Real(0.3));
-    if (s == 0) dt = 0.01;
-    ctx.step(dt);
-  }
-  EXPECT_LT(slab_tip_depth(ctx.setup(), ctx.points()), tip0);
-}
-
-// --- MatrixMarket I/O ---------------------------------------------------------------
-
-TEST(MatrixMarket, CsrRoundTrip) {
-  Rng rng(1);
-  CooMatrix coo(10, 8);
-  for (int k = 0; k < 25; ++k)
-    coo.add(rng.uniform_index(0, 9), rng.uniform_index(0, 7),
-            rng.uniform(-2, 2));
-  CsrMatrix a = coo.to_csr();
-
-  const std::string path = "/tmp/pt_test_mm.mtx";
-  write_matrix_market(path, a);
-  CsrMatrix b = read_matrix_market(path);
-  EXPECT_EQ(b.rows(), a.rows());
-  EXPECT_EQ(b.cols(), a.cols());
-  EXPECT_EQ(b.nnz(), a.nnz());
-  Vector x(8), y1, y2;
-  for (Index i = 0; i < 8; ++i) x[i] = rng.uniform(-1, 1);
-  a.mult(x, y1);
-  b.mult(x, y2);
-  for (Index i = 0; i < 10; ++i) EXPECT_NEAR(y2[i], y1[i], 1e-14);
-  std::remove(path.c_str());
-}
-
-TEST(MatrixMarket, VectorRoundTrip) {
-  Vector v(7);
-  for (Index i = 0; i < 7; ++i) v[i] = std::pow(-1.0, Real(i)) * Real(i) / 3;
-  const std::string path = "/tmp/pt_test_mmv.mtx";
-  write_vector_market(path, v);
-  Vector w = read_vector_market(path);
-  ASSERT_EQ(w.size(), 7);
-  for (Index i = 0; i < 7; ++i) EXPECT_NEAR(w[i], v[i], 1e-15);
-  std::remove(path.c_str());
-}
-
-TEST(MatrixMarket, RejectsGarbage) {
-  const std::string path = "/tmp/pt_test_mm_bad.mtx";
-  {
-    std::FILE* fp = std::fopen(path.c_str(), "w");
-    std::fputs("this is not a matrix market file\n1 2 3\n", fp);
-    std::fclose(fp);
-  }
-  EXPECT_THROW(read_matrix_market(path), Error);
-  std::remove(path.c_str());
 }
 
 } // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the Krylov solver module (CG, GMRES, FGMRES, GCR,
-// Chebyshev, Richardson, eigenvalue estimation).
+// Chebyshev, eigenvalue estimation).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,7 +15,6 @@
 #include "ksp/eig_estimate.hpp"
 #include "ksp/gcr.hpp"
 #include "ksp/gmres.hpp"
-#include "ksp/richardson.hpp"
 #include "la/coo.hpp"
 
 namespace ptatin {
@@ -409,37 +408,6 @@ TEST(Chebyshev, IntervalMatchesPaperFractions) {
   cheb.setup(op, a.diagonal(), ChebyshevOptions{});
   EXPECT_NEAR(cheb.interval_min() / cheb.lambda_max(), 0.2, 1e-12);
   EXPECT_NEAR(cheb.interval_max() / cheb.lambda_max(), 1.1, 1e-12);
-}
-
-// --- Richardson -------------------------------------------------------------
-
-TEST(Richardson, ConvergesWithGoodPreconditioner) {
-  CsrMatrix a = laplacian1d(30);
-  Problem p = make_problem(laplacian1d(30));
-  MatrixOperator op(&p.a);
-  // Preconditioner: exact solve => converges in one iteration.
-  BlockJacobiPc pc(p.a, 1, SubdomainSolve::kLu);
-  Vector x;
-  KrylovSettings s;
-  s.rtol = 1e-12;
-  s.max_it = 5;
-  SolveStats st = richardson_solve(op, pc, p.b, x, s);
-  EXPECT_TRUE(st.converged);
-  EXPECT_LE(st.iterations, 2);
-}
-
-TEST(Richardson, DampingStabilizes) {
-  CsrMatrix a = laplacian1d(40);
-  Vector b(40, 1.0);
-  MatrixOperator op(&a);
-  JacobiPc pc(a.diagonal());
-  KrylovSettings s;
-  s.max_it = 50;
-  s.rtol = 1e-3;
-  Vector x1;
-  SolveStats st = richardson_solve(op, pc, b, x1, s, 0.8);
-  // Damped Jacobi on the Laplacian must not diverge.
-  EXPECT_LT(st.final_residual, st.initial_residual);
 }
 
 // --- Zero RHS edge case ------------------------------------------------------

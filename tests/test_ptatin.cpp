@@ -1,12 +1,14 @@
-// Integration tests for the top-level pTatin3D driver: model setup,
-// coefficient pipeline, full time steps on the sinker and rifting models,
-// and VTK output.
+// Integration tests for the top-level pTatin3D driver: model selection and
+// setup, coefficient pipeline, full time steps on the sinker and rifting
+// models, and VTK output.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
+#include "common/error.hpp"
 #include "ptatin/context.hpp"
+#include "ptatin/model_select.hpp"
 #include "ptatin/models_rifting.hpp"
 #include "ptatin/models_sinker.hpp"
 #include "ptatin/vtk.hpp"
@@ -25,6 +27,29 @@ PtatinOptions fast_options() {
   o.nonlinear.linear.coarse_bjacobi_blocks = 1;
   o.nonlinear.linear.krylov.max_it = 300;
   return o;
+}
+
+// --- model selection -------------------------------------------------------------
+
+TEST(ModelSelect, BuildsSinkerAndRiftingAndRejectsOtherModels) {
+  int axis = -1;
+  const char* sinker[] = {"prog", "-m", "4"};
+  EXPECT_EQ(build_model_from_options(Options::from_args(3, sinker), axis)
+                .mesh.num_elements(),
+            64);
+  EXPECT_EQ(axis, 2);
+  const char* rifting[] = {"prog", "-model", "rifting", "-mx", "4",
+                           "-my",  "2",      "-mz",     "2"};
+  EXPECT_EQ(build_model_from_options(Options::from_args(9, rifting), axis)
+                .mesh.num_elements(),
+            16);
+  EXPECT_EQ(axis, 1);
+  for (const char* model : {"volcano", "subduction"}) {
+    const char* argv[] = {"prog", "-model", model};
+    EXPECT_THROW(build_model_from_options(Options::from_args(3, argv), axis),
+                 Error)
+        << model;
+  }
 }
 
 // --- sinker model ----------------------------------------------------------------
