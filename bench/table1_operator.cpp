@@ -8,13 +8,12 @@
 // times faster than Asmb and MF), not absolute milliseconds.
 //
 // In addition to the paper's four rows we time the cross-element SIMD-batched
-// variants of the matrix-free back-ends (MF[bW], Tens[bW], TensC[bW], with
-// W = -op_batch_width; docs/KERNELS.md). Every operator is constructed
+// variants of the matrix-free back-ends at the solver stack's width (MF[b8],
+// Tens[b8], TensC[b8]; docs/KERNELS.md). Every operator is constructed
 // through make_viscous_backend, the production construction path. Batched
 // applies are bitwise identical to scalar, so their rows differ only in time.
 //
 // Usage: table1_operator [-m 12] [-reps 20] [-contrast 1e4]
-//                        [-op_batch_width 8]
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -75,19 +74,12 @@ int main(int argc, char** argv) {
       {{"m", "N", "mesh resolution (default 12)"},
        {"reps", "N", "timed applies per row (default 20)"},
        {"contrast", "X", "viscosity contrast (default 1e4)"},
-       {"op_batch_width", "W", "batched rows' SIMD width: 0, 4 or 8\n"
-                               "(default 8; 0 = no batched rows)"},
        {"json", "FILE", "trajectory file (default BENCH_table1.json)"}});
   const Index m = opts.get_index("m", 12);
   const int reps = opts.get_int("reps", 20);
   const Real contrast = opts.get_real("contrast", 1e4);
-  const int batch_width = opts.get_int("op_batch_width", 8);
   if (reps < 1) {
     std::fprintf(stderr, "error: -reps must be >= 1\n");
-    return 2;
-  }
-  if (batch_width != 0 && !is_batch_width(batch_width)) {
-    std::fprintf(stderr, "error: -op_batch_width must be 0, 4, or 8\n");
     return 2;
   }
 
@@ -124,11 +116,9 @@ int main(int argc, char** argv) {
   add(FineOperatorType::kMatrixFree, 0);
   add(FineOperatorType::kTensor, 0);
   add(FineOperatorType::kTensorC, 0);
-  if (batch_width != 0) {
-    add(FineOperatorType::kMatrixFree, batch_width);
-    add(FineOperatorType::kTensor, batch_width);
-    add(FineOperatorType::kTensorC, batch_width);
-  }
+  add(FineOperatorType::kMatrixFree, kSolverBatchWidth);
+  add(FineOperatorType::kTensor, kSolverBatchWidth);
+  add(FineOperatorType::kTensorC, kSolverBatchWidth);
 
   bench::Table tab({"Operator", "Flops/el", "PessB/el", "PerfB/el", "AI",
                     "Time(ms)", "GF/s", "vs Asmb"});

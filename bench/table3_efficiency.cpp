@@ -8,7 +8,6 @@
 // substitution note in table2_scaling.cpp / DESIGN.md).
 //
 // Usage: table3_efficiency [-grids 8,12,16] [-contrast 1e4]
-//                          [-op_batch_width 8]   (adds a Tens[bW] row)
 #include <sstream>
 
 #include "bench_common.hpp"
@@ -32,8 +31,7 @@ int main(int argc, char** argv) {
       argc, argv, "table3_efficiency",
       {{"grids", "N,N,...", "mesh resolutions (default 8,12)"},
        {"contrast", "X", "viscosity contrast (default 1e3)"},
-       {"res_reps", "N", "timed MG fine residuals (default 30)"},
-       {"op_batch_width", "W", "adds a Tens[bW] row (default 8; 0 = none)"}});
+       {"res_reps", "N", "timed MG fine residuals (default 30)"}});
   const auto grids = parse_grids(opts.get_string("grids", "8,12"));
   const Real contrast = opts.get_real("contrast", 1e3);
   const int res_reps = opts.get_int("res_reps", 30);
@@ -61,7 +59,6 @@ int main(int argc, char** argv) {
       FineOperatorType backend;
       int batch_width;
     };
-    const int bw = opts.get_int("op_batch_width", 8);
     const std::vector<Config> configs = {
         {FineOperatorType::kAssembled, 0},
         {FineOperatorType::kMatrixFree, 0},
@@ -69,10 +66,9 @@ int main(int argc, char** argv) {
         // Cross-element SIMD-batched tensor back-end (docs/KERNELS.md):
         // bitwise-identical applies, so iteration counts match Tens exactly
         // and any E/C/s difference is pure kernel throughput.
-        {FineOperatorType::kTensor, bw},
+        {FineOperatorType::kTensor, kSolverBatchWidth},
     };
     for (const Config& cfg : configs) {
-      if (cfg.batch_width != 0 && !is_batch_width(cfg.batch_width)) continue;
       StokesSolverOptions so;
       so.kernel.type = cfg.backend;
       so.kernel.batch_width = cfg.batch_width;

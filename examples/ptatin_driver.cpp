@@ -119,8 +119,9 @@ int main(int argc, char** argv) {
       std::printf("%s\t%s\n", site.site, site.summary);
     return int(DriverExit::kSuccess);
   }
-  // Unknown flags are a typed usage error, not a silent no-op: a mistyped
-  // knob must never run the default configuration under the user's nose.
+  // Unknown flags, and value flags given without a value, are a typed usage
+  // error, not a silent no-op: a mistyped knob must never run the default
+  // configuration under the user's nose.
   if (const auto unknown = o.unknown_keys(); !unknown.empty()) {
     std::fprintf(stderr, "error: %susage: ptatin_driver -help\n",
                  Options::format_unknown(unknown).c_str());

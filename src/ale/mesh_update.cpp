@@ -49,27 +49,11 @@ AleStats update_mesh_free_surface(StructuredMesh& mesh, const Vector& u,
         const Real lo = mesh.node_coord(bot)[va];
         const Real hi = xt[va];
         PT_ASSERT_MSG(hi > lo, "ALE: surface crossed the bottom boundary");
-        if (opts.equispaced_columns) {
-          for (Index iv = 1; iv < nv - 1; ++iv) {
-            const Index n = node_at(i1, i2, iv);
-            Vec3 x = mesh.node_coord(n);
-            x[va] = lo + (hi - lo) * Real(iv) / Real(nv - 1);
-            mesh.set_node_coord(n, x);
-          }
-        } else {
-          // Preserve the column's relative spacing (stretch blending).
-          std::vector<Real> rel(nv);
-          const Real old_hi = mesh.node_coord(top)[va] - disp;
-          const Real span_old = old_hi - lo;
-          for (Index iv = 0; iv < nv; ++iv)
-            rel[iv] = (mesh.node_coord(node_at(i1, i2, iv))[va] - lo) /
-                      std::max(span_old, Real(1e-300));
-          for (Index iv = 1; iv < nv - 1; ++iv) {
-            const Index n = node_at(i1, i2, iv);
-            Vec3 x = mesh.node_coord(n);
-            x[va] = lo + (hi - lo) * rel[iv];
-            mesh.set_node_coord(n, x);
-          }
+        for (Index iv = 1; iv < nv - 1; ++iv) {
+          const Index n = node_at(i1, i2, iv);
+          Vec3 x = mesh.node_coord(n);
+          x[va] = lo + (hi - lo) * Real(iv) / Real(nv - 1);
+          mesh.set_node_coord(n, x);
         }
         return std::abs(disp);
       });

@@ -13,7 +13,6 @@ namespace ptatin {
 
 struct AleOptions {
   int vertical_axis = 2; ///< 2 = z up (sinker), 1 = y up (rifting model)
-  bool equispaced_columns = true; ///< redistribute interior nodes uniformly
 };
 
 struct AleStats {
@@ -21,8 +20,9 @@ struct AleStats {
   Real min_detj_after = 0.0; ///< smallest Jacobian determinant (quality)
 };
 
-/// Advect the free-surface nodes with the velocity field over dt and remesh
-/// the interior columns. Lateral (in-plane) coordinates are untouched.
+/// Advect the free-surface nodes with the velocity field over dt and
+/// redistribute each column's interior nodes uniformly between the bottom
+/// and the new surface. Lateral (in-plane) coordinates are untouched.
 AleStats update_mesh_free_surface(StructuredMesh& mesh, const Vector& u,
                                   Real dt, const AleOptions& opts);
 

@@ -14,6 +14,15 @@ namespace ptatin {
 
 namespace {
 
+/// Strength threshold below the finest level: 0 keeps every connection, since
+/// coarse-level block norms mix translation/rotation scales and a naive
+/// threshold there isolates nodes and stalls coarsening.
+constexpr Real kCoarseStrengthThreshold = 0.0;
+/// Prolongator smoothing omega = kProlongatorDamping / lambda_max.
+constexpr Real kProlongatorDamping = 4.0 / 3.0;
+/// Block-Jacobi subdomains of the coarsest solve.
+constexpr Index kCoarsestBlocks = 4;
+
 /// Build the tentative prolongator from aggregates and near-nullspace
 /// vectors via per-aggregate modified Gram-Schmidt QR.
 ///
@@ -141,7 +150,7 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
     // aggregate); aggregate block-wise there with the laxer threshold.
     const int bs = finest ? opts.block_size : nvec;
     const Real theta =
-        finest ? opts.strength_threshold : opts.coarse_strength_threshold;
+        finest ? opts.strength_threshold : kCoarseStrengthThreshold;
     CsrMatrix strength = build_strength_graph(af, bs, theta);
     Index num_agg = 0;
     std::vector<Index> agg = aggregate_nodes(strength, num_agg);
@@ -151,7 +160,7 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
     CsrMatrix ptent =
         tentative_prolongator(agg, num_agg, bs, nns, coarse_nns);
     CsrMatrix p = opts.smoothed
-                      ? smooth_prolongator(af, ptent, opts.prolongator_damping)
+                      ? smooth_prolongator(af, ptent, kProlongatorDamping)
                       : std::move(ptent);
     CsrMatrix ac = fix_empty_diagonals(CsrMatrix::ptap(af, p));
 
@@ -184,7 +193,7 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
   Level& last = levels_.back();
   last.op = std::make_unique<MatrixOperator>(&last.a);
   last.op->enable_blocked();
-  coarsest_.setup(last.a, std::min(opts.coarsest_blocks, last.a.rows()),
+  coarsest_.setup(last.a, std::min(kCoarsestBlocks, last.a.rows()),
                   SubdomainSolve::kLu);
 
   // SDC seal over the setup-immutable hierarchy (docs/ROBUSTNESS.md):

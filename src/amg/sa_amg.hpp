@@ -35,22 +35,18 @@ enum class AmgCoarsestSolve {
   kInexactKrylov, ///< FGMRES to 1e-3 relative (SAML-ii style)
 };
 
+/// The constants nothing tunes (the coarse-level strength threshold, the
+/// prolongator damping and the coarsest block count) live in sa_amg.cpp.
 struct AmgOptions {
-  Real strength_threshold = 0.01;
-  /// Threshold applied below the finest level (0 keeps every connection —
-  /// coarse-level block norms mix translation/rotation scales, and a naive
-  /// threshold there isolates nodes and stalls coarsening).
-  Real coarse_strength_threshold = 0.0;
+  Real strength_threshold = 0.01; ///< on the finest level
   int block_size = 3;       ///< dofs per node (velocity: 3)
   int max_levels = 12;
   Index coarse_size = 100;  ///< stop coarsening at <= this many rows (ML default)
-  Real prolongator_damping = 4.0 / 3.0; ///< omega = damping / lambda_max
   bool smoothed = true;     ///< false = plain (unsmoothed) aggregation
   int smooth_pre = 2;
   int smooth_post = 2;
   AmgSmoother smoother = AmgSmoother::kChebyshev;
   AmgCoarsestSolve coarsest = AmgCoarsestSolve::kBlockJacobiLu;
-  Index coarsest_blocks = 4; ///< block-Jacobi subdomain count
   ChebyshevOptions chebyshev;
   /// Register the per-level Galerkin operators and prolongators with the SDC
   /// seal registry (docs/ROBUSTNESS.md): the hierarchy is setup-immutable,

@@ -29,8 +29,8 @@ inline constexpr std::size_t kSimdAlign = 64;
 /// Supported cross-element batch widths (SIMD lanes per batch). W doubles are
 /// gathered into SoA lane buffers (value index major, lane minor) so the 1-D
 /// tensor contractions vectorize across elements; 8 lanes fill one AVX-512
-/// register (one cache line) of doubles, 4 fill an AVX2 register.
-inline constexpr int kBatchWidths[] = {4, 8};
+/// register (one cache line) of doubles.
+inline constexpr int kBatchWidths[] = {8};
 
 /// The width every solver-stack viscous apply runs at (StokesSolverOptions
 /// defaults its kernel to it). Batching never changes a result, so this is a

@@ -42,6 +42,7 @@ Options Options::from_args(int argc, const char* const* argv) {
       ++i;
     } else {
       opts.set(key, "true");
+      opts.bare_.insert(key);
     }
   }
   return opts;
@@ -113,12 +114,6 @@ std::vector<Index> Options::get_index_list(const std::string& key) const {
   return out;
 }
 
-std::vector<Real> Options::get_real_list(const std::string& key) const {
-  std::vector<Real> out;
-  for (const std::string& s : get_list(key)) out.push_back(std::stod(s));
-  return out;
-}
-
 namespace {
 /// Classic dynamic-programming Levenshtein distance; the key sets are tiny
 /// (dozens of flags of ~10 chars), so the O(|a||b|) table is irrelevant.
@@ -166,8 +161,14 @@ std::vector<Options::UnknownKey> Options::unknown_keys() const {
   std::vector<UnknownKey> out;
   for (const auto& [key, value] : kv_) {
     (void)value;
-    if (descriptions().count(key)) continue;
-    out.push_back({key, suggest(key)});
+    const auto d = descriptions().find(key);
+    if (d == descriptions().end()) {
+      out.push_back({key, suggest(key), ""});
+      continue;
+    }
+    const std::string& hint = d->second.first;
+    if (bare_.count(key) && !hint.empty() && hint != "true|false")
+      out.push_back({key, {}, hint});
   }
   return out;
 }
@@ -175,6 +176,10 @@ std::vector<Options::UnknownKey> Options::unknown_keys() const {
 std::string Options::format_unknown(const std::vector<UnknownKey>& unknown) {
   std::string out;
   for (const UnknownKey& u : unknown) {
+    if (!u.missing_value.empty()) {
+      out += "option -" + u.key + " needs a value " + u.missing_value + "\n";
+      continue;
+    }
     out += "unknown option -" + u.key;
     if (!u.suggestions.empty()) {
       out += " (did you mean ";

@@ -9,6 +9,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,8 @@ public:
   Options() = default;
 
   /// Parse "-key value" and bare "-flag" arguments (argv[0] is skipped).
-  /// "--key" is accepted as a synonym for "-key".
+  /// "--key" is accepted as a synonym for "-key". A bare flag reads as the
+  /// string "true" (unknown_keys() reports one that needs a value).
   static Options from_args(int argc, const char* const* argv);
 
   void set(const std::string& key, const std::string& value);
@@ -38,21 +40,25 @@ public:
   /// and grid sweeps share one list syntax.
   std::vector<std::string> get_list(const std::string& key) const;
   std::vector<Index> get_index_list(const std::string& key) const;
-  std::vector<Real> get_real_list(const std::string& key) const;
 
   const std::map<std::string, std::string>& entries() const { return kv_; }
 
   // --- unknown-key validation ----------------------------------------------
   /// One parsed key that is not in the describe() registry, with up to three
-  /// near-miss suggestions (smallest edit distance first).
+  /// near-miss suggestions (smallest edit distance first); or a registered
+  /// one given bare whose description asks for a value (`missing_value` is
+  /// then its value hint).
   struct UnknownKey {
     std::string key;
     std::vector<std::string> suggestions;
+    std::string missing_value;
   };
 
-  /// Keys in this database that no Options::describe call registered. The
-  /// driver and the bench binaries treat a non-empty result as a usage error
-  /// (exit code 2) instead of silently ignoring the flags.
+  /// Keys in this database that no Options::describe call registered, and
+  /// bare flags described with a value hint other than "" or "true|false".
+  /// The driver and the bench binaries treat a non-empty result as a usage
+  /// error (exit code 2) instead of silently ignoring the flags or reading
+  /// the value "true".
   std::vector<UnknownKey> unknown_keys() const;
 
   /// Near-miss suggestions for `key` from the describe() registry: registered
@@ -61,7 +67,8 @@ public:
                                           std::size_t max_suggestions = 3);
 
   /// Render unknown keys as a one-per-line usage error message:
-  /// "unknown option -foo (did you mean -food, -fool?)".
+  /// "unknown option -foo (did you mean -food, -fool?)", or
+  /// "option -final_state needs a value FILE".
   static std::string format_unknown(const std::vector<UnknownKey>& unknown);
 
   // --- self-describing help ------------------------------------------------
@@ -80,6 +87,7 @@ private:
   static std::string normalize(const std::string& key);
 
   std::map<std::string, std::string> kv_;
+  std::set<std::string> bare_; ///< keys from_args read without a value
 };
 
 } // namespace ptatin

@@ -20,8 +20,7 @@ FineOperatorType parse_fine_operator(const std::string& token) {
   if (token == "asmb") return FineOperatorType::kAssembled;
   if (token == "mf") return FineOperatorType::kMatrixFree;
   if (token == "tens") return FineOperatorType::kTensor;
-  if (token == "tensc") return FineOperatorType::kTensorC;
-  PT_THROW("unknown backend '" + token + "' (expected asmb|mf|tens|tensc)");
+  PT_THROW("unknown backend '" + token + "' (expected asmb|mf|tens)");
 }
 
 std::string kernel_label(const KernelSpec& spec) {

@@ -16,21 +16,22 @@ class SubdomainEngine;
 enum class FineOperatorType { kAssembled, kMatrixFree, kTensor, kTensorC };
 
 /// Canonical short token ("asmb" | "mf" | "tens" | "tensc") — the spelling
-/// used by -backend, job specs, and kernel labels.
+/// used by -backend (which accepts the first three) and kernel labels.
 const char* fine_operator_token(FineOperatorType t);
 
 /// Table-I-style display name ("Asmb" | "MF" | "Tens" | "TensC").
 const char* fine_operator_display(FineOperatorType t);
 
-/// Parse a back-end token; throws a typed Error with the valid set on
-/// anything else.
+/// Parse a -backend token (asmb | mf | tens: the back-ends the solver stack
+/// runs; TensC is a standalone Table I operator); throws a typed Error with
+/// the valid set on anything else.
 FineOperatorType parse_fine_operator(const std::string& token);
 
 /// The one construction-time description of a viscous kernel, consumed by
 /// make_viscous_backend, StokesSolverOptions, GmgOptions, and SolverConfig.
 struct KernelSpec {
   FineOperatorType type = FineOperatorType::kTensor;
-  /// Cross-element SIMD batch width (0 = scalar; 4 / 8 = SoA lanes). The
+  /// Cross-element SIMD batch width (0 = scalar; 8 = SoA lanes). The
   /// default names the scalar path, the reference of the bitwise tests; the
   /// solver stack runs kSolverBatchWidth (common/aligned.hpp). The assembled
   /// back-end checks and ignores it (a global SpMV has no element batches).

@@ -12,6 +12,11 @@
 
 namespace ptatin {
 
+namespace {
+/// Iterations of the λmax estimator.
+constexpr int kEigEstIterations = 12;
+} // namespace
+
 void ChebyshevSmoother::setup(const LinearOperator& a, Vector diag,
                               const ChebyshevOptions& opt) {
   PT_ASSERT(a.rows() == a.cols());
@@ -24,7 +29,7 @@ void ChebyshevSmoother::setup(const LinearOperator& a, Vector diag,
     d[i] = Real(1) / d[i];
   });
 
-  lambda_max_ = estimate_lambda_max_jacobi(a, inv_diag_, opt.eig_est_iterations);
+  lambda_max_ = estimate_lambda_max_jacobi(a, inv_diag_, kEigEstIterations);
   // A NaN/Inf or nonpositive estimate means the operator (or its diagonal)
   // is already corrupted. Degrade to a conservative default interval rather
   // than aborting: the smoother merely smooths badly, and the outer Krylov

@@ -18,8 +18,6 @@ struct ChebyshevOptions {
   /// Interval as fractions of the estimated λmax (paper: [0.2, 1.1]).
   Real emin_fraction = 0.2;
   Real emax_fraction = 1.1;
-  /// Iterations used by the λmax estimator.
-  int eig_est_iterations = 12;
 };
 
 /// A reusable Chebyshev smoother: setup estimates λmax of D^{-1}A once, then

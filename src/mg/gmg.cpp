@@ -19,26 +19,27 @@ std::string level_tag(const char* stage, int level) {
 }
 } // namespace
 
-GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
-                           const QuadCoefficients& fine_coeff,
-                           const DirichletBc& fine_bc, const GmgOptions& opts,
-                           const BcFactory& bc_factory,
+GmgHierarchy::GmgHierarchy(const ViscousOperatorBase& fine_op,
+                           const GmgOptions& opts, const BcFactory& bc_factory,
                            const CoarseSolverFactory& coarse_factory)
     : opts_(opts) {
   PT_ASSERT(opts.levels >= 1);
   const int L = opts.levels;
   levels_.resize(L);
 
-  // Setup spans (docs/OBSERVABILITY.md): the grids, each level's operator,
-  // each smoother and the coarse solver.
+  // Setup spans (docs/OBSERVABILITY.md): the grids, each coarse level's
+  // operator, each smoother and the coarse solver.
   Level& finest = levels_[L - 1];
+  finest.elem_op = &fine_op;
+  finest.op = &fine_op;
   {
     PerfScope span("MGSetupGrids");
     // --- build meshes / coefficients / BCs top-down -------------------------
-    // The finest level borrows the caller's; each coarse level owns its own.
-    finest.mesh = &fine_mesh;
-    finest.coeff = &fine_coeff;
-    finest.bc = &fine_bc;
+    // The finest level borrows the fine operator's; each coarse level owns
+    // its own.
+    finest.mesh = &fine_op.mesh();
+    finest.coeff = &fine_op.coefficients();
+    finest.bc = fine_op.bc();
     for (int l = L - 2; l >= 0; --l) {
       const Level& finer = levels_[l + 1];
       Level& lev = levels_[l];
@@ -61,13 +62,7 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
           *levels_[l + 1].mesh, *levels_[l].mesh, levels_[l + 1].bc);
   }
 
-  // --- operators ----------------------------------------------------------------
-  {
-    PerfScope span(level_tag("MGSetupOperator", L - 1));
-    finest.elem_op = make_viscous_backend(opts.fine_kernel, *finest.mesh,
-                                          *finest.coeff, finest.bc);
-    finest.op = finest.elem_op.get();
-  }
+  // --- coarse operators ------------------------------------------------------
   // Below a matrix-free finest level, the first coarse level runs the same
   // kernel at the same width on its restricted coefficients, on the global
   // colored path (the engine's halo plans match the finest grid only). It
@@ -75,11 +70,9 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
   // below it. The coarsest level always stays assembled for the coarse
   // solver, and an assembled finest level keeps its all-CSR Galerkin chain.
   const bool matrix_free_coarse =
-      L >= 3 && opts.fine_kernel.type != FineOperatorType::kAssembled;
+      L >= 3 && fine_op.type() != FineOperatorType::kAssembled;
 
-  GmgSetupCache* cache =
-      (opts.setup_cache != nullptr && opts.rap_cache) ? opts.setup_cache
-                                                      : nullptr;
+  GmgSetupCache* cache = opts.setup_cache;
   if (cache != nullptr && static_cast<int>(cache->rap.size()) < L - 1)
     cache->rap.resize(static_cast<std::size_t>(L - 1));
 
@@ -88,11 +81,12 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
     Level& lev = levels_[l];
     Level& finer = levels_[l + 1];
     if (l == L - 2 && matrix_free_coarse) {
-      lev.elem_op = make_viscous_backend(
-          KernelSpec{.type = opts.fine_kernel.type,
-                     .batch_width = opts.fine_kernel.batch_width},
+      lev.coarse_elem_op = make_viscous_backend(
+          KernelSpec{.type = fine_op.type(),
+                     .batch_width = fine_op.batch_width()},
           *lev.mesh, *lev.coeff, lev.bc);
-      lev.op = lev.elem_op.get();
+      lev.elem_op = lev.coarse_elem_op.get();
+      lev.op = lev.elem_op;
       if (opts.coarse_type == CoarseOperatorType::kGalerkin) {
         lev.assembled = std::make_unique<CsrMatrix>(
             assemble_viscous_matrix(*lev.mesh, *lev.coeff));
@@ -105,7 +99,7 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
     const CsrMatrix* finer_mat = finer.assembled.get();
     if (finer_mat == nullptr && finer.elem_op != nullptr) {
       if (const auto* asmb =
-              dynamic_cast<const AsmbViscousOperator*>(finer.elem_op.get()))
+              dynamic_cast<const AsmbViscousOperator*>(finer.elem_op))
         finer_mat = &asmb->matrix();
     }
     const bool use_galerkin =
@@ -200,7 +194,7 @@ GmgHierarchy::GmgHierarchy(const StructuredMesh& fine_mesh,
     std::vector<const TensorViscousOperator*> cached(levels_.size(), nullptr);
     for (std::size_t l = 0; l < levels_.size(); ++l) {
       const auto* tens =
-          dynamic_cast<const TensorViscousOperator*>(levels_[l].elem_op.get());
+          dynamic_cast<const TensorViscousOperator*>(levels_[l].elem_op);
       if (tens != nullptr && !tens->geometry_cache().empty()) cached[l] = tens;
     }
     seal_ = sdc::ScopedSeal("gmg.operators", [this, cached]() {

@@ -5,11 +5,13 @@
 // below it are Galerkin triple products of that level's assembled matrix,
 // and the coarsest level is handed to a pluggable coarse solver
 // (block-Jacobi+LU, smoothed-aggregation AMG, or an inexact Krylov solve —
-// §IV-A, §IV-C, §V-A). Unlike the paper, the rediscretized level smooths
-// matrix-free on the finest level's kernel whenever a coarser level exists;
-// its assembled matrix lives only until the Galerkin product below it is
-// formed. Every level smooths with Jacobi-preconditioned Chebyshev targeting
-// [0.2 λmax, 1.1 λmax].
+// §IV-A, §IV-C, §V-A). The finest level borrows the caller's viscous
+// operator (StokesSolver hands it its Krylov operator's J_uu, whose applies
+// here stay Picard), so one solve builds one fine operator. Unlike the
+// paper, the rediscretized level smooths matrix-free on the finest level's
+// kernel whenever a coarser level exists; its assembled matrix lives only
+// until the Galerkin product below it is formed. Every level smooths with
+// Jacobi-preconditioned Chebyshev targeting [0.2 λmax, 1.1 λmax].
 #pragma once
 
 #include <functional>
@@ -48,14 +50,6 @@ enum class CoarseOperatorType {
 
 struct GmgOptions {
   int levels = 3;
-  /// The finest-level kernel description (backend, SIMD batch width,
-  /// subdomain engine — fem/kernel_spec.hpp). StokesSolver sets it to its
-  /// whole StokesSolverOptions::kernel, so the finest level smooths with the
-  /// requested back-end. Batched applies are bitwise identical to scalar.
-  /// A matrix-free type and width also serve the first coarse level. The
-  /// engine applies to the finest level only — coarse levels stay on the
-  /// global path (the engine's halo plans only match the finest grid).
-  KernelSpec fine_kernel;
   CoarseOperatorType coarse_type = CoarseOperatorType::kGalerkin;
   int smooth_pre = 2;  ///< V(2,2) by default (§IV-A)
   int smooth_post = 2;
@@ -68,11 +62,10 @@ struct GmgOptions {
   /// when -scrub_every > 0; off by default to keep the CRC pass out of
   /// setups that never scrub.
   bool seal_operators = false;
-  /// Borrowed cross-rebuild setup cache (may be null = no caching). With
-  /// `rap_cache`, Galerkin products replay numeric-only against the cached
-  /// sparsity patterns — bitwise identical to the from-scratch ptap.
+  /// Borrowed cross-rebuild setup cache (null = no caching). With one,
+  /// Galerkin products replay numeric-only against the cached sparsity
+  /// patterns — bitwise identical to the from-scratch ptap.
   GmgSetupCache* setup_cache = nullptr;
-  bool rap_cache = true;
 };
 
 /// Deepest usable hierarchy for an m^3 element mesh: coarsen while the
@@ -97,11 +90,14 @@ using BcFactory = std::function<DirichletBc(const StructuredMesh&)>;
 
 class GmgHierarchy : public Preconditioner {
 public:
-  /// Build the hierarchy. The finest mesh/coefficients/BC are borrowed and
-  /// must outlive the hierarchy.
-  GmgHierarchy(const StructuredMesh& fine_mesh,
-               const QuadCoefficients& fine_coeff, const DirichletBc& fine_bc,
-               const GmgOptions& opts, const BcFactory& bc_factory,
+  /// Build the hierarchy below `fine_op`, the finest level's operator,
+  /// which is borrowed (with its mesh, coefficients and BC) and must outlive
+  /// the hierarchy. The hierarchy applies it without the Newton term. A
+  /// matrix-free fine back-end also serves the first coarse level, at the
+  /// same width; its subdomain engine stays on the finest level, since the
+  /// engine's halo plans match the finest grid only.
+  GmgHierarchy(const ViscousOperatorBase& fine_op, const GmgOptions& opts,
+               const BcFactory& bc_factory,
                const CoarseSolverFactory& coarse_factory);
 
   /// Preconditioner interface: z ~ A^{-1} r via one V-cycle from a zero
@@ -111,8 +107,8 @@ public:
   /// One V-cycle updating x in place (nonzero initial guess allowed).
   void vcycle(const Vector& b, Vector& x) const;
 
-  /// The finest-level operator (the smoother operator; its apply is the MG
-  /// residual kernel timed as "MG res" in Table III).
+  /// The finest-level operator (the borrowed smoother operator; its apply
+  /// is the MG residual kernel timed as "MG res" in Table III).
   const ViscousOperatorBase& fine_operator() const {
     return *levels_.back().elem_op;
   }
@@ -145,17 +141,19 @@ public:
 
 private:
   struct Level {
-    /// The level's grid, coefficients and constraints: the caller's on the
-    /// finest level (borrowed), the owned coarse_* below on coarse levels.
+    /// The level's grid, coefficients and constraints: the fine operator's
+    /// on the finest level (borrowed), the owned coarse_* on coarse levels.
     const StructuredMesh* mesh = nullptr;
     const QuadCoefficients* coeff = nullptr;
     const DirichletBc* bc = nullptr;
     StructuredMesh coarse_mesh;
     QuadCoefficients coarse_coeff; ///< restricted from the finer level
     DirichletBc coarse_bc;
-    /// Finest level, and the first coarse level below a matrix-free finest
-    /// one: a typed element-kernel operator (Asmb/MF/Tens/TensC).
-    std::unique_ptr<ViscousOperatorBase> elem_op;
+    /// Finest level (borrowed), and the first coarse level below a
+    /// matrix-free finest one (coarse_elem_op): a typed element-kernel
+    /// operator (Asmb/MF/Tens/TensC).
+    const ViscousOperatorBase* elem_op = nullptr;
+    std::unique_ptr<ViscousOperatorBase> coarse_elem_op;
     /// Other coarse levels: assembled matrix (rediscretized or Galerkin).
     /// A matrix-free coarse level holds one only until the Galerkin product
     /// of the level below has consumed it.

@@ -12,6 +12,22 @@
 
 namespace ptatin {
 
+namespace {
+constexpr Real kAtol = 1e-12; ///< absolute floor of the ||F|| target
+// Safeguards (docs/ROBUSTNESS.md): divergence and stagnation detection.
+constexpr Real kDivtol = 1e4;       ///< fail when ||F|| > kDivtol * ||F_0||
+constexpr int kStagnationWindow = 3; ///< consecutive forced, non-decreasing
+                                     ///< steps
+// Eisenstat-Walker (choice 2) forcing terms.
+constexpr Real kEwGamma = 0.9;
+constexpr Real kEwAlpha = 2.0;
+constexpr Real kEwRtol0 = 0.1;
+constexpr Real kEwRtolMin = 1e-6;
+constexpr Real kEwRtolMax = 0.5;
+/// The line search's sufficient-decrease constant.
+constexpr Real kLineSearchAlpha = 1e-4;
+} // namespace
+
 NonlinearStokesSolver::NonlinearStokesSolver(const StructuredMesh& mesh,
                                              const DirichletBc& bc,
                                              const NonlinearOptions& opts)
@@ -64,9 +80,9 @@ NonlinearResult NonlinearStokesSolver::solve(
   Real fnorm = fault::corrupt("nonlin.rnorm", residual_norm(u, p, coeff));
   const Real f0 = fnorm;
   res.residual_history.push_back(fnorm);
-  const Real target = std::max(opts_.rtol * f0, opts_.atol);
-  Real lin_rtol = opts_.eisenstat_walker ? opts_.ew_rtol0
-                                         : opts_.linear.krylov.rtol;
+  const Real target = std::max(opts_.rtol * f0, kAtol);
+  Real lin_rtol =
+      opts_.eisenstat_walker ? kEwRtol0 : opts_.linear.krylov.rtol;
   Real lin_rtol_prev = lin_rtol;
   int total_it = 0;
 
@@ -130,7 +146,7 @@ NonlinearResult NonlinearStokesSolver::solve(
           p_trial.copy_from(p);
           p_trial.axpy(lambda, lin.p);
           fnorm_new = residual_norm(u_trial, p_trial, coeff_trial);
-          if (fnorm_new <= (1.0 - opts_.line_search_alpha * lambda) * fnorm) {
+          if (fnorm_new <= (1.0 - kLineSearchAlpha * lambda) * fnorm) {
             accepted = true;
             break;
           }
@@ -154,26 +170,23 @@ NonlinearResult NonlinearStokesSolver::solve(
         res.failure_detail = "nonlinear residual is NaN/Inf";
         return NonlinearFailure::kNanResidual;
       }
-      if (opts_.divtol > 0 && fnorm > opts_.divtol * f0) {
+      if (fnorm > kDivtol * f0) {
         res.failure_detail = "||F|| exceeded divtol * ||F_0||";
         return NonlinearFailure::kDiverged;
       }
       stagnant = (!accepted && fnorm >= fnorm_prev) ? stagnant + 1 : 0;
-      if (opts_.stagnation_window > 0 &&
-          stagnant >= opts_.stagnation_window) {
+      if (stagnant >= kStagnationWindow) {
         res.failure_detail = "line search made no progress";
         return NonlinearFailure::kStagnation;
       }
 
       // Eisenstat-Walker choice 2 forcing for the next solve.
       if (with_ew && fnorm_prev > 0) {
-        Real eta = opts_.ew_gamma *
-                   std::pow(fnorm / fnorm_prev, opts_.ew_alpha);
-        const Real safeguard =
-            opts_.ew_gamma * std::pow(lin_rtol_prev, opts_.ew_alpha);
+        Real eta = kEwGamma * std::pow(fnorm / fnorm_prev, kEwAlpha);
+        const Real safeguard = kEwGamma * std::pow(lin_rtol_prev, kEwAlpha);
         if (safeguard > 0.1) eta = std::max(eta, safeguard);
         lin_rtol_prev = lin_rtol;
-        lin_rtol = std::clamp(eta, opts_.ew_rtol_min, opts_.ew_rtol_max);
+        lin_rtol = std::clamp(eta, kEwRtolMin, kEwRtolMax);
       }
     }
     return NonlinearFailure::kNone;

@@ -46,29 +46,20 @@ constexpr const char* to_string(NonlinearFailure f) {
   return "unknown";
 }
 
+/// The tolerances nothing tunes (the absolute floor, the divergence and
+/// stagnation guards, the Eisenstat-Walker constants and the line search's
+/// sufficient-decrease constant) are constants in newton.cpp.
 struct NonlinearOptions {
   int max_it = 20;
   Real rtol = 1e-4;   ///< relative nonlinear tolerance (||F|| / ||F_0||)
-  Real atol = 1e-12;
   int picard_iterations = 1; ///< initial Picard steps before Newton
   bool use_newton = true;    ///< false: pure Picard throughout
-  // Safeguards (docs/ROBUSTNESS.md): divergence / stagnation detection and
-  // the Newton -> Picard escalation policy.
-  Real divtol = 1e4;             ///< fail when ||F|| > divtol * ||F_0||
-  int stagnation_window = 3;     ///< consecutive forced, non-decreasing steps
-  bool fallback_to_picard = true; ///< Newton failure => Picard restart with
-                                  ///< tight (non-EW) linear forcing
-  // Eisenstat-Walker (choice 2) forcing terms.
-  bool eisenstat_walker = true;
-  Real ew_gamma = 0.9;
-  Real ew_alpha = 2.0;
-  Real ew_rtol0 = 0.1;
-  Real ew_rtol_min = 1e-6;
-  Real ew_rtol_max = 0.5;
-  // Backtracking line search.
-  int line_search_max = 8;
-  Real line_search_alpha = 1e-4; ///< sufficient-decrease constant
-  StokesSolverOptions linear;    ///< linear solver / preconditioner config
+  /// Newton failure => Picard restart with tight (non-EW) linear forcing
+  /// (docs/ROBUSTNESS.md).
+  bool fallback_to_picard = true;
+  bool eisenstat_walker = true; ///< Eisenstat-Walker (choice 2) forcing
+  int line_search_max = 8;      ///< backtracking halvings per step
+  StokesSolverOptions linear;   ///< linear solver / preconditioner config
 };
 
 struct NonlinearResult {

@@ -8,6 +8,10 @@ namespace ptatin {
 
 namespace {
 
+/// Projected values of Q1 vertices with empty point support.
+constexpr Real kFallbackEta = 1.0;
+constexpr Real kFallbackRho = 0.0;
+
 /// Evaluate the rheology state at one located material point.
 RheologyState point_state(const StructuredMesh& mesh, const Vector& u,
                           const Vector& p, const Vector* temperature,
@@ -33,8 +37,8 @@ Real update_coefficients_from_points(
   PT_ASSERT(coeff.num_elements() == mesh.num_elements());
   const Index n = points.size();
 
-  std::vector<Real> eta_p(n, opts.fallback_eta);
-  std::vector<Real> rho_p(n, opts.fallback_rho);
+  std::vector<Real> eta_p(n, kFallbackEta);
+  std::vector<Real> rho_p(n, kFallbackRho);
   std::vector<Real> deta_p(newton_terms ? n : 0, 0.0);
   std::vector<std::uint8_t> yielded(n, 0);
 
@@ -52,9 +56,9 @@ Real update_coefficients_from_points(
 
   // Project to quadrature points (Eq. 12-13).
   std::vector<Real> eta_q, rho_q, deta_q;
-  project_to_quadrature(mesh, points, eta_p, eta_q, opts.fallback_eta,
+  project_to_quadrature(mesh, points, eta_p, eta_q, kFallbackEta,
                         opts.decomp);
-  project_to_quadrature(mesh, points, rho_p, rho_q, opts.fallback_rho,
+  project_to_quadrature(mesh, points, rho_p, rho_q, kFallbackRho,
                         opts.decomp);
   if (newton_terms)
     project_to_quadrature(mesh, points, deta_p, deta_q, 0.0, opts.decomp);

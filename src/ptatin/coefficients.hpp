@@ -20,8 +20,6 @@ namespace ptatin {
 class SubdomainEngine;
 
 struct CoefficientPipelineOptions {
-  Real fallback_eta = 1.0; ///< for vertices with empty point support
-  Real fallback_rho = 0.0;
   /// Subdomain engine for the point-to-vertex projection (halo-exchanged
   /// scatter, docs/PARALLELISM.md); null = serial scatter. Not owned.
   const SubdomainEngine* decomp = nullptr;

@@ -38,9 +38,9 @@ std::vector<std::array<Index, 3>> parse_decomp_shapes(
 }
 
 void SolverConfig::describe_options() {
-  Options::describe("backend", "asmb|mf|tens|tensc",
-                    "J_uu operator back-end (asmb and tensc are\n"
-                    "Picard-only: they need -newton false)");
+  Options::describe("backend", "asmb|mf|tens",
+                    "J_uu operator back-end (asmb is Picard-only:\n"
+                    "it needs -newton false)");
   Options::describe("decomp", "px,py,pz",
                     "subdomain decomposition shape (\"2x2x2\" or \"2,2,2\";\n"
                     "default 1,1,1 = global paths, docs/PARALLELISM.md)");
@@ -118,13 +118,10 @@ SolverConfig SolverConfig::from_options(const Options& o) {
                 "-sentinel_every must be >= 0");
   PT_ASSERT_MSG(so.krylov.sentinel_tol > 0, "-sentinel_tol must be > 0");
   PT_ASSERT_MSG(po.points_per_dim >= 1, "-ppd must be >= 1");
-  // The assembled and TensorC back-ends have no Newton term: refuse the
-  // pair here rather than on the first step's operator build.
-  if (po.nonlinear.use_newton &&
-      (so.kernel.type == FineOperatorType::kAssembled ||
-       so.kernel.type == FineOperatorType::kTensorC))
-    PT_THROW("-backend " << fine_operator_token(so.kernel.type)
-                         << " is Picard-only: run it with -newton false");
+  // The assembled back-end has no Newton term: refuse the pair here rather
+  // than on the first step's operator build.
+  if (po.nonlinear.use_newton && so.kernel.type == FineOperatorType::kAssembled)
+    PT_THROW("-backend asmb is Picard-only: run it with -newton false");
 
   if (o.has("decomp")) {
     const auto shapes = parse_decomp_shapes(o.get_string("decomp", "1,1,1"));

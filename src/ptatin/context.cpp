@@ -23,7 +23,7 @@ PtatinContext::PtatinContext(ModelSetup setup, const PtatinOptions& opts)
 
   // Material points.
   layout_points(setup_.mesh, opts.points_per_dim, setup_.lithology_of,
-                points_, opts.point_jitter);
+                points_, /*jitter=*/0.3);
   if (setup_.initial_damage) {
     for (Index i = 0; i < points_.size(); ++i)
       points_.plastic_strain(i) = setup_.initial_damage(points_.position(i));

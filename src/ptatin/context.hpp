@@ -24,7 +24,6 @@ class SubdomainEngine;
 
 struct PtatinOptions {
   int points_per_dim = 3;        ///< initial material points per direction
-  Real point_jitter = 0.3;
   NonlinearOptions nonlinear;
   PopulationOptions population;
   AleOptions ale;

@@ -26,7 +26,7 @@ void BlockTriangularPc::apply(const Vector& r, Vector& z) const {
     rp_.axpy(-1.0, tu_);
   }
   schur_.apply(rp_, zp_);
-  zp_.scale(opts_.schur_sign);
+  zp_.scale(-1.0); // S ~ -J_pu J_uu^{-1} J_up is negative definite
 
   op_.combine(zu_, zp_, z);
 }

@@ -21,9 +21,6 @@ namespace ptatin {
 struct BlockPcOptions {
   /// Drop the coupling term J_pu z_u (block-diagonal variant, ablation).
   bool block_diagonal = false;
-  /// Sign applied to the Schur stage output (S ~ -J_pu J_uu^{-1} J_up is
-  /// negative definite, hence the default -1; +1 kept for ablation).
-  Real schur_sign = -1.0;
 };
 
 class BlockTriangularPc : public Preconditioner {

@@ -6,8 +6,9 @@
 namespace ptatin {
 
 StokesOperator::StokesOperator(const StructuredMesh& mesh,
-                               ViscousOperatorBase& a, const DirichletBc& bc)
-    : mesh_(mesh), a_(a), bc_(bc) {
+                               const ViscousOperatorBase& a,
+                               const DirichletBc& bc, bool newton)
+    : mesh_(mesh), a_(a), bc_(bc), newton_operator_(newton) {
   nu_ = num_velocity_dofs(mesh);
   np_ = num_pressure_dofs(mesh);
   PT_ASSERT(a.rows() == nu_);
@@ -50,7 +51,7 @@ void StokesOperator::apply(const Vector& x, Vector& y) const {
   // the stacked vectors in place, when it masks with these constraints.
   const auto* tens = dynamic_cast<const TensorViscousOperator*>(&a_);
   if (tens != nullptr && tens->bc() == &bc_) {
-    tens->apply_stokes(x, y);
+    tens->apply_stokes(x, y, newton_operator_);
     return;
   }
 
@@ -59,7 +60,7 @@ void StokesOperator::apply(const Vector& x, Vector& y) const {
 
   // yu = A xu (masked) + B xp with B's constrained rows zeroed (each row
   // of the product starts at +0.0, so zeroing it after is bitwise masking B).
-  a_.apply(xu_, yu_);
+  a_.apply(xu_, yu_, newton_operator_);
   b_full_.mult(xp_, yp_); // yp_ reused as a velocity-sized temporary
   PT_ASSERT(yp_.size() == nu_);
   bc_.zero_constrained(yp_);

@@ -3,10 +3,12 @@
 //   [ J_uu  J_up ] [du]   [ F_u ]
 //   [ J_pu   0   ] [dp] = [ F_p ]
 //
-// J_uu is any of the viscous back-ends (optionally with the Newton term:
-// "we use the true Newton linearization only when applying the Krylov
-// operator ... For the preconditioner ... we use the Picard linearization",
-// §III-A). J_up = B and J_pu = B^T are assembled (4 columns per element):
+// J_uu is any of the viscous back-ends, applied with the Newton term when
+// this operator is built with it: "we use the true Newton linearization only
+// when applying the Krylov operator ... For the preconditioner ... we use
+// the Picard linearization" (§III-A). The preconditioner may therefore
+// smooth with the same viscous operator object, whose own applies stay
+// Picard. J_up = B and J_pu = B^T are assembled (4 columns per element):
 // the block preconditioner, SCR and the lifting use them, and so does
 // apply() on the Asmb, MF and TensC back-ends. On the Tens back-end apply()
 // instead folds B and B^T into the viscous element sweep
@@ -27,8 +29,10 @@ namespace ptatin {
 class StokesOperator : public LinearOperator {
 public:
   /// `a` is borrowed (must outlive this). B blocks are assembled here.
-  StokesOperator(const StructuredMesh& mesh, ViscousOperatorBase& a,
-                 const DirichletBc& bc);
+  /// With `newton`, every apply adds J_uu's Newton term (the coefficients
+  /// must carry the Newton state).
+  StokesOperator(const StructuredMesh& mesh, const ViscousOperatorBase& a,
+                 const DirichletBc& bc, bool newton = false);
 
   Index rows() const override { return nu_ + np_; }
   Index cols() const override { return nu_ + np_; }
@@ -46,7 +50,6 @@ public:
   void split_norms(const Vector& r, Real& unorm, Real& pnorm) const;
 
   // --- views ---------------------------------------------------------------
-  ViscousOperatorBase& viscous() { return a_; }
   const ViscousOperatorBase& viscous() const { return a_; }
   /// B before masking: a caller zeroes the constrained rows of its product
   /// (bc().zero_constrained) where it needs the masked block.
@@ -63,8 +66,9 @@ public:
 
 private:
   const StructuredMesh& mesh_;
-  ViscousOperatorBase& a_;
+  const ViscousOperatorBase& a_;
   const DirichletBc& bc_;
+  const bool newton_operator_;
   Index nu_ = 0, np_ = 0;
   CsrMatrix b_full_;    ///< gradient block before BC masking
   CsrMatrix bt_masked_; ///< its transpose without the constrained columns

@@ -17,7 +17,7 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
                            const QuadCoefficients& coeff,
                            const DirichletBc& bc,
                            const StokesSolverOptions& opts)
-    : mesh_(mesh), bc_(bc), opts_(opts) {
+    : opts_(opts) {
   Timer t;
   // Child spans: the viscous back-end, MatAssembly(B) in the coupled
   // operator, the Schur blocks, and the GMG (MGSetup*) or AMG setup.
@@ -26,9 +26,8 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
   {
     PerfScope child("ViscousOperatorSetup");
     a_ = make_viscous_backend(opts.kernel, mesh, coeff, &bc);
-    if (opts.newton_operator) a_->set_newton(true);
   }
-  op_ = std::make_unique<StokesOperator>(mesh, *a_, bc);
+  op_ = std::make_unique<StokesOperator>(mesh, *a_, bc, opts.newton_operator);
   {
     PerfScope child("SchurSetup");
     schur_ = std::make_unique<PressureMassSchur>(mesh, coeff);
@@ -36,8 +35,9 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
 
   if (opts.velocity_pc == VelocityPcType::kGmg) {
     // The preconditioner always smooths with the Picard operator (§III-A):
-    // build the hierarchy from the same coefficients (no Newton term — the
-    // hierarchy constructs its own element operators).
+    // the hierarchy's finest level is the Krylov operator's J_uu, applied
+    // there without the Newton term, so both share one fine operator (and
+    // the Tens geometry cache that GMG's λmax estimate fills).
     BcFactory bc_factory = opts.bc_factory
                                ? opts.bc_factory
                                : BcFactory([](const StructuredMesh& m) {
@@ -102,10 +102,8 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
       return pc;
     };
 
-    GmgOptions gmg_opts = opts.gmg;
-    gmg_opts.fine_kernel = opts.kernel;
-    gmg_ = std::make_unique<GmgHierarchy>(mesh, coeff, bc, gmg_opts,
-                                          bc_factory, coarse_factory);
+    gmg_ = std::make_unique<GmgHierarchy>(*a_, opts.gmg, bc_factory,
+                                          coarse_factory);
     vpc_ = gmg_.get();
   } else {
     // Standalone SA-AMG on the assembled fine matrix (SA-i / SAML configs).
@@ -226,6 +224,9 @@ StokesSolveResult StokesSolver::solve_stacked(const Vector& rhs,
 
 ScrStats StokesSolver::solve_scr(const Vector& f, Vector& u, Vector& p,
                                  const ScrOptions& scr_opts) const {
+  PT_ASSERT_MSG(!opts_.newton_operator,
+                "SCR eliminates with the Picard J_uu: build the solver "
+                "without newton_operator");
   Vector rhs = op_->build_rhs(f);
   Vector x;
   ScrStats st = scr_solve(*op_, *vpc_, *schur_, rhs, x, scr_opts);

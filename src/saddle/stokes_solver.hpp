@@ -33,12 +33,12 @@ enum class OuterKrylov { kGcr, kFgmres };
 
 struct StokesSolverOptions {
   /// The fine-level kernel description — backend, SIMD batch width, and
-  /// subdomain engine in one spec (fem/kernel_spec.hpp). Applies to the
-  /// Krylov operator and is forwarded whole to the GMG finest-level operator
-  /// (GmgOptions::fine_kernel is overwritten). The width is
-  /// kSolverBatchWidth, in the global loop and in the engine's sweeps alike.
-  /// When `kernel.engine` is set, solve_stacked records the engine's
-  /// halo/timing stats in the solver report's `decomposition` section.
+  /// subdomain engine in one spec (fem/kernel_spec.hpp). The solver builds
+  /// one operator from it, the Krylov operator's J_uu, which GMG's finest
+  /// level borrows. The width is kSolverBatchWidth, in the global loop and
+  /// in the engine's sweeps alike. When `kernel.engine` is set,
+  /// solve_stacked records the engine's halo/timing stats in the solver
+  /// report's `decomposition` section.
   KernelSpec kernel{.batch_width = kSolverBatchWidth};
   VelocityPcType velocity_pc = VelocityPcType::kGmg;
   GmgOptions gmg;               ///< used when velocity_pc == kGmg
@@ -90,20 +90,18 @@ public:
                                   const Vector* x0 = nullptr) const;
 
   /// Schur-complement-reduction solve of the same system (robustness
-  /// comparison of §IV-A).
+  /// comparison of §IV-A). It eliminates with the Picard J_uu, so the
+  /// solver must be built without newton_operator.
   ScrStats solve_scr(const Vector& f, Vector& u, Vector& p,
                      const ScrOptions& scr_opts) const;
 
   const StokesOperator& op() const { return *op_; }
-  StokesOperator& op() { return *op_; }
   const Preconditioner& velocity_pc() const { return *vpc_; }
   double setup_seconds() const { return setup_seconds_; }
   double coarse_setup_seconds() const { return coarse_setup_seconds_; }
   const GmgHierarchy* gmg() const { return gmg_.get(); }
 
 private:
-  const StructuredMesh& mesh_;
-  const DirichletBc& bc_;
   StokesSolverOptions opts_;
   std::unique_ptr<ViscousOperatorBase> a_;
   std::unique_ptr<StokesOperator> op_;

@@ -13,14 +13,17 @@ void ViscousOperatorBase::set_subdomain_engine(const SubdomainEngine* engine) {
   engine_ = engine;
 }
 
-void ViscousOperatorBase::apply(const Vector& x, Vector& y) const {
+void ViscousOperatorBase::apply(const Vector& x, Vector& y,
+                                bool newton) const {
   PT_ASSERT(x.size() == rows());
+  PT_ASSERT_MSG(!newton || coeff_.has_newton(),
+                "Newton term requires allocated Newton coefficients");
   if (y.size() != rows()) y.resize(rows());
   if (bc_ == nullptr || bc_->num_constrained() == 0) {
-    apply_unmasked(x, y);
+    apply_unmasked(x, y, newton);
     return;
   }
-  apply_unmasked(masked_velocity(x), y);
+  apply_unmasked(masked_velocity(x), y, newton);
   // Constrained rows: identity (overwrites any couplings into those rows).
   bc_->copy_constrained(x, y);
 }

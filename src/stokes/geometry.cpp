@@ -161,18 +161,11 @@ void p1_basis_batch(const StructuredMesh& mesh, const Index* elems,
   geometry_batch<W>(mesh, elems, nullptr, &p1);
 }
 
-template void element_geometry_batch<4>(const StructuredMesh&, const Index*,
-                                        ElementGeometryBatch<4>&);
 template void element_geometry_batch<8>(const StructuredMesh&, const Index*,
                                         ElementGeometryBatch<8>&);
-template void element_geometry_batch<4>(const StructuredMesh&, const Index*,
-                                        ElementGeometryBatch<4>&,
-                                        P1BasisBatch<4>&);
 template void element_geometry_batch<8>(const StructuredMesh&, const Index*,
                                         ElementGeometryBatch<8>&,
                                         P1BasisBatch<8>&);
-template void p1_basis_batch<4>(const StructuredMesh&, const Index*,
-                                P1BasisBatch<4>&);
 template void p1_basis_batch<8>(const StructuredMesh&, const Index*,
                                 P1BasisBatch<8>&);
 

@@ -14,7 +14,7 @@ make_viscous_backend(const KernelSpec& spec, const StructuredMesh& mesh,
   // width, so it would otherwise accept any.
   if (w != 0 && !is_batch_width(w))
     PT_THROW("kernel " << kernel_label(spec)
-                       << ": batch width must be 0 (scalar), 4, or 8");
+                       << ": batch width must be 0 (scalar) or 8");
   std::unique_ptr<ViscousOperatorBase> op;
   switch (spec.type) {
     case FineOperatorType::kAssembled:

@@ -48,8 +48,9 @@ const GlTabulation& gl_tabulation() {
 
 } // namespace
 
-void TensorGLViscousOperator::apply_unmasked(const Vector& x,
-                                             Vector& y) const {
+void TensorGLViscousOperator::apply_unmasked(const Vector& x, Vector& y,
+                                             bool newton) const {
+  PT_ASSERT_MSG(!newton, "GL ablation back-end is Picard-only");
   const auto& tab = gl_tabulation();
   y.set_all(0.0);
   const Real* xp = x.data();

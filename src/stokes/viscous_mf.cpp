@@ -5,7 +5,7 @@
 // points, form physical basis gradients from the full dN table (the implicit
 // 81x27 D_e matrix), evaluate the stress, and scatter the weak-form residual.
 //
-// Batched path (batch_width = 4 or 8): W elements in SoA lane buffers;
+// Batched path (batch_width = 8): W elements in SoA lane buffers;
 // every statement of the per-q kernel runs lane-vectorized and is bitwise
 // identical to the scalar path (see viscous_tensor.cpp).
 #include "stokes/viscous_ops.hpp"
@@ -101,9 +101,8 @@ inline void apply_mf_element(const StructuredMesh& mesh,
 
 template <int W>
 void MfViscousOperator::apply_lanes(const Index* elems, const Real* xp,
-                                    Real* yp) const {
+                                    Real* yp, bool newton) const {
   const auto& tab = q2_tabulation();
-  const bool newton = newton_;
   Index nodes[W][kQ2NodesPerEl];
   for (int l = 0; l < W; ++l) mesh_.element_nodes(elems[l], nodes[l]);
 
@@ -222,16 +221,17 @@ void MfViscousOperator::apply_lanes(const Index* elems, const Real* xp,
     }
 }
 
-void MfViscousOperator::apply_unmasked(const Vector& x, Vector& y) const {
+void MfViscousOperator::apply_unmasked(const Vector& x, Vector& y,
+                                       bool newton) const {
   const auto& tab = q2_tabulation();
   const Real* xp = x.data();
   sweep(
       y.data(),
       [&](auto lanes, const Index* elems, Real* yp) {
-        apply_lanes<decltype(lanes)::value>(elems, xp, yp);
+        apply_lanes<decltype(lanes)::value>(elems, xp, yp, newton);
       },
       [&](Index e, Real* yp) {
-        apply_mf_element(mesh_, coeff_, tab, newton_, e, xp, yp);
+        apply_mf_element(mesh_, coeff_, tab, newton, e, xp, yp);
       });
 }
 

@@ -7,18 +7,20 @@
 //
 // All back-ends enforce Dirichlet constraints by masking (identity on
 // constrained dofs), so they are interchangeable as smoother operators on
-// any multigrid level. The MF and Tensor back-ends optionally apply the
-// Newton linearization term eta' (D0 : D(du)) D0 of §III-A; the assembled
-// and TensorC back-ends are Picard-only (they exist to precondition).
+// any multigrid level. The MF and Tensor back-ends add the Newton
+// linearization term eta' (D0 : D(du)) D0 of §III-A to the applies whose
+// caller asks for it (the Krylov operator; a smoother never does), so one
+// operator serves both linearizations; the assembled and TensorC back-ends
+// are Picard-only (they exist to precondition).
 // The MF/Tens/TensC back-ends additionally run a cross-element BATCHED
-// element sweep (batch_width = 4 or 8; the solver stack runs
-// kSolverBatchWidth): W elements are gathered into 64-byte-aligned SoA lane
-// buffers and the element kernel runs lane-vectorized across them, in the
-// global colored loop and in every subdomain-engine sweep alike
-// (docs/KERNELS.md). Batched applies are bitwise identical to the scalar
-// path — each lane performs the scalar arithmetic in the scalar order, and
-// the lanes scatter one after another — so a batched operator is drop-in
-// anywhere the scalar one is, including as an MG smoother operator.
+// element sweep (batch_width = 8 = kSolverBatchWidth): W elements are
+// gathered into 64-byte-aligned SoA lane buffers and the element kernel runs
+// lane-vectorized across them, in the global colored loop and in every
+// subdomain-engine sweep alike (docs/KERNELS.md). Batched applies are
+// bitwise identical to the scalar path — each lane performs the scalar
+// arithmetic in the scalar order, and the lanes scatter one after another —
+// so a batched operator is drop-in anywhere the scalar one is, including as
+// an MG smoother operator.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +54,7 @@ struct OperatorCostModel {
 
 class ViscousOperatorBase : public LinearOperator {
 public:
-  /// batch_width: 0 = per-element scalar path; 4 or 8 = cross-element SIMD
+  /// batch_width: 0 = per-element scalar path; 8 = cross-element SIMD
   /// batches (only meaningful for the matrix-free back-ends; the assembled
   /// back-end ignores it).
   ViscousOperatorBase(const StructuredMesh& mesh, const QuadCoefficients& coeff,
@@ -60,27 +62,26 @@ public:
       : mesh_(mesh), coeff_(coeff), bc_(bc), batch_width_(batch_width) {
     PT_ASSERT(coeff.num_elements() == mesh.num_elements());
     PT_ASSERT_MSG(batch_width == 0 || is_batch_width(batch_width),
-                  "batch width must be 0 (scalar), 4, or 8");
+                  "batch width must be 0 (scalar) or 8");
   }
 
   Index rows() const override { return num_velocity_dofs(mesh_); }
   Index cols() const override { return num_velocity_dofs(mesh_); }
 
-  /// Masked apply: identity on constrained dofs, operator on the rest.
-  void apply(const Vector& x, Vector& y) const override;
+  /// Masked Picard apply: identity on constrained dofs, operator on the rest.
+  void apply(const Vector& x, Vector& y) const override {
+    apply(x, y, /*newton=*/false);
+  }
+  /// The same, with the Newton linearization term when `newton` (requires
+  /// coefficients with allocated Newton state and a back-end that has one).
+  void apply(const Vector& x, Vector& y, bool newton) const;
 
   /// Picard-operator diagonal (1 on constrained dofs).
   Vector diagonal() const override;
 
-  /// Enable/disable the Newton linearization term (requires coefficients
-  /// with allocated Newton state).
-  virtual void set_newton(bool on) {
-    PT_ASSERT_MSG(!on || coeff_.has_newton(),
-                  "Newton term requires allocated Newton coefficients");
-    newton_ = on;
-  }
-  bool newton() const { return newton_; }
-
+  /// The back-end this operator is (GMG builds its first coarse level with
+  /// the same one).
+  virtual FineOperatorType type() const = 0;
   virtual std::string name() const = 0;
   virtual OperatorCostModel cost_model() const = 0;
 
@@ -99,7 +100,8 @@ public:
   const SubdomainEngine* subdomain_engine() const { return engine_; }
 
 protected:
-  virtual void apply_unmasked(const Vector& x, Vector& y) const = 0;
+  virtual void apply_unmasked(const Vector& x, Vector& y,
+                              bool newton) const = 0;
 
   /// The first rows() entries of x with the constrained dofs zeroed, in one
   /// pass into the operator's scratch (requires a bc). The masked applies
@@ -134,7 +136,6 @@ protected:
   const StructuredMesh& mesh_;
   const QuadCoefficients& coeff_;
   const DirichletBc* bc_;
-  bool newton_ = false;
   int batch_width_ = 0;
   const SubdomainEngine* engine_ = nullptr;
   mutable Vector work_;
@@ -145,8 +146,8 @@ private:
 };
 
 /// Build a viscous back-end from its spec (fem/kernel_spec.hpp) — the one
-/// construction path. A batch width outside {0, 4, 8} throws a typed Error
-/// for every back-end.
+/// construction path. A batch width outside {0, 8} throws a typed Error for
+/// every back-end.
 std::unique_ptr<ViscousOperatorBase>
 make_viscous_backend(const KernelSpec& spec, const StructuredMesh& mesh,
                      const QuadCoefficients& coeff, const DirichletBc* bc);
@@ -160,17 +161,19 @@ public:
   AsmbViscousOperator(const StructuredMesh& mesh, const QuadCoefficients& coeff,
                       const DirichletBc* bc);
 
+  FineOperatorType type() const override {
+    return FineOperatorType::kAssembled;
+  }
   std::string name() const override { return "Asmb"; }
   OperatorCostModel cost_model() const override;
   Vector diagonal() const override { return a_.diagonal(); }
 
   const CsrMatrix& matrix() const { return a_; }
-  void set_newton(bool on) override {
-    PT_ASSERT_MSG(!on, "assembled back-end is Picard-only");
-  }
 
 protected:
-  void apply_unmasked(const Vector& x, Vector& y) const override {
+  void apply_unmasked(const Vector& x, Vector& y,
+                      bool newton) const override {
+    PT_ASSERT_MSG(!newton, "assembled back-end is Picard-only");
     a_.mult(x, y);
   }
 
@@ -182,17 +185,21 @@ private:
 class MfViscousOperator : public ViscousOperatorBase {
 public:
   using ViscousOperatorBase::ViscousOperatorBase;
+  FineOperatorType type() const override {
+    return FineOperatorType::kMatrixFree;
+  }
   std::string name() const override { return decorated_name("MF"); }
   OperatorCostModel cost_model() const override;
 
 protected:
-  void apply_unmasked(const Vector& x, Vector& y) const override;
+  void apply_unmasked(const Vector& x, Vector& y, bool newton) const override;
 
 private:
   /// The W-lane batch kernel: adds elements elems[0..W) of x into yp,
   /// scattering lane by lane.
   template <int W>
-  void apply_lanes(const Index* elems, const Real* xp, Real* yp) const;
+  void apply_lanes(const Index* elems, const Real* xp, Real* yp,
+                   bool newton) const;
 };
 
 /// Sum-factorized tensor-product back-end (§III-D Eq. 19).
@@ -205,6 +212,7 @@ private:
 class TensorViscousOperator : public ViscousOperatorBase {
 public:
   using ViscousOperatorBase::ViscousOperatorBase;
+  FineOperatorType type() const override { return FineOperatorType::kTensor; }
   std::string name() const override { return decorated_name("Tens"); }
   OperatorCostModel cost_model() const override;
 
@@ -214,29 +222,28 @@ public:
   /// The cached geometry's bytes, 2160 per element of a full batch; empty
   /// before the second apply and on the scalar path (the GMG seal reads it).
   std::span<const std::byte> geometry_cache() const {
-    return batch_width_ == 4 ? std::as_bytes(std::span(geometry4_))
-                             : std::as_bytes(std::span(geometry8_));
+    return std::as_bytes(std::span(geometry_));
   }
 
   /// The coupled Stokes apply [y_u; y_p] = [A B; B^T 0] [x_u; x_p] on the
   /// stacked vectors, with B and B^T folded into this operator's element
   /// sweep (docs/KERNELS.md "Coupled Tens sweep"), at its batch width and
-  /// through its subdomain engine if set. Masked by this operator's
-  /// constraints the way StokesOperator masks its CSR blocks: B^T reads the
-  /// velocity with constrained dofs zeroed, and constrained velocity rows
-  /// are the identity.
-  void apply_stokes(const Vector& x, Vector& y) const;
+  /// through its subdomain engine if set, with A's Newton term when
+  /// `newton`. Masked by this operator's constraints the way StokesOperator
+  /// masks its CSR blocks: B^T reads the velocity with constrained dofs
+  /// zeroed, and constrained velocity rows are the identity.
+  void apply_stokes(const Vector& x, Vector& y, bool newton) const;
 
 protected:
-  void apply_unmasked(const Vector& x, Vector& y) const override;
+  void apply_unmasked(const Vector& x, Vector& y, bool newton) const override;
 
 private:
   /// The element sweep into the velocity rows at yp; with Pressure also the
   /// pressure terms, reading the modes at pin and writing each element's 4
   /// pressure rows at pout.
   template <bool Pressure>
-  void sweep_tensor(const Real* xp, Real* yp, const Real* pin,
-                    Real* pout) const;
+  void sweep_tensor(const Real* xp, Real* yp, const Real* pin, Real* pout,
+                    bool newton) const;
 
   /// The W-lane batch kernel: adds elements elems[0..W) of x into yp,
   /// scattering lane by lane (pin, pout as for sweep_tensor). With a cache
@@ -244,26 +251,17 @@ private:
   /// when `fill`; without one it computes it on the stack.
   template <int W, bool Pressure>
   void apply_lanes(const Index* elems, const Real* xp, Real* yp,
-                   const Real* pin, Real* pout, bool fill) const;
+                   const Real* pin, Real* pout, bool fill, bool newton) const;
 
   /// Number the batches of the sweep and allocate their slots, unwritten:
   /// the filling sweep is their first touch.
-  template <int W>
   void allocate_geometry_cache() const;
-
-  /// The cache's slots at the operator's width (the other stays empty).
-  template <int W>
-  AlignedVector<ElementGeometryBatch<W>>& geometry() const {
-    if constexpr (W == 4) return geometry4_;
-    else return geometry8_;
-  }
 
   /// Applies so far, counted up to 2: the second one fills the cache.
   mutable int applies_ = 0;
   /// Per element, the slot of the batch it heads (-1 if none).
   mutable std::vector<Index> slot_;
-  mutable AlignedVector<ElementGeometryBatch<4>> geometry4_;
-  mutable AlignedVector<ElementGeometryBatch<8>> geometry8_;
+  mutable AlignedVector<ElementGeometryBatch<kSolverBatchWidth>> geometry_;
 };
 
 /// Stored-coefficient tensor back-end ("Tensor C"): per quadrature point the
@@ -279,17 +277,15 @@ public:
   TensorCViscousOperator(const StructuredMesh& mesh,
                          const QuadCoefficients& coeff, const DirichletBc* bc,
                          int batch_width = 0);
+  FineOperatorType type() const override { return FineOperatorType::kTensorC; }
   std::string name() const override { return decorated_name("TensC"); }
   OperatorCostModel cost_model() const override;
-  void set_newton(bool on) override {
-    PT_ASSERT_MSG(!on, "TensorC back-end is Picard-only");
-  }
 
   /// Refresh the stored metric after mesh/coefficient changes.
   void update_stored_coefficients();
 
 protected:
-  void apply_unmasked(const Vector& x, Vector& y) const override;
+  void apply_unmasked(const Vector& x, Vector& y, bool newton) const override;
 
 private:
   /// The W-lane batch kernel: adds elements elems[0..W) of x into yp,
@@ -386,10 +382,9 @@ void for_each_element_batched_colored(const StructuredMesh& mesh, BatchFn&& bfn,
 template <class LanesFn, class ElemFn>
 void ViscousOperatorBase::sweep(Real* y, LanesFn&& lanes,
                                 ElemFn&& efn) const {
-  switch (batch_width_) {
-    case 8: sweep_batches<8>(y, lanes, efn); return;
-    case 4: sweep_batches<4>(y, lanes, efn); return;
-    default: break;
+  if (batch_width_ == kSolverBatchWidth) {
+    sweep_batches<kSolverBatchWidth>(y, lanes, efn);
+    return;
   }
   if (engine_ != nullptr) {
     engine_->apply_nodes(3, y, efn);

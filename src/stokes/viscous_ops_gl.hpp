@@ -15,14 +15,13 @@ namespace ptatin {
 class TensorGLViscousOperator : public ViscousOperatorBase {
 public:
   using ViscousOperatorBase::ViscousOperatorBase;
+  /// The Gauss-Lobatto ablation of the Tens kernel.
+  FineOperatorType type() const override { return FineOperatorType::kTensor; }
   std::string name() const override { return "TensGL"; }
   OperatorCostModel cost_model() const override;
-  void set_newton(bool on) override {
-    PT_ASSERT_MSG(!on, "GL ablation back-end is Picard-only");
-  }
 
 protected:
-  void apply_unmasked(const Vector& x, Vector& y) const override;
+  void apply_unmasked(const Vector& x, Vector& y, bool newton) const override;
 };
 
 } // namespace ptatin

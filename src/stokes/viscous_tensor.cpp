@@ -6,7 +6,7 @@
 // shrinking per-element state to a few cache lines — the property that lets
 // the paper vectorize over elements and reach >30% of peak.
 //
-// The batched path (batch_width = 4 or 8) realizes that vectorization: W
+// The batched path (batch_width = 8) realizes that vectorization: W
 // elements (same-colored in the global loop, consecutive in a subdomain
 // engine's lists) are gathered into SoA lane buffers and every kernel
 // statement runs as one W-wide SIMD instruction over the lane index. Each
@@ -19,8 +19,9 @@
 // on the second in a per-batch slot keyed by the batch's first element, and
 // reads it back on every later one (docs/KERNELS.md "Geometry cache"). The
 // slot holds what element_geometry_batch writes, so the three applies agree
-// bitwise. The scalar path, the ragged tails and the coupled sweep's P1
-// basis still compute inline.
+// bitwise whichever of the viscous, Newton and coupled applies they are. The
+// scalar path, the ragged tails and the coupled sweep's P1 basis still
+// compute inline.
 //
 // Both paths are templated on Pressure. Without it they are the viscous
 // block alone (the GMG smoothers, the Table I rows). With it they are the
@@ -161,9 +162,8 @@ inline void apply_tensor_element(const StructuredMesh& mesh,
 template <int W, bool Pressure>
 void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
                                         Real* yp, const Real* pin, Real* pout,
-                                        bool fill) const {
+                                        bool fill, bool newton) const {
   const auto& tab = q2_tabulation();
-  const bool newton = newton_;
   Index nodes[W][kQ2NodesPerEl];
   for (int l = 0; l < W; ++l) mesh_.element_nodes(elems[l], nodes[l]);
 
@@ -180,9 +180,9 @@ void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
   // The batch's geometry: its cache slot, or the stack without a cache.
   ElementGeometryBatch<W> inline_g;
   ElementGeometryBatch<W>* slot = nullptr;
-  if (!geometry<W>().empty()) {
+  if (!geometry_.empty()) {
     PT_DEBUG_ASSERT(slot_[elems[0]] >= 0);
-    slot = geometry<W>().data() + slot_[elems[0]];
+    slot = geometry_.data() + slot_[elems[0]];
   }
   ElementGeometryBatch<W>& g = slot != nullptr ? *slot : inline_g;
   const bool compute = slot == nullptr || fill;
@@ -322,12 +322,12 @@ void TensorViscousOperator::apply_lanes(const Index* elems, const Real* xp,
         pout[pressure_dof(elems[l], k)] = -flux[k][l];
 }
 
-template <int W>
 void TensorViscousOperator::allocate_geometry_cache() const {
   slot_.assign(static_cast<std::size_t>(mesh_.num_elements()), -1);
   Index slots = 0;
-  for_each_batch_head<W>([&](Index e) { slot_[e] = slots++; });
-  geometry<W>().resize(static_cast<std::size_t>(slots));
+  for_each_batch_head<kSolverBatchWidth>(
+      [&](Index e) { slot_[e] = slots++; });
+  geometry_.resize(static_cast<std::size_t>(slots));
 }
 
 void TensorViscousOperator::set_subdomain_engine(
@@ -335,41 +335,42 @@ void TensorViscousOperator::set_subdomain_engine(
   ViscousOperatorBase::set_subdomain_engine(engine);
   applies_ = 0;
   slot_ = {};
-  geometry4_ = {};
-  geometry8_ = {};
+  geometry_ = {};
 }
 
 template <bool Pressure>
 void TensorViscousOperator::sweep_tensor(const Real* xp, Real* yp,
-                                         const Real* pin, Real* pout) const {
+                                         const Real* pin, Real* pout,
+                                         bool newton) const {
   const auto& tab = q2_tabulation();
   // The second batched apply fills the geometry cache. An operator applied
   // once (the Newton residual, the lifting) never pays for one.
   const bool fill = batch_width_ != 0 && applies_ == 1;
   if (applies_ < 2) ++applies_;
-  if (fill) {
-    if (batch_width_ == 8) allocate_geometry_cache<8>();
-    else allocate_geometry_cache<4>();
-  }
+  if (fill) allocate_geometry_cache();
   sweep(
       yp,
       [&](auto lanes, const Index* elems, Real* w) {
         apply_lanes<decltype(lanes)::value, Pressure>(elems, xp, w, pin, pout,
-                                                      fill);
+                                                      fill, newton);
       },
       [&](Index e, Real* w) {
-        apply_tensor_element<Pressure>(mesh_, coeff_, tab, newton_, e, xp, w,
+        apply_tensor_element<Pressure>(mesh_, coeff_, tab, newton, e, xp, w,
                                        pin, pout);
       });
 }
 
-void TensorViscousOperator::apply_unmasked(const Vector& x, Vector& y) const {
-  sweep_tensor<false>(x.data(), y.data(), nullptr, nullptr);
+void TensorViscousOperator::apply_unmasked(const Vector& x, Vector& y,
+                                           bool newton) const {
+  sweep_tensor<false>(x.data(), y.data(), nullptr, nullptr, newton);
 }
 
-void TensorViscousOperator::apply_stokes(const Vector& x, Vector& y) const {
+void TensorViscousOperator::apply_stokes(const Vector& x, Vector& y,
+                                         bool newton) const {
   const Index nu = rows();
   PT_ASSERT(x.size() == nu + num_pressure_dofs(mesh_));
+  PT_ASSERT_MSG(!newton || coeff_.has_newton(),
+                "Newton term requires allocated Newton coefficients");
   if (y.size() != x.size()) y.resize(x.size());
   const bool masked = bc_ != nullptr && bc_->num_constrained() > 0;
   // The kernel reads the velocity with constrained dofs zeroed — the one
@@ -377,7 +378,7 @@ void TensorViscousOperator::apply_stokes(const Vector& x, Vector& y) const {
   // mask B's rows. Velocity rows go through the sweep (y or the engine's
   // scratch); each element writes its own pressure rows straight into y.
   const Real* xu = masked ? masked_velocity(x).data() : x.data();
-  sweep_tensor<true>(xu, y.data(), x.data() + nu, y.data() + nu);
+  sweep_tensor<true>(xu, y.data(), x.data() + nu, y.data() + nu, newton);
   if (masked) {
     const Real* xp = x.data();
     Real* yp = y.data();

@@ -8,7 +8,7 @@
 // element (the paper's anisotropic variant stores 21*27; ours is the
 // isotropic specialization).
 //
-// Batched path (batch_width = 4 or 8): W elements in SoA lane buffers, with
+// Batched path (batch_width = 8): W elements in SoA lane buffers, with
 // the stored Gtilde gathered lane-wise per quadrature point; bitwise
 // identical to the scalar path (see viscous_tensor.cpp).
 #include <cmath>
@@ -173,7 +173,9 @@ void TensorCViscousOperator::apply_lanes(const Index* elems, const Real* xp,
     }
 }
 
-void TensorCViscousOperator::apply_unmasked(const Vector& x, Vector& y) const {
+void TensorCViscousOperator::apply_unmasked(const Vector& x, Vector& y,
+                                            bool newton) const {
+  PT_ASSERT_MSG(!newton, "TensorC back-end is Picard-only");
   const auto& tab = q2_tabulation();
   const Real* xp = x.data();
   const Real* gtilde = gtilde_.data();

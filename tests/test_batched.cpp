@@ -1,7 +1,7 @@
 // Tests for the cross-element SIMD-batched operator path (§III-D "vectorize
 // over elements"): batched back-ends must be drop-in interchangeable with the
 // scalar ones (1e-12 agreement against the assembled matrix) and BITWISE
-// identical to their own scalar path at every batch width — including meshes
+// identical to their own scalar path at the batch width — including meshes
 // whose color populations leave ragged tails (mx/my/mz not divisible by 2W).
 #include <gtest/gtest.h>
 
@@ -68,16 +68,16 @@ TEST(ColoredLoop, VisitsEveryElementOnce) {
 }
 
 TEST(ColoredLoop, BatchedVisitsEveryElementOnceWithRaggedTails) {
-  // 5*3*7: every color has a count not divisible by 4 or 8 somewhere.
+  // 5*3*7: some colors have counts not divisible by 8.
   StructuredMesh mesh = StructuredMesh::box(5, 3, 7, {0, 0, 0}, {1, 1, 1});
   // hits entries are disjoint across iterations (each element visited once),
   // but the batch/tail counters are shared across threads -> atomics.
   std::vector<int> hits(mesh.num_elements(), 0);
   std::atomic<int> batched{0}, scalar{0};
-  for_each_element_batched_colored<4>(
+  for_each_element_batched_colored<8>(
       mesh,
       [&](const Index* elems) {
-        for (int l = 0; l < 4; ++l) hits[elems[l]] += 1;
+        for (int l = 0; l < 8; ++l) hits[elems[l]] += 1;
         ++batched;
       },
       [&](Index e) {
@@ -150,16 +150,14 @@ TEST_P(BatchedBitwise, MatchesScalarAtEveryWidth) {
   DirichletBc bc = sinker_boundary_conditions(mesh);
 
   auto scalar_op = make_op(p.backend, mesh, coeff, &bc, 0);
-  if (p.newton) scalar_op->set_newton(true);
   Vector x = random_vector(scalar_op->rows(), 23);
   Vector y0;
-  scalar_op->apply(x, y0);
+  scalar_op->apply(x, y0, p.newton);
 
   for (int width : kBatchWidths) {
     auto batched_op = make_op(p.backend, mesh, coeff, &bc, width);
-    if (p.newton) batched_op->set_newton(true);
     Vector y;
-    batched_op->apply(x, y);
+    batched_op->apply(x, y, p.newton);
     ASSERT_EQ(y.size(), y0.size());
     for (Index i = 0; i < y.size(); ++i)
       ASSERT_EQ(y[i], y0[i]) << batched_op->name() << " lane drift at dof "
@@ -170,8 +168,8 @@ TEST_P(BatchedBitwise, MatchesScalarAtEveryWidth) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, BatchedBitwise,
     ::testing::Values(
-        // 4^3: widths divide some colors evenly; 5x3x7 and 3x5x2 leave
-        // ragged tails at every width (mx/my/mz not divisible by 2W).
+        // 4^3: the width divides some colors evenly; 5x3x7 and 3x5x2 leave
+        // ragged tails (mx/my/mz not divisible by 2W).
         BitwiseCase{Backend::kTens, 4, 4, 4, false},
         BitwiseCase{Backend::kTens, 5, 3, 7, false},
         BitwiseCase{Backend::kTens, 5, 3, 7, true},
@@ -199,8 +197,7 @@ TEST(FoldedStokesBitwise, MatchesScalarAtEveryWidth) {
 
     auto folded = [&](int width) {
       TensorViscousOperator a(mesh, coeff, &bc, width);
-      a.set_newton(p.newton);
-      const StokesOperator op(mesh, a, bc);
+      const StokesOperator op(mesh, a, bc, p.newton);
       Vector y;
       op.apply(x, y);
       return y;
@@ -243,16 +240,13 @@ TEST_P(BackendInterchange, AllVariantsAgreeOnDeformedMesh) {
       ops.push_back(
           std::make_unique<TensorCViscousOperator>(mesh, coeff, &bc, width));
   }
-  if (newton)
-    for (auto& op : ops) op->set_newton(true);
-
   Vector x = random_vector(ops[0]->rows(), 31);
   Vector y0;
-  ops[0]->apply(x, y0);
+  ops[0]->apply(x, y0, newton);
   const Real scale = y0.norm_inf();
   for (std::size_t k = 1; k < ops.size(); ++k) {
     Vector y;
-    ops[k]->apply(x, y);
+    ops[k]->apply(x, y, newton);
     for (Index i = 0; i < y.size(); ++i)
       ASSERT_NEAR(y[i], y0[i], 1e-12 * scale)
           << ops[k]->name() << " vs " << ops[0]->name() << " at dof " << i;
@@ -269,12 +263,11 @@ TEST(BatchedMg, BatchedFineOperatorReproducesScalarVcycle) {
   DirichletBc bc = sinker_boundary_conditions(mesh);
 
   auto run_vcycle = [&](int width) {
+    const TensorViscousOperator fine(mesh, coeff, &bc, width);
     GmgOptions go;
     go.levels = 2;
-    go.fine_kernel.type = FineOperatorType::kTensor;
-    go.fine_kernel.batch_width = width;
     GmgHierarchy gmg(
-        mesh, coeff, bc, go,
+        fine, go,
         [](const StructuredMesh& m) { return sinker_boundary_conditions(m); },
         [](const CsrMatrix& a) -> std::unique_ptr<Preconditioner> {
           return std::make_unique<BlockJacobiPc>(a, 1, SubdomainSolve::kLu);

@@ -459,15 +459,13 @@ TEST(GmgCoarse, SolveIterationIdentityWithNewKernels) {
   QuadCoefficients coeff = sinker_coeff(mesh, 1e2);
   DirichletBc bc = sinker_boundary_conditions(mesh);
 
-  auto solve_with = [&](bool optimized, GmgSetupCache* cache, Vector& x) {
+  // An assembled finest level gives the full Galerkin chain.
+  const AsmbViscousOperator A(mesh, coeff, &bc);
+  auto solve_with = [&](GmgSetupCache* cache, Vector& x) {
     GmgOptions opts;
     opts.levels = 3;
-    opts.fine_kernel.type = FineOperatorType::kAssembled; // full Galerkin chain
     opts.setup_cache = cache;
-    opts.rap_cache = optimized;
-    GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(),
-                    lu_coarse_factory());
-    const auto& A = mg.fine_operator();
+    GmgHierarchy mg(A, opts, sinker_bc_factory(), lu_coarse_factory());
     Rng rng(43);
     Vector b(A.rows(), 0.0);
     for (Index i = 0; i < b.size(); ++i) b[i] = rng.uniform(-1, 1);
@@ -480,10 +478,10 @@ TEST(GmgCoarse, SolveIterationIdentityWithNewKernels) {
 
   GmgSetupCache cache;
   Vector x_base, x_opt, x_refresh;
-  const SolveStats base = solve_with(false, nullptr, x_base);
-  const SolveStats opt = solve_with(true, &cache, x_opt);
+  const SolveStats base = solve_with(nullptr, x_base);
+  const SolveStats opt = solve_with(&cache, x_opt);
   // Second optimized solve reuses the cache: the RAP goes numeric-only.
-  const SolveStats refreshed = solve_with(true, &cache, x_refresh);
+  const SolveStats refreshed = solve_with(&cache, x_refresh);
 
   EXPECT_TRUE(base.converged);
   EXPECT_EQ(opt.iterations, base.iterations);
@@ -499,19 +497,17 @@ TEST(GmgCoarse, SetupCacheTurnsRebuildsIntoRefreshes) {
   StructuredMesh mesh = StructuredMesh::box(8, 8, 8, {0, 0, 0}, {1, 1, 1});
   QuadCoefficients coeff = sinker_coeff(mesh, 1e2);
   DirichletBc bc = sinker_boundary_conditions(mesh);
+  const AsmbViscousOperator fine(mesh, coeff, &bc);
   GmgOptions opts;
   opts.levels = 3;
-  opts.fine_kernel.type = FineOperatorType::kAssembled;
   GmgSetupCache cache;
   opts.setup_cache = &cache;
 
-  GmgHierarchy first(mesh, coeff, bc, opts, sinker_bc_factory(),
-                     lu_coarse_factory());
+  GmgHierarchy first(fine, opts, sinker_bc_factory(), lu_coarse_factory());
   EXPECT_GT(first.rap_setups(), 0);
   EXPECT_EQ(first.rap_refreshes(), 0);
 
-  GmgHierarchy second(mesh, coeff, bc, opts, sinker_bc_factory(),
-                      lu_coarse_factory());
+  GmgHierarchy second(fine, opts, sinker_bc_factory(), lu_coarse_factory());
   EXPECT_EQ(second.rap_setups(), 0);
   EXPECT_GT(second.rap_refreshes(), 0);
 
@@ -550,11 +546,15 @@ struct DeformedFixture {
     }
     bc = sinker_boundary_conditions(mesh);
   }
-  GmgHierarchy hierarchy(FineOperatorType type) const {
+  /// The finest level's operator at the solver stack's width.
+  std::unique_ptr<ViscousOperatorBase> fine(FineOperatorType type) const {
+    return make_viscous_backend(
+        {.type = type, .batch_width = kSolverBatchWidth}, mesh, coeff, &bc);
+  }
+  static GmgHierarchy hierarchy(const ViscousOperatorBase& fine_op) {
     GmgOptions opts;
     opts.levels = 3;
-    opts.fine_kernel = {.type = type, .batch_width = kSolverBatchWidth};
-    return GmgHierarchy(mesh, coeff, bc, opts, sinker_bc_factory(),
+    return GmgHierarchy(fine_op, opts, sinker_bc_factory(),
                         lu_coarse_factory());
   }
 };
@@ -587,7 +587,8 @@ TEST(GmgCoarse, MatrixFreeLevelOneMatchesAssembledOperator) {
        {FineOperatorType::kMatrixFree, FineOperatorType::kTensor,
         FineOperatorType::kTensorC}) {
     const char* tok = fine_operator_token(type);
-    const GmgHierarchy mg = fx.hierarchy(type);
+    const auto fine = fx.fine(type);
+    const GmgHierarchy mg = fx.hierarchy(*fine);
     const auto* op =
         dynamic_cast<const ViscousOperatorBase*>(&mg.level_operator(1));
     ASSERT_NE(op, nullptr) << tok;
@@ -609,7 +610,8 @@ TEST(GmgCoarse, MatrixFreeLevelOneMatchesAssembledOperator) {
 
 TEST(GmgCoarse, AssembledFinestKeepsGalerkinLevelOne) {
   const DeformedFixture fx;
-  const GmgHierarchy mg = fx.hierarchy(FineOperatorType::kAssembled);
+  const auto fine = fx.fine(FineOperatorType::kAssembled);
+  const GmgHierarchy mg = fx.hierarchy(*fine);
   const auto* op = dynamic_cast<const MatrixOperator*>(&mg.level_operator(1));
   ASSERT_NE(op, nullptr);
   CsrMatrix a = assemble_viscous_matrix(fx.mesh, fx.coeff);
@@ -627,7 +629,8 @@ TEST(GmgCoarse, ApplyMatchesVcycleFromZeroBitwise) {
   const DeformedFixture fx;
   for (FineOperatorType type :
        {FineOperatorType::kTensor, FineOperatorType::kAssembled}) {
-    const GmgHierarchy mg = fx.hierarchy(type);
+    const auto fine = fx.fine(type);
+    const GmgHierarchy mg = fx.hierarchy(*fine);
     Vector b = random_vector(mg.level_dofs(2), 53);
     fx.bc.zero_constrained(b);
     Vector z, x(b.size(), 0.0);
@@ -640,13 +643,11 @@ TEST(GmgCoarse, ApplyMatchesVcycleFromZeroBitwise) {
 
 TEST(GmgCoarse, SealCoversMatrixFreeLevelCoefficients) {
   const DeformedFixture fx;
+  const auto fine = fx.fine(FineOperatorType::kTensor);
   GmgOptions opts;
   opts.levels = 3;
-  opts.fine_kernel = {.type = FineOperatorType::kTensor,
-                      .batch_width = kSolverBatchWidth};
   opts.seal_operators = true;
-  const GmgHierarchy mg(fx.mesh, fx.coeff, fx.bc, opts, sinker_bc_factory(),
-                        lu_coarse_factory());
+  const GmgHierarchy mg(*fine, opts, sinker_bc_factory(), lu_coarse_factory());
   EXPECT_TRUE(mg.verify_seal().empty());
 
   // Simulate a stray write into level 1's restricted viscosity.
@@ -689,11 +690,10 @@ TEST(GmgCoarse, VcycleApplyIsAllocationFree) {
   StructuredMesh mesh = StructuredMesh::box(8, 8, 8, {0, 0, 0}, {1, 1, 1});
   QuadCoefficients coeff = sinker_coeff(mesh, 1e2);
   DirichletBc bc = sinker_boundary_conditions(mesh);
+  const TensorViscousOperator fine(mesh, coeff, &bc, kSolverBatchWidth);
   GmgOptions opts;
   opts.levels = 3; // level 1 smooths matrix-free on the batched kernel
-  opts.fine_kernel.batch_width = kSolverBatchWidth;
-  GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(),
-                  lu_coarse_factory());
+  GmgHierarchy mg(fine, opts, sinker_bc_factory(), lu_coarse_factory());
   Vector b(num_velocity_dofs(mesh), 1.0);
   bc.zero_constrained(b);
   Vector z(b.size());

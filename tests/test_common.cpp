@@ -231,6 +231,27 @@ TEST(Options, UnknownKeysEmptyWhenEveryKeyIsDescribed) {
   EXPECT_TRUE(Options::from_args(3, argv).unknown_keys().empty());
 }
 
+TEST(Options, BareValueFlagIsReportedAndBareSwitchesAreNot) {
+  // The driver's hints: a bare -final_state would read the file name "true".
+  Options::describe("final_state", "FILE", "state digest file");
+  Options::describe("verbose", "", "per-iteration logging");
+  Options::describe("help", "", "print this help and exit");
+  Options::describe("newton", "true|false", "Newton linearization");
+  const char* bare[] = {"prog", "-final_state"};
+  const auto unknown = Options::from_args(2, bare).unknown_keys();
+  ASSERT_EQ(unknown.size(), 1u);
+  EXPECT_EQ(unknown[0].key, "final_state");
+  EXPECT_EQ(unknown[0].missing_value, "FILE");
+  const std::string msg = Options::format_unknown(unknown);
+  EXPECT_NE(msg.find("option -final_state needs a value FILE"),
+            std::string::npos)
+      << msg;
+
+  const char* switches[] = {"prog", "-verbose", "--help", "-newton",
+                            "-final_state", "out.json"};
+  EXPECT_TRUE(Options::from_args(6, switches).unknown_keys().empty());
+}
+
 TEST(Options, SuggestMatchesByContainmentBeyondEditBudget) {
   // "checkpoint" -> "checkpoint_every" is far beyond the edit budget, but
   // one string containing the other still qualifies as a near miss.

@@ -11,7 +11,8 @@
 // cache"): the inline first apply, the second that fills the cache and the
 // third that reads it agree bitwise with each other and with the scalar
 // apply, viscous and coupled alike. The slots are raw-pointer arithmetic,
-// so this label also runs under ASan/UBSan.
+// so this label also runs under ASan/UBSan. Last, a Stokes solve builds one
+// fine operator, which GMG's finest level borrows, and so one fine cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,13 +20,14 @@
 #include <cstring>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <string>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fem/bc.hpp"
 #include "fem/subdomain_engine.hpp"
-#include "saddle/stokes_operator.hpp"
+#include "saddle/stokes_solver.hpp"
 #include "stokes/geometry.hpp"
 
 namespace ptatin {
@@ -85,14 +87,15 @@ Real block_rel_diff(const Vector& a, const Vector& b, Index lo, Index hi) {
 }
 
 /// The replaced form: [A x_u + B_masked x_p; B^T_masked x_u], A the masked
-/// Tens W=8 apply on the global loop, B_masked x_p the product with B whose
-/// constrained rows are then zeroed.
+/// Tens W=8 apply on the global loop (with its Newton term when `newton`),
+/// B_masked x_p the product with B whose constrained rows are then zeroed.
 Vector assembled_apply(const StokesOperator& op,
-                       const TensorViscousOperator& a, const Vector& x) {
+                       const TensorViscousOperator& a, bool newton,
+                       const Vector& x) {
   Vector xu, xp, yu, bp, yp, y;
   op.extract_u(x, xu);
   op.extract_p(x, xp);
-  a.apply(xu, yu);
+  a.apply(xu, yu, newton);
   op.gradient().mult(xp, bp);
   op.bc().zero_constrained(bp);
   yu.axpy(1.0, bp);
@@ -130,15 +133,13 @@ TEST_P(CoupledApply, FoldedMatchesAssembledBlocks) {
   TensorViscousOperator global(mesh, coeff, &bc, kSolverBatchWidth);
   TensorViscousOperator folded_op(mesh, coeff, &bc, kSolverBatchWidth);
   folded_op.set_subdomain_engine(engine.get());
-  const StokesOperator op(mesh, folded_op, bc);
-  const Vector x = random_vector(op.rows(), 11);
-  const Index nu = op.num_velocity();
+  const Index nu = num_velocity_dofs(mesh);
+  const Vector x = random_vector(nu + num_pressure_dofs(mesh), 11);
 
   const int saved = num_threads();
   for (bool newton : {false, true}) {
-    global.set_newton(newton);
-    folded_op.set_newton(newton);
-    const Vector want = assembled_apply(op, global, x);
+    const StokesOperator op(mesh, folded_op, bc, newton);
+    const Vector want = assembled_apply(op, global, newton, x);
     Vector first;
     for (int nt : {1, 2, 8}) {
       set_num_threads(nt);
@@ -203,11 +204,8 @@ Index batched_elements(const StructuredMesh& mesh,
 }
 
 /// Bytes of cached geometry per batched element: 27 points of gamma (9) and
-/// w|J| (1). At W = 4 the 64-byte alignment of the w|J| block pads each
-/// slot by 64 bytes.
-std::size_t cache_bytes_per_element(int width) {
-  return width == 8 ? 2160 : 2176;
-}
+/// w|J| (1).
+constexpr std::size_t kCacheBytesPerElement = 2160;
 
 enum class Form { kPicard, kNewton, kStokes };
 
@@ -236,14 +234,13 @@ TEST_P(GeometryCache, InlineFillingAndCachedAppliesMatchScalar) {
 
   const auto apply = [&](const TensorViscousOperator& a, Form form) {
     Vector y;
-    if (form == Form::kStokes) a.apply_stokes(x, y);
-    else a.apply(xu, y);
+    if (form == Form::kStokes) a.apply_stokes(x, y, /*newton=*/false);
+    else a.apply(xu, y, form == Form::kNewton);
     return y;
   };
-  const auto make = [&](int width, Form form) {
+  const auto make = [&](int width) {
     auto a = std::make_unique<TensorViscousOperator>(mesh, coeff, &bc, width);
     a->set_subdomain_engine(engine.get());
-    a->set_newton(form == Form::kNewton);
     return a;
   };
 
@@ -251,12 +248,12 @@ TEST_P(GeometryCache, InlineFillingAndCachedAppliesMatchScalar) {
   for (int nt : {1, 2, 8}) {
     set_num_threads(nt);
     for (Form form : {Form::kPicard, Form::kNewton, Form::kStokes}) {
-      const Vector want = apply(*make(0, form), form);
+      const Vector want = apply(*make(0), form);
       for (int width : kBatchWidths) {
         SCOPED_TRACE(std::string(form_name(form)) + ", width " +
                      std::to_string(width) + ", threads " +
                      std::to_string(nt));
-        const auto a = make(width, form);
+        const auto a = make(width);
         for (const char* pass : {"inline", "filling", "cached"}) {
           const Vector y = apply(*a, form);
           EXPECT_EQ(first_bit_difference(y, want), -1) << pass << " apply";
@@ -268,7 +265,7 @@ TEST_P(GeometryCache, InlineFillingAndCachedAppliesMatchScalar) {
         EXPECT_EQ(a->geometry_cache().size(),
                   static_cast<std::size_t>(
                       batched_elements(mesh, engine.get(), width)) *
-                      cache_bytes_per_element(width));
+                      kCacheBytesPerElement);
       }
     }
   }
@@ -304,7 +301,7 @@ TEST(GeometryCache, EngineSwitchDropsTheCache) {
   EXPECT_EQ(a.geometry_cache().size(),
             static_cast<std::size_t>(
                 batched_elements(mesh, &engine, kSolverBatchWidth)) *
-                cache_bytes_per_element(kSolverBatchWidth));
+                kCacheBytesPerElement);
 }
 
 // The engine hands each batch W consecutive, node-sharing elements of one
@@ -322,8 +319,7 @@ TEST(CoupledApply, EngineWidthsAgreeBitwise) {
       auto folded = [&](int width) {
         TensorViscousOperator a(mesh, coeff, &bc, width);
         a.set_subdomain_engine(&engine);
-        a.set_newton(newton);
-        const StokesOperator op(mesh, a, bc);
+        const StokesOperator op(mesh, a, bc, newton);
         Vector y;
         op.apply(x, y);
         return y;
@@ -352,9 +348,83 @@ TEST(CoupledApply, ForeignConstraintsKeepTheAssembledForm) {
   const Vector x = random_vector(op.rows(), 3);
   Vector y;
   op.apply(x, y);
-  const Vector want = assembled_apply(op, a, x);
+  const Vector want = assembled_apply(op, a, /*newton=*/false, x);
   for (Index i = 0; i < y.size(); ++i) ASSERT_EQ(y[i], want[i]) << i;
 }
+
+// --- one fine operator per solve ---------------------------------------------
+
+struct SolverCase {
+  FineOperatorType type;
+  bool newton;
+  bool engine; ///< a 2x2x1 SubdomainEngine, else the global colored loop
+};
+
+/// "Tens_newton_2x2x1" (ctest appends it to the test name).
+void PrintTo(const SolverCase& c, std::ostream* os) {
+  *os << fine_operator_display(c.type) << (c.newton ? "_newton" : "_picard")
+      << (c.engine ? "_2x2x1" : "_global");
+}
+
+class OneFineOperator : public testing::TestWithParam<SolverCase> {};
+
+// GMG's finest level smooths with the Krylov operator's J_uu itself (Picard
+// there, Newton in the Krylov apply), so a Tens solve holds one fine
+// geometry cache: the fine operator's plus level 1's, nothing twice.
+TEST_P(OneFineOperator, GmgFinestLevelIsTheKrylovOperator) {
+  const SolverCase p = GetParam();
+  const StructuredMesh mesh = deformed_mesh(8, 8, 8);
+  const QuadCoefficients coeff = varying_viscosity(mesh);
+  const DirichletBc bc = sinker_boundary_conditions(mesh);
+  std::unique_ptr<SubdomainEngine> engine;
+  if (p.engine) engine = std::make_unique<SubdomainEngine>(mesh, 2, 2, 1);
+
+  StokesSolverOptions opts;
+  opts.kernel.type = p.type;
+  opts.kernel.engine = engine.get();
+  opts.newton_operator = p.newton;
+  opts.gmg.levels = 3; // level 1 smooths on the fine back-end's kernel
+  opts.coarse_solve = GmgCoarseSolve::kBJacobiLu;
+  opts.krylov.max_it = 10;
+  const StokesSolver solver(mesh, coeff, bc, opts);
+  const GmgHierarchy& mg = *solver.gmg();
+  const ViscousOperatorBase& fine = solver.op().viscous();
+  EXPECT_EQ(&mg.fine_operator(), &fine);
+  EXPECT_EQ(fine.type(), p.type);
+  EXPECT_EQ(fine.subdomain_engine(), engine.get());
+
+  Vector f(num_velocity_dofs(mesh), 1.0);
+  solver.solve(f);
+  if (p.type != FineOperatorType::kTensor) return;
+
+  // Every distinct Tens operator the solver holds on the two finest levels.
+  const auto* level1 =
+      dynamic_cast<const TensorViscousOperator*>(&mg.level_operator(1));
+  ASSERT_NE(level1, nullptr);
+  std::set<const TensorViscousOperator*> held = {
+      dynamic_cast<const TensorViscousOperator*>(&fine),
+      dynamic_cast<const TensorViscousOperator*>(&mg.fine_operator()), level1};
+  std::size_t bytes = 0;
+  for (const TensorViscousOperator* op : held)
+    bytes += op->geometry_cache().size();
+  const Index elements =
+      batched_elements(mesh, engine.get(), kSolverBatchWidth) +
+      batched_elements(mesh.coarsen(), nullptr, kSolverBatchWidth);
+  EXPECT_EQ(bytes, static_cast<std::size_t>(elements) * kCacheBytesPerElement);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, OneFineOperator,
+    testing::Values(SolverCase{FineOperatorType::kAssembled, false, false},
+                    SolverCase{FineOperatorType::kAssembled, false, true},
+                    SolverCase{FineOperatorType::kMatrixFree, false, false},
+                    SolverCase{FineOperatorType::kMatrixFree, false, true},
+                    SolverCase{FineOperatorType::kMatrixFree, true, false},
+                    SolverCase{FineOperatorType::kMatrixFree, true, true},
+                    SolverCase{FineOperatorType::kTensor, false, false},
+                    SolverCase{FineOperatorType::kTensor, false, true},
+                    SolverCase{FineOperatorType::kTensor, true, false},
+                    SolverCase{FineOperatorType::kTensor, true, true}));
 
 } // namespace
 } // namespace ptatin

@@ -146,11 +146,9 @@ TEST(SubdomainEngine, AllBackendsMatchGlobalApplyTo1e12) {
         make_viscous_backend(KernelSpec{.type = t, .engine = &eng}, mesh, coeff, &bc);
     for (bool newton : {false, true}) {
       if (newton && t == FineOperatorType::kTensorC) continue; // Picard-only
-      global->set_newton(newton);
-      decomp->set_newton(newton);
       Vector y0(x.size()), y1(x.size());
-      global->apply(x, y0); // masked: BC rows pass through
-      decomp->apply(x, y1);
+      global->apply(x, y0, newton); // masked: BC rows pass through
+      decomp->apply(x, y1, newton);
       EXPECT_LE(max_rel_diff(y0, y1), 1e-12)
           << global->name() << " newton=" << newton;
     }
@@ -208,9 +206,8 @@ TEST_P(EngineBatched, MatchesScalarEngineApplyBitwise) {
     auto op = make_viscous_backend(
         KernelSpec{.type = p.type, .batch_width = width, .engine = &eng}, mesh,
         coeff, &bc);
-    op->set_newton(newton);
     Vector y;
-    op->apply(x, y);
+    op->apply(x, y, newton);
     return y;
   };
   const Vector y0 = engine_apply(0);
@@ -482,20 +479,21 @@ TEST(SolverConfig, FromOptionsRejectsZeroPointsAndCheckpointKeep) {
 }
 
 TEST(SolverConfig, FromOptionsRejectsPicardOnlyBackendsUnderNewton) {
-  for (const char* backend : {"asmb", "tensc"}) {
-    const char* newton[] = {"prog", "-backend", backend};
-    try {
-      SolverConfig::from_options(Options::from_args(3, newton));
-      FAIL() << backend << " with the default -newton was accepted";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("-newton false"), std::string::npos)
-          << e.what();
-    }
-    const char* picard[] = {"prog", "-backend", backend, "-newton", "false"};
-    const SolverConfig cfg =
-        SolverConfig::from_options(Options::from_args(5, picard));
-    EXPECT_FALSE(cfg.ptatin().nonlinear.use_newton) << backend;
+  const char* newton[] = {"prog", "-backend", "asmb"};
+  try {
+    SolverConfig::from_options(Options::from_args(3, newton));
+    FAIL() << "asmb with the default -newton was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("-newton false"), std::string::npos)
+        << e.what();
   }
+  const char* picard[] = {"prog", "-backend", "asmb", "-newton", "false"};
+  const SolverConfig cfg =
+      SolverConfig::from_options(Options::from_args(5, picard));
+  EXPECT_FALSE(cfg.ptatin().nonlinear.use_newton);
+  // TensC is a standalone Table I operator, not a -backend.
+  const char* tensc[] = {"prog", "-backend", "tensc", "-newton", "false"};
+  EXPECT_THROW(SolverConfig::from_options(Options::from_args(5, tensc)), Error);
   const char* mf[] = {"prog", "-backend", "mf"};
   EXPECT_TRUE(SolverConfig::from_options(Options::from_args(3, mf))
                   .ptatin()

@@ -115,10 +115,8 @@ TEST(Gmg, VcycleReducesResidual) {
   DirichletBc bc = sinker_boundary_conditions(mesh);
   GmgOptions opts;
   opts.levels = 3;
-  GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(),
-                  lu_coarse_factory());
-
-  const auto& A = mg.fine_operator();
+  const TensorViscousOperator A(mesh, coeff, &bc);
+  GmgHierarchy mg(A, opts, sinker_bc_factory(), lu_coarse_factory());
   Rng rng(1);
   Vector b(A.rows(), 0.0);
   for (Index i = 0; i < b.size(); ++i) b[i] = rng.uniform(-1, 1);
@@ -144,10 +142,8 @@ TEST(Gmg, PreconditionedSolveConvergesFast) {
   DirichletBc bc = sinker_boundary_conditions(mesh);
   GmgOptions opts;
   opts.levels = 2;
-  GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(),
-                  lu_coarse_factory());
-
-  const auto& A = mg.fine_operator();
+  const TensorViscousOperator A(mesh, coeff, &bc);
+  GmgHierarchy mg(A, opts, sinker_bc_factory(), lu_coarse_factory());
   Rng rng(2);
   Vector b(A.rows(), 0.0);
   for (Index i = 0; i < b.size(); ++i) b[i] = rng.uniform(-1, 1);
@@ -169,9 +165,8 @@ TEST(Gmg, IterationCountRoughlyMeshIndependent) {
     DirichletBc bc = sinker_boundary_conditions(mesh);
     GmgOptions opts;
     opts.levels = levels;
-    GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(),
-                    lu_coarse_factory());
-    const auto& A = mg.fine_operator();
+    const TensorViscousOperator A(mesh, coeff, &bc);
+    GmgHierarchy mg(A, opts, sinker_bc_factory(), lu_coarse_factory());
     Rng rng(3);
     Vector b(A.rows(), 0.0);
     for (Index i = 0; i < b.size(); ++i) b[i] = rng.uniform(-1, 1);
@@ -196,9 +191,8 @@ TEST(Gmg, GalerkinAndRediscretizedBothConverge) {
     GmgOptions opts;
     opts.levels = 3;
     opts.coarse_type = ct;
-    GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(),
-                    lu_coarse_factory());
-    const auto& A = mg.fine_operator();
+    const TensorViscousOperator A(mesh, coeff, &bc);
+    GmgHierarchy mg(A, opts, sinker_bc_factory(), lu_coarse_factory());
     Rng rng(4);
     Vector b(A.rows(), 0.0);
     for (Index i = 0; i < b.size(); ++i) b[i] = rng.uniform(-1, 1);
@@ -228,10 +222,9 @@ TEST(Gmg, MatrixFreeAndAssembledFinestAgree) {
   auto iterations = [&](FineOperatorType ft) {
     GmgOptions opts;
     opts.levels = 2;
-    opts.fine_kernel.type = ft;
-    GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(),
-                    lu_coarse_factory());
-    const auto& A = mg.fine_operator();
+    const auto fine = make_viscous_backend({.type = ft}, mesh, coeff, &bc);
+    const ViscousOperatorBase& A = *fine;
+    GmgHierarchy mg(A, opts, sinker_bc_factory(), lu_coarse_factory());
     Rng rng(5);
     Vector b(A.rows(), 0.0);
     for (Index i = 0; i < b.size(); ++i) b[i] = rng.uniform(-1, 1);
@@ -262,8 +255,8 @@ TEST(Gmg, SingleLevelDegeneratesToSmoother) {
   DirichletBc bc = sinker_boundary_conditions(mesh);
   GmgOptions opts;
   opts.levels = 1;
-  GmgHierarchy mg(mesh, coeff, bc, opts, sinker_bc_factory(), nullptr);
-  const auto& A = mg.fine_operator();
+  const TensorViscousOperator A(mesh, coeff, &bc);
+  GmgHierarchy mg(A, opts, sinker_bc_factory(), nullptr);
   Vector b(A.rows(), 1.0);
   bc.zero_constrained(b);
   Vector z;

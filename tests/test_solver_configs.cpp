@@ -50,10 +50,11 @@ TEST(GmgIntrospection, LevelDofsShrinkAndGalerkinTimed) {
   StructuredMesh mesh = StructuredMesh::box(8, 8, 8, {0, 0, 0}, {1, 1, 1});
   QuadCoefficients coeff = blob_coeff(mesh);
   DirichletBc bc = sinker_boundary_conditions(mesh);
+  const TensorViscousOperator fine(mesh, coeff, &bc);
   GmgOptions opts;
   opts.levels = 2;
   GmgHierarchy mg(
-      mesh, coeff, bc, opts,
+      fine, opts,
       [](const StructuredMesh& m) { return sinker_boundary_conditions(m); },
       [](const CsrMatrix& a) -> std::unique_ptr<Preconditioner> {
         return std::make_unique<BlockJacobiPc>(a, 1, SubdomainSolve::kLu);
@@ -69,11 +70,11 @@ TEST(GmgIntrospection, AssembledFinestAccumulatesGalerkinTime) {
   StructuredMesh mesh = StructuredMesh::box(8, 8, 8, {0, 0, 0}, {1, 1, 1});
   QuadCoefficients coeff = blob_coeff(mesh);
   DirichletBc bc = sinker_boundary_conditions(mesh);
+  const AsmbViscousOperator fine(mesh, coeff, &bc);
   GmgOptions opts;
   opts.levels = 2;
-  opts.fine_kernel.type = FineOperatorType::kAssembled;
   GmgHierarchy mg(
-      mesh, coeff, bc, opts,
+      fine, opts,
       [](const StructuredMesh& m) { return sinker_boundary_conditions(m); },
       [](const CsrMatrix& a) -> std::unique_ptr<Preconditioner> {
         return std::make_unique<BlockJacobiPc>(a, 1, SubdomainSolve::kLu);

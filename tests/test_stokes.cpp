@@ -250,9 +250,11 @@ TEST(ViscousOp, Q2EnergyConvergesAtFourthOrder) {
 TEST(ViscousOp, BackendTokensRoundTripThroughParse) {
   for (FineOperatorType t :
        {FineOperatorType::kAssembled, FineOperatorType::kMatrixFree,
-        FineOperatorType::kTensor, FineOperatorType::kTensorC})
+        FineOperatorType::kTensor})
     EXPECT_EQ(parse_fine_operator(fine_operator_token(t)), t);
   EXPECT_THROW(parse_fine_operator("tensor"), Error);
+  // TensC keeps its label but is no -backend.
+  EXPECT_THROW(parse_fine_operator("tensc"), Error);
 }
 
 TEST(ViscousOp, FactoryMatchesDirectConstructionBitwise) {
@@ -276,7 +278,7 @@ TEST(ViscousOp, FactoryMatchesDirectConstructionBitwise) {
   for (FineOperatorType t :
        {FineOperatorType::kAssembled, FineOperatorType::kMatrixFree,
         FineOperatorType::kTensor, FineOperatorType::kTensorC})
-    for (int w : {0, 4, 8}) {
+    for (int w : {0, 8}) {
       auto fac_op = make_viscous_backend(KernelSpec{.type = t, .batch_width = w},
                                          mesh, coeff, &bc);
       auto dir_op = direct(t, w);
@@ -326,7 +328,7 @@ TEST(ViscousOp, FactoryRejectsUnsupportedBatchWidthOnEveryBackend) {
       EXPECT_NE(msg.find(std::string(fine_operator_token(t)) + "/b3/global"),
                 std::string::npos)
           << msg;
-      EXPECT_NE(msg.find("batch width must be 0 (scalar), 4, or 8"),
+      EXPECT_NE(msg.find("batch width must be 0 (scalar) or 8"),
                 std::string::npos)
           << msg;
     }
@@ -382,9 +384,8 @@ TEST(Newton, OperatorMatchesFiniteDifferenceOfResidual) {
       for (int t = 0; t < kSymSize; ++t) c.d0(e, q)[t] = sq.d[t];
     }
   MfViscousOperator jop(mesh, c, nullptr);
-  jop.set_newton(true);
   Vector jv;
-  jop.apply(v, jv);
+  jop.apply(v, jv, /*newton=*/true);
 
   // Central finite difference of the residual.
   const Real h = 1e-6;
@@ -415,12 +416,10 @@ TEST(Newton, TensorBackendMatchesMf) {
     }
   MfViscousOperator mf(mesh, c, nullptr);
   TensorViscousOperator tens(mesh, c, nullptr);
-  mf.set_newton(true);
-  tens.set_newton(true);
   Vector x = random_vector(num_velocity_dofs(mesh), 14);
   Vector y1, y2;
-  mf.apply(x, y1);
-  tens.apply(x, y2);
+  mf.apply(x, y1, /*newton=*/true);
+  tens.apply(x, y2, /*newton=*/true);
   const Real scale = y1.norm_inf();
   for (Index i = 0; i < y1.size(); ++i) EXPECT_NEAR(y2[i], y1[i], 1e-10 * scale);
 }
