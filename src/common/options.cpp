@@ -160,15 +160,19 @@ std::vector<std::string> Options::suggest(const std::string& key,
 std::vector<Options::UnknownKey> Options::unknown_keys() const {
   std::vector<UnknownKey> out;
   for (const auto& [key, value] : kv_) {
-    (void)value;
     const auto d = descriptions().find(key);
     if (d == descriptions().end()) {
-      out.push_back({key, suggest(key), ""});
+      out.push_back({key, suggest(key), "", std::nullopt});
       continue;
     }
     const std::string& hint = d->second.first;
-    if (bare_.count(key) && !hint.empty() && hint != "true|false")
-      out.push_back({key, {}, hint});
+    if (hint == "true|false") {
+      if (value != "true" && value != "false" && value != "1" &&
+          value != "0" && value != "yes" && value != "no")
+        out.push_back({key, {}, "", value});
+    } else if (bare_.count(key) && !hint.empty()) {
+      out.push_back({key, {}, hint, std::nullopt});
+    }
   }
   return out;
 }
@@ -178,6 +182,11 @@ std::string Options::format_unknown(const std::vector<UnknownKey>& unknown) {
   for (const UnknownKey& u : unknown) {
     if (!u.missing_value.empty()) {
       out += "option -" + u.key + " needs a value " + u.missing_value + "\n";
+      continue;
+    }
+    if (u.bad_value) {
+      out += "option -" + u.key + " takes true|false, not '" + *u.bad_value +
+             "'\n";
       continue;
     }
     out += "unknown option -" + u.key;

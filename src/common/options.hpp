@@ -47,18 +47,21 @@ public:
   /// One parsed key that is not in the describe() registry, with up to three
   /// near-miss suggestions (smallest edit distance first); or a registered
   /// one given bare whose description asks for a value (`missing_value` is
-  /// then its value hint).
+  /// then its value hint); or a registered "true|false" flag whose value is
+  /// not a boolean (`bad_value` is then that value).
   struct UnknownKey {
     std::string key;
     std::vector<std::string> suggestions;
     std::string missing_value;
+    std::optional<std::string> bad_value;
   };
 
-  /// Keys in this database that no Options::describe call registered, and
-  /// bare flags described with a value hint other than "" or "true|false".
-  /// The driver and the bench binaries treat a non-empty result as a usage
-  /// error (exit code 2) instead of silently ignoring the flags or reading
-  /// the value "true".
+  /// Keys in this database that no Options::describe call registered, bare
+  /// flags described with a value hint other than "" or "true|false", and
+  /// "true|false" flags whose value is not one of true, false, 1, 0, yes,
+  /// no. The driver and the bench binaries treat a non-empty result as a
+  /// usage error (exit code 2) instead of silently ignoring the flags,
+  /// reading the value "true", or reading a mistyped boolean as false.
   std::vector<UnknownKey> unknown_keys() const;
 
   /// Near-miss suggestions for `key` from the describe() registry: registered
@@ -67,8 +70,9 @@ public:
                                           std::size_t max_suggestions = 3);
 
   /// Render unknown keys as a one-per-line usage error message:
-  /// "unknown option -foo (did you mean -food, -fool?)", or
-  /// "option -final_state needs a value FILE".
+  /// "unknown option -foo (did you mean -food, -fool?)",
+  /// "option -final_state needs a value FILE", or
+  /// "option -newton takes true|false, not 'flase'".
   static std::string format_unknown(const std::vector<UnknownKey>& unknown);
 
   // --- self-describing help ------------------------------------------------

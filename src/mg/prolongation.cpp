@@ -28,8 +28,6 @@ CsrMatrix build_velocity_prolongation(const StructuredMesh& fine,
         Real wgt[3][2];
         int cnt[3];
         const Index fidx[3] = {i, j, k};
-        const Index cmax[3] = {coarse.nx() - 1, coarse.ny() - 1,
-                               coarse.nz() - 1};
         for (int d = 0; d < 3; ++d) {
           const Index h = fidx[d] / 2;
           if (fidx[d] % 2 == 0) {
@@ -41,7 +39,9 @@ CsrMatrix build_velocity_prolongation(const StructuredMesh& fine,
             idx[d][1] = h + 1;
             wgt[d][0] = wgt[d][1] = 0.5;
             cnt[d] = 2;
-            PT_DEBUG_ASSERT(h + 1 <= cmax[d]);
+            PT_DEBUG_ASSERT(h + 1 < (d == 0   ? coarse.nx()
+                                     : d == 1 ? coarse.ny()
+                                              : coarse.nz()));
           }
         }
 

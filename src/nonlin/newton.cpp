@@ -88,7 +88,10 @@ NonlinearResult NonlinearStokesSolver::solve(
 
   // One pass of the Picard/Newton iteration with a fresh iteration budget.
   // Returns kNone on convergence or an exhausted budget; any other value is
-  // a detected failure the escalation policy below acts on.
+  // a detected failure the escalation policy below acts on. Every return
+  // leaves (u, p) at the state of the last update_coefficients call:
+  // PtatinContext's plastic stage reuses that evaluation and asserts it is
+  // of the returned state (docs/SOLVER.md, "One point evaluation per state").
   auto attempt = [&](bool with_newton, bool with_ew) -> NonlinearFailure {
     int stagnant = 0;
     for (int it = 0; it < opts_.max_it && fnorm > target; ++it) {
@@ -129,6 +132,7 @@ NonlinearResult NonlinearStokesSolver::solve(
       if (is_fatal(lin.stats.reason) || fault::fires("nonlin.linsolve")) {
         res.failure_detail =
             std::string("linear solve: ") + lin.stats.reason_message();
+        // (u, p) is the state the refresh above evaluated.
         return NonlinearFailure::kLinearFailure;
       }
 
@@ -154,7 +158,9 @@ NonlinearResult NonlinearStokesSolver::solve(
         }
       }
       // Accept the last trial even without sufficient decrease (the next
-      // iteration's Picard refresh often recovers).
+      // iteration's Picard refresh often recovers). The last trial is the
+      // last evaluated state: returning to the pre-search (u, p) instead
+      // would need a re-evaluation there, or the plastic stage throws.
       u.copy_from(u_trial);
       p.copy_from(p_trial);
       res.step_lengths.push_back(lambda);

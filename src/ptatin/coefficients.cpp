@@ -1,7 +1,13 @@
 #include "ptatin/coefficients.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "common/muladd.hpp"
 #include "common/parallel.hpp"
 #include "mpm/projection.hpp"
+#include "obs/metrics.hpp"
 #include "stokes/fields.hpp"
 
 namespace ptatin {
@@ -27,20 +33,30 @@ RheologyState point_state(const StructuredMesh& mesh, const Vector& u,
   return st;
 }
 
+bool bitwise_equal(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(Real) * a.size()) == 0;
+}
+
 } // namespace
 
-Real update_coefficients_from_points(
-    const StructuredMesh& mesh, const MaterialTable& materials,
-    const MaterialPoints& points, const Vector& u, const Vector& p,
-    const Vector* temperature, bool newton_terms,
-    const CoefficientPipelineOptions& opts, QuadCoefficients& coeff) {
-  PT_ASSERT(coeff.num_elements() == mesh.num_elements());
-  const Index n = points.size();
+bool PointEvaluation::holds(const Vector& u, const Vector& p) const {
+  return held_ && bitwise_equal(u, u_) && bitwise_equal(p, p_);
+}
 
+void PointEvaluation::evaluate(const StructuredMesh& mesh,
+                               const MaterialTable& materials,
+                               const MaterialPoints& points, const Vector& u,
+                               const Vector& p, const Vector* temperature,
+                               const CoefficientPipelineOptions& opts) {
+  obs::MetricsRegistry::instance().counter("mpm.point_evaluations").inc();
+  held_ = false; // the arrays below stop describing the held state
+  const Index n = points.size();
   std::vector<Real> eta_p(n, kFallbackEta);
   std::vector<Real> rho_p(n, kFallbackRho);
-  std::vector<Real> deta_p(newton_terms ? n : 0, 0.0);
-  std::vector<std::uint8_t> yielded(n, 0);
+  deta_p_.assign(n, 0.0);
+  j2_p_.assign(n, 0.0);
+  yielded_.assign(n, 0);
 
   parallel_for(n, [&](Index i) {
     if (points.element(i) < 0) return;
@@ -50,29 +66,46 @@ Real update_coefficients_from_points(
     const ViscosityEval ve = law.viscosity(st);
     eta_p[i] = ve.eta;
     rho_p[i] = law.density(st);
-    if (newton_terms) deta_p[i] = ve.deta_dj2;
-    yielded[i] = ve.yielded ? 1 : 0;
+    deta_p_[i] = ve.deta_dj2;
+    j2_p_[i] = st.j2;
+    yielded_[i] = ve.yielded ? 1 : 0;
   });
 
   // Project to quadrature points (Eq. 12-13).
-  std::vector<Real> eta_q, rho_q, deta_q;
-  project_to_quadrature(mesh, points, eta_p, eta_q, kFallbackEta,
+  project_to_quadrature(mesh, points, eta_p, eta_q_, kFallbackEta,
                         opts.decomp);
-  project_to_quadrature(mesh, points, rho_p, rho_q, kFallbackRho,
+  project_to_quadrature(mesh, points, rho_p, rho_q_, kFallbackRho,
                         opts.decomp);
-  if (newton_terms)
-    project_to_quadrature(mesh, points, deta_p, deta_q, 0.0, opts.decomp);
 
-  if (newton_terms && !coeff.has_newton()) coeff.allocate_newton();
+  u_.copy_from(u);
+  p_.copy_from(p);
+  held_ = true;
+}
 
-  // D0 sampled directly at quadrature points from the current velocity.
+void PointEvaluation::update(const StructuredMesh& mesh,
+                             const MaterialTable& materials,
+                             const MaterialPoints& points, const Vector& u,
+                             const Vector& p, const Vector* temperature,
+                             bool newton_terms,
+                             const CoefficientPipelineOptions& opts,
+                             QuadCoefficients& coeff) {
+  PT_ASSERT(coeff.num_elements() == mesh.num_elements());
+  if (!holds(u, p))
+    evaluate(mesh, materials, points, u, p, temperature, opts);
+
+  std::vector<Real> deta_q;
   std::vector<StrainRateSample> sr;
-  if (newton_terms) evaluate_strain_rates(mesh, u, sr);
+  if (newton_terms) {
+    project_to_quadrature(mesh, points, deta_p_, deta_q, 0.0, opts.decomp);
+    if (!coeff.has_newton()) coeff.allocate_newton();
+    // D0 sampled directly at quadrature points from the current velocity.
+    evaluate_strain_rates(mesh, u, sr);
+  }
 
   parallel_for(mesh.num_elements(), [&](Index e) {
     for (int q = 0; q < kQuadPerEl; ++q) {
-      coeff.eta(e, q) = eta_q[e * kQuadPerEl + q];
-      coeff.rho(e, q) = rho_q[e * kQuadPerEl + q];
+      coeff.eta(e, q) = eta_q_[e * kQuadPerEl + q];
+      coeff.rho(e, q) = rho_q_[e * kQuadPerEl + q];
       if (newton_terms) {
         coeff.deta(e, q) = deta_q[e * kQuadPerEl + q];
         const auto& s = sr[e * kQuadPerEl + q];
@@ -80,31 +113,22 @@ Real update_coefficients_from_points(
       }
     }
   });
-
-  Real yield_count = 0;
-  for (Index i = 0; i < n; ++i) yield_count += yielded[i];
-  return n > 0 ? yield_count / Real(n) : 0.0;
 }
 
-Index accumulate_plastic_strain(const StructuredMesh& mesh,
-                                const MaterialTable& materials,
-                                const Vector& u, const Vector& p,
-                                const Vector* temperature, Real dt,
-                                MaterialPoints& points) {
+Index PointEvaluation::accumulate_plastic_strain(const Vector& u,
+                                                 const Vector& p, Real dt,
+                                                 MaterialPoints& points) const {
+  PT_ASSERT_MSG(holds(u, p),
+                "plastic strain needs the point evaluation of the solution");
   const Index n = points.size();
-  std::vector<std::uint8_t> hit(n, 0);
+  PT_ASSERT(Index(yielded_.size()) == n);
   parallel_for(n, [&](Index i) {
-    if (points.element(i) < 0) return;
-    const RheologyState st =
-        point_state(mesh, u, p, temperature, points, i);
-    const FlowLaw& law = materials.law(points.lithology(i));
-    if (law.viscosity(st).yielded) {
-      points.plastic_strain(i) += std::sqrt(std::max(st.j2, Real(0))) * dt;
-      hit[i] = 1;
-    }
+    if (yielded_[i])
+      points.plastic_strain(i) = pt_muladd(
+          std::sqrt(std::max(j2_p_[i], Real(0))), dt, points.plastic_strain(i));
   });
   Index count = 0;
-  for (Index i = 0; i < n; ++i) count += hit[i];
+  for (Index i = 0; i < n; ++i) count += yielded_[i];
   return count;
 }
 

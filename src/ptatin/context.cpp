@@ -64,12 +64,18 @@ PtatinContext::PtatinContext(ModelSetup setup, const PtatinOptions& opts)
 PtatinContext::~PtatinContext() = default;
 
 CoefficientUpdater PtatinContext::coefficient_updater() {
-  return [this](const Vector& u, const Vector& p, bool newton_terms,
-                QuadCoefficients& coeff) {
-    update_coefficients_from_points(
-        setup_.mesh, setup_.materials, points_, u, p,
-        setup_.use_energy ? &T_ : nullptr, newton_terms, opts_.pipeline,
-        coeff);
+  return updater(nullptr);
+}
+
+CoefficientUpdater PtatinContext::updater(PointEvaluation* evaluation) {
+  return [this, evaluation](const Vector& u, const Vector& p,
+                            bool newton_terms, QuadCoefficients& coeff) {
+    PerfScope span("CoefficientUpdate");
+    PointEvaluation fresh;
+    (evaluation != nullptr ? *evaluation : fresh)
+        .update(setup_.mesh, setup_.materials, points_, u, p,
+                setup_.use_energy ? &T_ : nullptr, newton_terms,
+                opts_.pipeline, coeff);
   };
 }
 
@@ -78,27 +84,35 @@ StepReport PtatinContext::step(Real dt) {
   StepReport report;
   Timer timer;
 
-  // 1. Nonlinear Stokes solve (coefficients re-evaluated from points every
-  //    nonlinear iteration). Refresh rho at quadrature points first: the
-  //    body force is built from the projected density.
   {
-    PerfScope span("Stage(StokesSolve)");
-    update_coefficients_from_points(setup_.mesh, setup_.materials, points_, u_,
-                                    p_, setup_.use_energy ? &T_ : nullptr,
-                                    false, opts_.pipeline, coeff_);
-    const Vector f = assemble_body_force(setup_.mesh, coeff_, setup_.gravity,
-                                         engine_.get());
+    // Stages 1 and 2 share one point evaluation: each (u, p) the solve
+    // visits is evaluated once, and the solve returns with the evaluation of
+    // its solution held. Nothing they read besides (u, p) changes in between;
+    // the evaluation goes out of scope before the stages that move the
+    // points, T and the mesh (and on an exception, before any retry).
+    PointEvaluation evaluation;
 
-    setup_.bc.set_values(u_);
-    report.nonlinear = nonlinear_->solve(coefficient_updater(), f, u_, p_);
-  }
+    // 1. Nonlinear Stokes solve (coefficients re-evaluated from points every
+    //    nonlinear iteration). Refresh rho at quadrature points first: the
+    //    body force is built from the projected density. The boundary values
+    //    go in first, so that the pre-solve evaluates the bits of u the
+    //    first residual sees (set_values can flip the sign of a zero).
+    {
+      PerfScope span("Stage(StokesSolve)");
+      setup_.bc.set_values(u_);
+      const CoefficientUpdater update = updater(&evaluation);
+      update(u_, p_, false, coeff_);
+      const Vector f = assemble_body_force(setup_.mesh, coeff_,
+                                           setup_.gravity, engine_.get());
+      report.nonlinear = nonlinear_->solve(update, f, u_, p_);
+    }
 
-  // 2. Plastic strain accumulation on yielded points.
-  {
-    PerfScope span("Stage(PlasticStrain)");
-    report.yielded_points = accumulate_plastic_strain(
-        setup_.mesh, setup_.materials, u_, p_,
-        setup_.use_energy ? &T_ : nullptr, dt, points_);
+    // 2. Plastic strain accumulation on the points the solution yields.
+    {
+      PerfScope span("Stage(PlasticStrain)");
+      report.yielded_points =
+          evaluation.accumulate_plastic_strain(u_, p_, dt, points_);
+    }
   }
 
   // 3. Energy equation (with optional shear heating from the converged

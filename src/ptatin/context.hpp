@@ -71,7 +71,9 @@ public:
   /// configured shape is 1x1x1 and the global paths are in use).
   const SubdomainEngine* subdomain_engine() const { return engine_.get(); }
 
-  /// The coefficient updater closure handed to the nonlinear solver.
+  /// A coefficient updater closure that evaluates the material points in
+  /// full on every call. (step() hands its nonlinear solve one that reuses
+  /// the last evaluation at a bitwise-equal (u, p).)
   CoefficientUpdater coefficient_updater();
 
   // --- mutable state access (checkpoint restore, custom initial states) ----
@@ -101,6 +103,10 @@ public:
   long long state_epoch() const { return state_epoch_; }
 
 private:
+  /// The updater closure: updates through `evaluation`, or through a fresh
+  /// PointEvaluation on each call when it is null.
+  CoefficientUpdater updater(PointEvaluation* evaluation);
+
   ModelSetup setup_;
   PtatinOptions opts_;
   std::unique_ptr<SubdomainEngine> engine_; ///< before solvers: they borrow it

@@ -252,6 +252,26 @@ TEST(Options, BareValueFlagIsReportedAndBareSwitchesAreNot) {
   EXPECT_TRUE(Options::from_args(6, switches).unknown_keys().empty());
 }
 
+TEST(Options, MistypedBooleanIsReportedAndBooleanSpellingsAreNot) {
+  // get_bool reads every value but true, 1 and yes as false: a mistyped
+  // -newton flase would silently run Picard.
+  Options::describe("newton", "true|false", "Newton linearization");
+  const char* typo[] = {"prog", "-newton", "flase"};
+  const auto unknown = Options::from_args(3, typo).unknown_keys();
+  ASSERT_EQ(unknown.size(), 1u);
+  EXPECT_EQ(unknown[0].key, "newton");
+  EXPECT_EQ(unknown[0].bad_value, "flase");
+  const std::string msg = Options::format_unknown(unknown);
+  EXPECT_NE(msg.find("option -newton takes true|false, not 'flase'"),
+            std::string::npos)
+      << msg;
+
+  for (const char* value : {"true", "false", "1", "0", "yes", "no"}) {
+    const char* argv[] = {"prog", "-newton", value};
+    EXPECT_TRUE(Options::from_args(3, argv).unknown_keys().empty()) << value;
+  }
+}
+
 TEST(Options, SuggestMatchesByContainmentBeyondEditBudget) {
   // "checkpoint" -> "checkpoint_every" is far beyond the edit budget, but
   // one string containing the other still qualifies as a near miss.

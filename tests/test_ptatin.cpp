@@ -1,12 +1,19 @@
 // Integration tests for the top-level pTatin3D driver: model selection and
-// setup, coefficient pipeline, full time steps on the sinker and rifting
-// models, and VTK output.
+// setup, coefficient pipeline and the reuse of its point evaluations, full
+// time steps on the sinker and rifting models, and VTK output.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/muladd.hpp"
+#include "obs/metrics.hpp"
 #include "ptatin/context.hpp"
 #include "ptatin/model_select.hpp"
 #include "ptatin/models_rifting.hpp"
@@ -142,9 +149,9 @@ TEST(Pipeline, ProjectedViscosityIsBoundedByMaterials) {
   QuadCoefficients coeff(ctx.mesh().num_elements());
   Vector u(num_velocity_dofs(ctx.mesh()), 0.0);
   Vector pr(num_pressure_dofs(ctx.mesh()), 0.0);
-  update_coefficients_from_points(ctx.mesh(), ctx.setup().materials,
-                                  ctx.points(), u, pr, nullptr, false,
-                                  CoefficientPipelineOptions{}, coeff);
+  PointEvaluation().update(ctx.mesh(), ctx.setup().materials, ctx.points(), u,
+                           pr, nullptr, false, CoefficientPipelineOptions{},
+                           coeff);
   EXPECT_GE(coeff.eta_min(), 1e-3 - 1e-12);
   EXPECT_LE(coeff.eta_max(), 1.0 + 1e-12);
 }
@@ -160,9 +167,9 @@ TEST(Pipeline, NewtonTermsFilled) {
   for (Index n = 0; n < ctx.mesh().num_nodes(); ++n)
     u[3 * n + 0] = ctx.mesh().node_coord(n)[1];
   Vector pr(num_pressure_dofs(ctx.mesh()), 0.0);
-  update_coefficients_from_points(ctx.mesh(), ctx.setup().materials,
-                                  ctx.points(), u, pr, nullptr, true,
-                                  CoefficientPipelineOptions{}, coeff);
+  PointEvaluation().update(ctx.mesh(), ctx.setup().materials, ctx.points(), u,
+                           pr, nullptr, true, CoefficientPipelineOptions{},
+                           coeff);
   ASSERT_TRUE(coeff.has_newton());
   // D0 = strain of u: the xy component is 1/2 everywhere.
   EXPECT_NEAR(coeff.d0(0, 0)[3], 0.5, 1e-9);
@@ -235,6 +242,230 @@ TEST(RiftingModel, OneTimeStepRuns) {
     EXPECT_LT(ctx.temperature()[v], 1.2);
   }
 }
+
+// --- point evaluation reuse ---------------------------------------------------
+
+long long point_evaluations() {
+  return obs::MetricsRegistry::instance()
+      .counter("mpm.point_evaluations")
+      .value();
+}
+
+bool same_bits(const std::vector<Real>& a, const std::vector<Real>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(Real) * a.size()) == 0;
+}
+
+/// Bitwise-equal eta and rho, and deta and D0 when both hold them, at every
+/// quadrature point.
+bool same_coefficients(const QuadCoefficients& a, const QuadCoefficients& b) {
+  if (a.num_elements() != b.num_elements() ||
+      a.has_newton() != b.has_newton())
+    return false;
+  std::vector<Real> va, vb;
+  for (Index e = 0; e < a.num_elements(); ++e)
+    for (int q = 0; q < kQuadPerEl; ++q) {
+      va.insert(va.end(), {a.eta(e, q), a.rho(e, q)});
+      vb.insert(vb.end(), {b.eta(e, q), b.rho(e, q)});
+      if (!a.has_newton()) continue;
+      va.push_back(a.deta(e, q));
+      vb.push_back(b.deta(e, q));
+      va.insert(va.end(), a.d0(e, q), a.d0(e, q) + kSymSize);
+      vb.insert(vb.end(), b.d0(e, q), b.d0(e, q) + kSymSize);
+    }
+  return same_bits(va, vb);
+}
+
+/// The flow law's view of point i at (u, p): what a full evaluation computes.
+ViscosityEval reference_viscosity(const PtatinContext& ctx,
+                                  const MaterialPoints& pts, Index i,
+                                  Real* j2 = nullptr) {
+  const StructuredMesh& mesh = ctx.mesh();
+  const Index e = pts.element(i);
+  RheologyState st;
+  st.j2 = strain_rate_at_point(mesh, ctx.velocity(), e, pts.local_coord(i)).j2;
+  st.pressure = pressure_at_point(mesh, ctx.pressure(), e, pts.position(i));
+  st.temperature = interpolate_vertex_field(mesh, ctx.temperature(), e,
+                                            pts.local_coord(i));
+  st.plastic_strain = pts.plastic_strain(i);
+  if (j2 != nullptr) *j2 = st.j2;
+  return ctx.setup().materials.law(pts.lithology(i)).viscosity(st);
+}
+
+/// The plastic-strain stage as it was before the evaluation was kept: it
+/// re-evaluates every point at the solution. Returns the yielded count. The
+/// update eps_p + sqrt(J2) dt is one pt_muladd, as the library spells it.
+Index reference_plastic_strain(const PtatinContext& ctx, Real dt,
+                               MaterialPoints& pts) {
+  Index count = 0;
+  for (Index i = 0; i < pts.size(); ++i) {
+    if (pts.element(i) < 0) continue;
+    Real j2 = 0;
+    if (!reference_viscosity(ctx, pts, i, &j2).yielded) continue;
+    pts.plastic_strain(i) =
+        pt_muladd(std::sqrt(std::max(j2, Real(0))), dt, pts.plastic_strain(i));
+    ++count;
+  }
+  return count;
+}
+
+/// Line-search trials behind one accepted step length (halvings from 1,
+/// capped when the search ran out).
+int line_search_trials(Real lambda, int line_search_max) {
+  return std::min(line_search_max + 1,
+                  int(std::lround(std::log2(1 / lambda))) + 1);
+}
+
+using Shape = std::array<Index, 3>;
+
+class RiftingEvaluation : public ::testing::TestWithParam<Shape> {
+protected:
+  static constexpr Real kDt = 0.005;
+
+  /// A 8x4x4 rifting model after one step: extension has made the damaged
+  /// crust yield.
+  std::unique_ptr<PtatinContext> stepped_rifting() {
+    RiftingParams p;
+    p.mx = 8;
+    p.my = 4;
+    p.mz = 4;
+    PtatinOptions opts = fast_options();
+    opts.ale.vertical_axis = 1;
+    opts.decomp = GetParam();
+    auto ctx =
+        std::make_unique<PtatinContext>(make_rifting_model(p), opts);
+    ctx->step(kDt);
+    return ctx;
+  }
+
+  static CoefficientPipelineOptions pipeline(const PtatinContext& ctx) {
+    CoefficientPipelineOptions o;
+    o.decomp = ctx.subdomain_engine();
+    return o;
+  }
+
+  /// Update `coeff` at the context's (u, p) through `evaluation`.
+  static void update(const PtatinContext& ctx, PointEvaluation& evaluation,
+                     bool newton_terms, QuadCoefficients& coeff) {
+    evaluation.update(ctx.mesh(), ctx.setup().materials, ctx.points(),
+                      ctx.velocity(), ctx.pressure(), &ctx.temperature(),
+                      newton_terms, pipeline(ctx), coeff);
+  }
+
+  /// Update `coeff` at the context's (u, p) through a fresh evaluation.
+  static void update_fresh(const PtatinContext& ctx, bool newton_terms,
+                           QuadCoefficients& coeff) {
+    PointEvaluation fresh;
+    update(ctx, fresh, newton_terms, coeff);
+  }
+};
+
+TEST_P(RiftingEvaluation, ReusedCoefficientsMatchAFreshEvaluationBitwise) {
+  const auto ctx = stepped_rifting();
+  const Index nel = ctx->mesh().num_elements();
+
+  QuadCoefficients picard_fresh(nel), newton_fresh(nel);
+  update_fresh(*ctx, false, picard_fresh);
+  update_fresh(*ctx, true, newton_fresh);
+
+  PointEvaluation evaluation;
+  QuadCoefficients first(nel), picard_reused(nel), newton_reused(nel);
+  const long long before = point_evaluations();
+  update(*ctx, evaluation, false, first);
+  ASSERT_TRUE(evaluation.holds(ctx->velocity(), ctx->pressure()));
+  update(*ctx, evaluation, false, picard_reused);
+  update(*ctx, evaluation, true, newton_reused);
+  EXPECT_EQ(point_evaluations() - before, 1);
+
+  EXPECT_TRUE(same_coefficients(first, picard_fresh));
+  EXPECT_TRUE(same_coefficients(picard_reused, picard_fresh));
+  ASSERT_TRUE(newton_reused.has_newton());
+  EXPECT_TRUE(same_coefficients(newton_reused, newton_fresh));
+  EXPECT_LT(newton_fresh.eta_min(), newton_fresh.eta_max());
+}
+
+TEST_P(RiftingEvaluation, PlasticStrainFromTheHeldEvaluationMatchesAReEvaluation) {
+  const auto ctx = stepped_rifting();
+  PointEvaluation evaluation;
+  QuadCoefficients coeff(ctx->mesh().num_elements());
+  update(*ctx, evaluation, false, coeff);
+
+  MaterialPoints expected = ctx->points();
+  MaterialPoints got = ctx->points();
+  const Index expected_count = reference_plastic_strain(*ctx, kDt, expected);
+  const long long before = point_evaluations();
+  const Index count = evaluation.accumulate_plastic_strain(
+      ctx->velocity(), ctx->pressure(), kDt, got);
+  EXPECT_EQ(point_evaluations(), before);
+  EXPECT_GT(count, 0) << "no point yields: the check would be vacuous";
+  EXPECT_EQ(count, expected_count);
+  ASSERT_EQ(got.size(), expected.size());
+  std::vector<Real> eg, ee;
+  for (Index i = 0; i < got.size(); ++i) {
+    eg.push_back(got.plastic_strain(i));
+    ee.push_back(expected.plastic_strain(i));
+  }
+  EXPECT_TRUE(same_bits(eg, ee));
+
+  // The evaluation belongs to one (u, p): any other state is refused.
+  Vector u = ctx->velocity();
+  u[0] = std::nextafter(u[0], Real(1));
+  EXPECT_THROW(
+      evaluation.accumulate_plastic_strain(u, ctx->pressure(), kDt, got),
+      Error);
+}
+
+TEST_P(RiftingEvaluation, StepEvaluatesEachNewStateOnce) {
+  const auto ctx = stepped_rifting();
+  const int ls_max = fast_options().nonlinear.line_search_max;
+  const long long before = point_evaluations();
+  const StepReport rep = ctx->step(kDt);
+
+  // The pre-solve evaluates; the first residual and every Newton-step
+  // refresh reuse the state the previous call evaluated; each line-search
+  // trial is a new state; the plastic stage reuses the solution's.
+  long long expected = 1;
+  for (Real lambda : rep.nonlinear.step_lengths)
+    expected += line_search_trials(lambda, ls_max);
+  EXPECT_GE(rep.nonlinear.iterations, 2);
+  EXPECT_GT(rep.yielded_points, 0);
+  EXPECT_EQ(point_evaluations() - before, expected);
+}
+
+TEST_P(RiftingEvaluation, UpdaterOutsideStepEvaluatesEveryCall) {
+  const auto ctx = stepped_rifting();
+  const Index nel = ctx->mesh().num_elements();
+
+  // The least softened yielded point: softening it fully lowers its eta.
+  const MaterialPoints& pts = std::as_const(*ctx).points();
+  Index target = -1;
+  for (Index i = 0; i < pts.size(); ++i)
+    if (pts.element(i) >= 0 && reference_viscosity(*ctx, pts, i).yielded &&
+        (target < 0 || pts.plastic_strain(i) < pts.plastic_strain(target)))
+      target = i;
+  ASSERT_GE(target, 0);
+  ASSERT_LT(pts.plastic_strain(target), 0.5);
+
+  const CoefficientUpdater updater = ctx->coefficient_updater();
+  QuadCoefficients first(nel), second(nel), expected(nel);
+  const long long before = point_evaluations();
+  updater(ctx->velocity(), ctx->pressure(), false, first);
+  ctx->points().plastic_strain(target) = 1.0;
+  updater(ctx->velocity(), ctx->pressure(), false, second);
+  EXPECT_EQ(point_evaluations() - before, 2);
+
+  update_fresh(*ctx, false, expected);
+  EXPECT_TRUE(same_coefficients(second, expected));
+  EXPECT_FALSE(same_coefficients(second, first));
+}
+
+INSTANTIATE_TEST_SUITE_P(Decomp, RiftingEvaluation,
+                         ::testing::Values(Shape{1, 1, 1}, Shape{2, 2, 1}),
+                         [](const ::testing::TestParamInfo<Shape>& info) {
+                           return std::to_string(info.param[0]) + "x" +
+                                  std::to_string(info.param[1]) + "x" +
+                                  std::to_string(info.param[2]);
+                         });
 
 // --- VTK -----------------------------------------------------------------------
 
