@@ -26,23 +26,14 @@ namespace ptatin {
 
 inline constexpr std::size_t kSimdAlign = 64;
 
-/// Supported cross-element batch widths (SIMD lanes per batch). W doubles are
-/// gathered into SoA lane buffers (value index major, lane minor) so the 1-D
-/// tensor contractions vectorize across elements; 8 lanes fill one AVX-512
-/// register (one cache line) of doubles.
-inline constexpr int kBatchWidths[] = {8};
-
-/// The width every solver-stack viscous apply runs at (StokesSolverOptions
-/// defaults its kernel to it). Batching never changes a result, so this is a
-/// constant, not an option: W = 8 beat W = 4 on every host measured
-/// (docs/KERNELS.md).
+/// The one cross-element batch width (SIMD lanes per batch), which every
+/// solver-stack viscous apply runs at (StokesSolverOptions defaults its
+/// kernel to it). W doubles are gathered into SoA lane buffers (value index
+/// major, lane minor) so the 1-D tensor contractions vectorize across
+/// elements; 8 lanes fill one AVX-512 register (one cache line) of doubles.
+/// Batching never changes a result, so this is a constant, not an option:
+/// W = 8 beat W = 4 on every host measured (docs/KERNELS.md).
 inline constexpr int kSolverBatchWidth = 8;
-
-inline constexpr bool is_batch_width(int w) {
-  for (int bw : kBatchWidths)
-    if (w == bw) return true;
-  return false;
-}
 
 /// Minimal aligned allocator for std::vector-backed kernel buffers.
 template <class T, std::size_t Align = kSimdAlign>

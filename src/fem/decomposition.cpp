@@ -36,22 +36,9 @@ Decomposition Decomposition::create(const StructuredMesh& mesh, Index px,
   for (Index rk = 0; rk < pz; ++rk)
     for (Index rj = 0; rj < py; ++rj)
       for (Index ri = 0; ri < px; ++ri) {
-        const Index rank = d.rank_at(ri, rj, rk);
-        Subdomain& s = d.subs_[rank];
-        s.rank = rank;
+        Subdomain& s = d.subs_[d.rank_at(ri, rj, rk)];
         s.elo = {d.splits_x_[ri], d.splits_y_[rj], d.splits_z_[rk]};
         s.ehi = {d.splits_x_[ri + 1], d.splits_y_[rj + 1], d.splits_z_[rk + 1]};
-        // 26-connectivity neighbor ranks.
-        for (Index dk = -1; dk <= 1; ++dk)
-          for (Index dj = -1; dj <= 1; ++dj)
-            for (Index di = -1; di <= 1; ++di) {
-              if (di == 0 && dj == 0 && dk == 0) continue;
-              const Index ni = ri + di, nj = rj + dj, nk = rk + dk;
-              if (ni < 0 || ni >= px || nj < 0 || nj >= py || nk < 0 ||
-                  nk >= pz)
-                continue;
-              s.neighbors.push_back(d.rank_at(ni, nj, nk));
-            }
       }
   return d;
 }
@@ -70,18 +57,6 @@ Index Decomposition::rank_of_element(const StructuredMesh& mesh,
   const Index rj = dir_rank(splits_y_, ej);
   const Index rk = dir_rank(splits_z_, ek);
   return ri + px_ * (rj + py_ * rk);
-}
-
-std::vector<Index> Decomposition::owned_elements(const StructuredMesh& mesh,
-                                                 Index rank) const {
-  const Subdomain& s = subs_[rank];
-  std::vector<Index> out;
-  out.reserve(s.num_elements());
-  for (Index ek = s.elo[2]; ek < s.ehi[2]; ++ek)
-    for (Index ej = s.elo[1]; ej < s.ehi[1]; ++ej)
-      for (Index ei = s.elo[0]; ei < s.ehi[0]; ++ei)
-        out.push_back(mesh.element_index(ei, ej, ek));
-  return out;
 }
 
 } // namespace ptatin

@@ -2,10 +2,8 @@
 //
 // §II-D: "Parallelism is achieved by spatially decomposing the structured Q2
 // finite element mesh containing M x N x P elements into structured
-// subdomains". The MPI substitution (see DESIGN.md) keeps these rank-local
-// data structures — element ownership, neighbor topology — and drives them
-// from shared memory. The material-point exchanger (src/mpm/exchanger) uses
-// the neighbor lists exactly as the paper's migration protocol does.
+// subdomains". The MPI substitution (see DESIGN.md) keeps the rank-local
+// element boxes and drives them from shared memory (fem/subdomain_engine).
 #pragma once
 
 #include <array>
@@ -17,20 +15,9 @@
 namespace ptatin {
 
 struct Subdomain {
-  Index rank = 0;
   /// Owned element box [elo, ehi) per direction.
   std::array<Index, 3> elo{0, 0, 0};
   std::array<Index, 3> ehi{0, 0, 0};
-  /// Ranks of the (up to 26) adjacent subdomains.
-  std::vector<Index> neighbors;
-
-  Index num_elements() const {
-    return (ehi[0] - elo[0]) * (ehi[1] - elo[1]) * (ehi[2] - elo[2]);
-  }
-  bool owns_element_ijk(Index ei, Index ej, Index ek) const {
-    return ei >= elo[0] && ei < ehi[0] && ej >= elo[1] && ej < ehi[1] &&
-           ek >= elo[2] && ek < ehi[2];
-  }
 };
 
 class Decomposition {
@@ -67,14 +54,9 @@ public:
   }
 
   const Subdomain& subdomain(Index rank) const { return subs_[rank]; }
-  const std::vector<Subdomain>& subdomains() const { return subs_; }
 
   /// Owning rank of element e.
   Index rank_of_element(const StructuredMesh& mesh, Index e) const;
-
-  /// Elements owned by a rank, in mesh element ordering.
-  std::vector<Index> owned_elements(const StructuredMesh& mesh,
-                                    Index rank) const;
 
 private:
   Index px_ = 1, py_ = 1, pz_ = 1;

@@ -6,8 +6,7 @@
 // substitution (DESIGN.md): each subdomain of a `Decomposition` gets its own
 // element range (split into interior and halo-boundary elements), a private
 // scratch slab for its touched lattice points, and an explicit in-memory
-// halo-exchange step — pack -> exchange -> accumulate — built on the same
-// neighbor topology the material-point exchanger uses.
+// halo-exchange step — pack -> exchange -> accumulate.
 //
 // Ownership rule. Lattice points (Q2 nodes or Q1 corner vertices) are owned
 // half-open from the low side: on the node lattice, dir-rank r owns columns

@@ -57,10 +57,6 @@ public:
   /// identical to the plain CSR path (la/blocked_spmv.hpp), just faster on
   /// the near-uniform coarse-level rows.
   void enable_blocked() { blocked_ = std::make_unique<BlockedSpMV>(*a_); }
-  /// Re-copy values after the underlying matrix was numerically updated.
-  void refresh_blocked() {
-    if (blocked_ != nullptr) blocked_->refresh_values(*a_);
-  }
   bool blocked() const { return blocked_ != nullptr; }
 
 private:

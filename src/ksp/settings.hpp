@@ -22,7 +22,7 @@ namespace ptatin {
 enum class ConvergedReason {
   kIterating = 0,      ///< not stopped (internal sentinel)
   kConvergedRtol,      ///< ||r|| <= rtol * ||r_0||
-  kConvergedAtol,      ///< ||r|| <= atol
+  kConvergedAtol,      ///< ||r|| <= kKrylovAtol
   kDivergedDtol,       ///< ||r|| > dtol * ||r_0|| (residual blow-up)
   kDivergedNanOrInf,   ///< NaN or Inf entered the iteration
   kDivergedBreakdown,  ///< algorithmic breakdown (zero pivot / indefinite)
@@ -60,9 +60,12 @@ constexpr bool is_fatal(ConvergedReason r) {
          r == ConvergedReason::kDivergedSdc;
 }
 
+/// Absolute residual tolerance of every Krylov solve, so small that in
+/// practice only a zero residual (a zero right-hand side) meets it.
+inline constexpr Real kKrylovAtol = 1e-50;
+
 struct KrylovSettings {
   Real rtol = 1e-5;  ///< relative (unpreconditioned) residual tolerance
-  Real atol = 1e-50; ///< absolute residual tolerance
   Real dtol = 1e5;   ///< divergence ratio: ||r|| > dtol * ||r_0|| aborts
                      ///< (<= 0 disables the guard)
   int max_it = 10000;
@@ -110,8 +113,7 @@ struct SolveStats {
 class ConvergenceTest {
 public:
   ConvergenceTest(const KrylovSettings& s, Real rnorm0)
-      : atol_(s.atol),
-        target_(std::max(s.atol, s.rtol * rnorm0)),
+      : target_(std::max(kKrylovAtol, s.rtol * rnorm0)),
         divergence_(s.dtol > 0 && std::isfinite(rnorm0) ? s.dtol * rnorm0
                                                         : Real(0)),
         max_it_(s.max_it) {}
@@ -121,8 +123,8 @@ public:
   ConvergedReason test(Real rnorm, int it) const {
     if (!std::isfinite(rnorm)) return ConvergedReason::kDivergedNanOrInf;
     if (rnorm <= target_)
-      return rnorm <= atol_ ? ConvergedReason::kConvergedAtol
-                            : ConvergedReason::kConvergedRtol;
+      return rnorm <= kKrylovAtol ? ConvergedReason::kConvergedAtol
+                                  : ConvergedReason::kConvergedRtol;
     if (divergence_ > 0 && rnorm > divergence_)
       return ConvergedReason::kDivergedDtol;
     if (it >= max_it_) return ConvergedReason::kDivergedMaxIt;
@@ -130,7 +132,7 @@ public:
   }
 
 private:
-  Real atol_, target_, divergence_;
+  Real target_, divergence_;
   int max_it_;
 };
 

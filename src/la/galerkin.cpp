@@ -100,10 +100,6 @@ bool multiply_numeric(const CsrMatrix& a, const CsrMatrix& b, CsrMatrix& c) {
 
 } // namespace
 
-void GalerkinProduct::reset() {
-  *this = GalerkinProduct{};
-}
-
 bool GalerkinProduct::cache_valid(const CsrMatrix& a,
                                   const CsrMatrix& p) const {
   return a.row_ptr() == a_row_ptr_ && a.col_idx() == a_col_idx_ &&

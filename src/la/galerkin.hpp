@@ -43,9 +43,6 @@ public:
   long setups() const { return setups_; }
   long refreshes() const { return refreshes_; }
 
-  /// Drop the cached patterns (next product() is a full setup).
-  void reset();
-
 private:
   bool cache_valid(const CsrMatrix& a, const CsrMatrix& p) const;
   void full_setup(const CsrMatrix& a, const CsrMatrix& p);

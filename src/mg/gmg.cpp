@@ -182,7 +182,8 @@ GmgHierarchy::GmgHierarchy(const ViscousOperatorBase& fine_op,
   } else {
     PT_ASSERT_MSG(coarse_factory != nullptr, "coarse solver factory required");
     PerfScope span("MGSetupCoarse");
-    coarse_solver_ = coarse_factory(*levels_[0].assembled);
+    coarse_solver_ = coarse_factory(*levels_[0].assembled, *levels_[0].mesh,
+                                    *levels_[0].bc);
   }
 
   // --- SDC seal over the setup-immutable operator data -----------------------

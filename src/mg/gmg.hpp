@@ -81,9 +81,10 @@ inline int suggest_gmg_levels(Index m, int max_levels = 3) {
 }
 
 /// Factory building the coarsest-level solver from the coarsest assembled
-/// matrix (wired by the caller; an AMG factory lives in src/amg).
-using CoarseSolverFactory =
-    std::function<std::unique_ptr<Preconditioner>(const CsrMatrix&)>;
+/// matrix and the mesh and BC it was built on (SA-AMG takes its rigid-body
+/// modes from them); wired by the caller.
+using CoarseSolverFactory = std::function<std::unique_ptr<Preconditioner>(
+    const CsrMatrix&, const StructuredMesh&, const DirichletBc&)>;
 
 /// Factory recreating the problem's boundary conditions on a coarse mesh.
 using BcFactory = std::function<DirichletBc(const StructuredMesh&)>;

@@ -17,7 +17,7 @@ struct AdvectionStats {
 
 /// RK2 (midpoint) advection of all located points; positions are updated and
 /// locations re-resolved. Points that exit the mesh keep their position but
-/// have an invalid element (migration/deletion is the exchanger's job).
+/// have an invalid element (the caller deletes them; PtatinContext does).
 AdvectionStats advect_points_rk2(const StructuredMesh& mesh, const Vector& u,
                                  Real dt, MaterialPoints& points);
 

@@ -39,6 +39,7 @@ void NonlinearStokesSolver::residual(const QuadCoefficients& coeff,
                                      const Vector& f, const Vector& u,
                                      const Vector& p, Vector& fu,
                                      Vector& fp) const {
+  obs::MetricsRegistry::instance().counter("nonlin.residual_evaluations").inc();
   // F_u = A(eta) u + B p - f, with the raw (unmasked) bilinear form: u
   // carries the boundary values, so constrained rows are simply zeroed (the
   // boundary equation u_bc = g_bc is satisfied by construction).
@@ -115,12 +116,13 @@ NonlinearResult NonlinearStokesSolver::solve(
       PerfScope step_span("NewtonStep");
       StokesSolver linear(mesh_, coeff, bc_, lopts);
 
-      // Right-hand side: -F with homogeneous constrained rows.
-      residual(coeff, f, u, p, fu, fp);
-      fu.scale(-1.0);
-      fp.scale(-1.0);
+      // Right-hand side: -F with homogeneous constrained rows. fu and fp
+      // already hold F(u, p): the last residual evaluated this state (the
+      // first residual or the accepted trial), at bitwise the same eta as the
+      // refresh above. They stay unnegated for a Picard fallback.
       Vector rhs;
       linear.op().combine(fu, fp, rhs);
+      rhs.scale(-1.0);
 
       StokesSolveResult lin = linear.solve_stacked(rhs);
       res.total_krylov_iterations += lin.stats.iterations;

@@ -2,13 +2,12 @@
 //
 // Counters and gauges are single atomics and safe to update from any thread
 // (including inside OpenMP regions). Histograms keep every sample under a
-// small mutex — they are fed from per-stage control code (migration queue
-// depths, points-per-cell populations), not from inner kernels — and report
-// nearest-rank percentiles on demand.
+// small mutex — they are fed from per-stage control code (points-per-cell
+// populations), not from inner kernels — and report nearest-rank percentiles
+// on demand.
 //
 // Naming convention (docs/OBSERVABILITY.md): lower-case dotted paths grouped
-// by subsystem, e.g. "ksp.cg.iterations", "mg.vcycles",
-// "mpm.migrate.queue_depth", "mpm.points_per_cell".
+// by subsystem, e.g. "ksp.cg.iterations", "mg.vcycles", "mpm.points_per_cell".
 #pragma once
 
 #include <atomic>

@@ -48,7 +48,7 @@ void PointEvaluation::evaluate(const StructuredMesh& mesh,
                                const MaterialTable& materials,
                                const MaterialPoints& points, const Vector& u,
                                const Vector& p, const Vector* temperature,
-                               const CoefficientPipelineOptions& opts) {
+                               const SubdomainEngine* engine) {
   obs::MetricsRegistry::instance().counter("mpm.point_evaluations").inc();
   held_ = false; // the arrays below stop describing the held state
   const Index n = points.size();
@@ -72,10 +72,8 @@ void PointEvaluation::evaluate(const StructuredMesh& mesh,
   });
 
   // Project to quadrature points (Eq. 12-13).
-  project_to_quadrature(mesh, points, eta_p, eta_q_, kFallbackEta,
-                        opts.decomp);
-  project_to_quadrature(mesh, points, rho_p, rho_q_, kFallbackRho,
-                        opts.decomp);
+  project_to_quadrature(mesh, points, eta_p, eta_q_, kFallbackEta, engine);
+  project_to_quadrature(mesh, points, rho_p, rho_q_, kFallbackRho, engine);
 
   u_.copy_from(u);
   p_.copy_from(p);
@@ -86,17 +84,16 @@ void PointEvaluation::update(const StructuredMesh& mesh,
                              const MaterialTable& materials,
                              const MaterialPoints& points, const Vector& u,
                              const Vector& p, const Vector* temperature,
-                             bool newton_terms,
-                             const CoefficientPipelineOptions& opts,
+                             bool newton_terms, const SubdomainEngine* engine,
                              QuadCoefficients& coeff) {
   PT_ASSERT(coeff.num_elements() == mesh.num_elements());
   if (!holds(u, p))
-    evaluate(mesh, materials, points, u, p, temperature, opts);
+    evaluate(mesh, materials, points, u, p, temperature, engine);
 
   std::vector<Real> deta_q;
   std::vector<StrainRateSample> sr;
   if (newton_terms) {
-    project_to_quadrature(mesh, points, deta_p_, deta_q, 0.0, opts.decomp);
+    project_to_quadrature(mesh, points, deta_p_, deta_q, 0.0, engine);
     if (!coeff.has_newton()) coeff.allocate_newton();
     // D0 sampled directly at quadrature points from the current velocity.
     evaluate_strain_rates(mesh, u, sr);

@@ -28,12 +28,6 @@ namespace ptatin {
 
 class SubdomainEngine;
 
-struct CoefficientPipelineOptions {
-  /// Subdomain engine for the point-to-vertex projection (halo-exchanged
-  /// scatter, docs/PARALLELISM.md); null = serial scatter. Not owned.
-  const SubdomainEngine* decomp = nullptr;
-};
-
 /// The flow laws evaluated at every material point for one (u, p): per point
 /// d(eta)/d(J2), J2 and the yield flag, and eta and rho projected to the
 /// quadrature points, with a bitwise copy of the (u, p). The key covers only
@@ -47,11 +41,13 @@ public:
   /// (u, p). Reuses the held evaluation when it was made at bitwise-equal
   /// (u, p); otherwise evaluates every point (counted by the metric
   /// `mpm.point_evaluations`). `temperature` is the vertex field (may be
-  /// null). Points must be located.
+  /// null). `engine` runs the point-to-vertex projection as a halo-exchanged
+  /// scatter (docs/PARALLELISM.md); null = serial scatter. Points must be
+  /// located.
   void update(const StructuredMesh& mesh, const MaterialTable& materials,
               const MaterialPoints& points, const Vector& u, const Vector& p,
               const Vector* temperature, bool newton_terms,
-              const CoefficientPipelineOptions& opts, QuadCoefficients& coeff);
+              const SubdomainEngine* engine, QuadCoefficients& coeff);
 
   /// True when an evaluation made at bitwise-equal (u, p) is held.
   bool holds(const Vector& u, const Vector& p) const;
@@ -64,8 +60,7 @@ public:
 private:
   void evaluate(const StructuredMesh& mesh, const MaterialTable& materials,
                 const MaterialPoints& points, const Vector& u, const Vector& p,
-                const Vector* temperature,
-                const CoefficientPipelineOptions& opts);
+                const Vector* temperature, const SubdomainEngine* engine);
 
   bool held_ = false; ///< u_, p_ and the arrays below describe one state
   Vector u_, p_;

@@ -1,7 +1,6 @@
 #include "ptatin/config.hpp"
 
 #include "common/error.hpp"
-#include "fem/subdomain_engine.hpp"
 #include "saddle/stokes_solver.hpp"
 
 namespace ptatin {
@@ -150,13 +149,6 @@ SolverConfig SolverConfig::from_options(const Options& o) {
   so.gmg.seal_operators = sg.scrub_every > 0;
   so.amg.seal_operators = sg.scrub_every > 0;
   return cfg;
-}
-
-std::unique_ptr<SubdomainEngine> SolverConfig::make_engine(
-    const StructuredMesh& mesh) const {
-  const auto& d = ptatin_.decomp;
-  if (d[0] * d[1] * d[2] <= 1) return nullptr;
-  return std::make_unique<SubdomainEngine>(mesh, d[0], d[1], d[2]);
 }
 
 std::unique_ptr<StokesSolver> SolverConfig::make_stokes_solver(

@@ -5,11 +5,11 @@
 // SolverConfig is the single owner of every knob that used to be threaded
 // by hand through the driver: the Stokes solver options (backend, GMG,
 // Krylov), the nonlinear options, the timestep safeguard / checkpoint knobs,
-// and the subdomain decomposition shape (docs/PARALLELISM.md). It can be
-// populated fluently from code or parsed from a PETSc-style options
-// database (SolverConfig::from_options), and it knows how to build the
-// pieces that consume it: the subdomain engine, a standalone StokesSolver,
-// the PtatinContext, and the SafeguardedStepper.
+// and the subdomain decomposition shape (docs/PARALLELISM.md). It is parsed
+// from a PETSc-style options database (SolverConfig::from_options) and
+// adjusted through its views, and it knows how to build the pieces that
+// consume it: a standalone StokesSolver, the PtatinContext, and the
+// SafeguardedStepper.
 #pragma once
 
 #include <array>
@@ -45,34 +45,9 @@ public:
   /// without parsing anything (from_options does this implicitly).
   static void describe_options();
 
-  // --- fluent setters ------------------------------------------------------
-  SolverConfig& backend(FineOperatorType t) {
-    ptatin_.nonlinear.linear.kernel.type = t;
-    return *this;
-  }
   /// Subdomain decomposition shape; {1,1,1} = global (non-decomposed) paths.
   SolverConfig& decomp(Index px, Index py, Index pz) {
     ptatin_.decomp = {px, py, pz};
-    return *this;
-  }
-  SolverConfig& gmg_levels(int levels) {
-    ptatin_.nonlinear.linear.gmg.levels = levels;
-    return *this;
-  }
-  SolverConfig& coarse_solve(GmgCoarseSolve c) {
-    ptatin_.nonlinear.linear.coarse_solve = c;
-    return *this;
-  }
-  SolverConfig& newton(bool on) {
-    ptatin_.nonlinear.use_newton = on;
-    return *this;
-  }
-  SolverConfig& krylov_rtol(Real rtol) {
-    ptatin_.nonlinear.linear.krylov.rtol = rtol;
-    return *this;
-  }
-  SolverConfig& safeguarded(bool on) {
-    use_safeguard_ = on;
     return *this;
   }
 
@@ -90,11 +65,6 @@ public:
   bool use_safeguard() const { return use_safeguard_; }
 
   // --- factories -----------------------------------------------------------
-  /// Build the subdomain engine for this config's shape; null for 1x1x1
-  /// (the global paths need no engine).
-  std::unique_ptr<SubdomainEngine> make_engine(const StructuredMesh& mesh)
-      const;
-
   /// Standalone Stokes solver consuming this config's linear options with
   /// `engine` injected (may be null). Borrows mesh/coeff/bc/engine.
   std::unique_ptr<StokesSolver> make_stokes_solver(

@@ -18,7 +18,6 @@ PtatinContext::PtatinContext(ModelSetup setup, const PtatinOptions& opts)
     engine_ = std::make_unique<SubdomainEngine>(
         setup_.mesh, opts_.decomp[0], opts_.decomp[1], opts_.decomp[2]);
     opts_.nonlinear.linear.kernel.engine = engine_.get();
-    opts_.pipeline.decomp = engine_.get();
   }
 
   // Material points.
@@ -75,7 +74,7 @@ CoefficientUpdater PtatinContext::updater(PointEvaluation* evaluation) {
     (evaluation != nullptr ? *evaluation : fresh)
         .update(setup_.mesh, setup_.materials, points_, u, p,
                 setup_.use_energy ? &T_ : nullptr, newton_terms,
-                opts_.pipeline, coeff);
+                engine_.get(), coeff);
   };
 }
 

@@ -28,7 +28,6 @@ struct PtatinOptions {
   PopulationOptions population;
   AleOptions ale;
   bool update_mesh = true;       ///< ALE free-surface update
-  CoefficientPipelineOptions pipeline;
   /// Subdomain decomposition shape {px, py, pz} (docs/PARALLELISM.md).
   /// {1,1,1} keeps the global (non-decomposed) execution paths.
   std::array<Index, 3> decomp = {1, 1, 1};

@@ -41,34 +41,30 @@ HealthReport check_health(PtatinContext& ctx, const HealthOptions& opts) {
 
   HealthReport rep;
 
-  if (opts.check_fields) {
-    rep.nonfinite_values = count_nonfinite(ctx.velocity()) +
-                           count_nonfinite(ctx.pressure()) +
-                           count_nonfinite(ctx.temperature());
-    if (fault::fires("health.field_nan")) ++rep.nonfinite_values;
-    if (rep.nonfinite_values > 0) {
-      metrics.counter("health.nonfinite_values").inc(rep.nonfinite_values);
-      std::ostringstream os;
-      os << rep.nonfinite_values << " non-finite field value"
-         << (rep.nonfinite_values == 1 ? "" : "s");
-      rep.issues.push_back(os.str());
-    }
+  rep.nonfinite_values = count_nonfinite(ctx.velocity()) +
+                         count_nonfinite(ctx.pressure()) +
+                         count_nonfinite(ctx.temperature());
+  if (fault::fires("health.field_nan")) ++rep.nonfinite_values;
+  if (rep.nonfinite_values > 0) {
+    metrics.counter("health.nonfinite_values").inc(rep.nonfinite_values);
+    std::ostringstream os;
+    os << rep.nonfinite_values << " non-finite field value"
+       << (rep.nonfinite_values == 1 ? "" : "s");
+    rep.issues.push_back(os.str());
   }
 
-  if (opts.check_jacobian) {
-    const StructuredMesh& mesh = ctx.mesh();
-    rep.inverted_elements =
-        static_cast<Index>(parallel_reduce_sum(mesh.num_elements(), [&](Index e) {
-          return mesh.element_min_jacobian(e) > Real(0) ? Real(0) : Real(1);
-        }));
-    if (rep.inverted_elements > 0) {
-      metrics.counter("health.inverted_elements").inc(rep.inverted_elements);
-      std::ostringstream os;
-      os << rep.inverted_elements << " element"
-         << (rep.inverted_elements == 1 ? "" : "s")
-         << " with nonpositive Jacobian (inverted/degenerate ALE mesh)";
-      rep.issues.push_back(os.str());
-    }
+  const StructuredMesh& mesh = ctx.mesh();
+  rep.inverted_elements =
+      static_cast<Index>(parallel_reduce_sum(mesh.num_elements(), [&](Index e) {
+        return mesh.element_min_jacobian(e) > Real(0) ? Real(0) : Real(1);
+      }));
+  if (rep.inverted_elements > 0) {
+    metrics.counter("health.inverted_elements").inc(rep.inverted_elements);
+    std::ostringstream os;
+    os << rep.inverted_elements << " element"
+       << (rep.inverted_elements == 1 ? "" : "s")
+       << " with nonpositive Jacobian (inverted/degenerate ALE mesh)";
+    rep.issues.push_back(os.str());
   }
 
   if (opts.check_population) {
@@ -99,14 +95,10 @@ HealthReport check_health(PtatinContext& ctx, const HealthOptions& opts) {
          << rep.max_per_cell << "] outside band ["
          << opts.population.min_per_element << ", "
          << opts.population.max_per_element << "]";
-      if (opts.population_strict) {
-        rep.issues.push_back(os.str());
-      } else {
-        // Donor-free deficient regions are legitimate (points can advect out
-        // of a corner for good); count and warn, but do not fail the run.
-        log_warn("health: ", os.str(), " (not fatal; repair ",
-                 rep.repaired ? "attempted" : "disabled", ")");
-      }
+      // Donor-free deficient regions are legitimate (points can advect out
+      // of a corner for good); count and warn, but do not fail the run.
+      log_warn("health: ", os.str(), " (not fatal; repair ",
+               rep.repaired ? "attempted" : "disabled", ")");
     }
   }
 

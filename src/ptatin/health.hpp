@@ -24,15 +24,14 @@ namespace ptatin {
 
 class PtatinContext;
 
+/// The check always scans u/p/T for NaN/Inf and the ALE mesh for element
+/// min det J <= 0; the population pass is optional. A band violation that
+/// repair cannot fix is counted and warned about, never fatal: donor-free
+/// regions are legitimate.
 struct HealthOptions {
-  bool check_fields = true;      ///< NaN/Inf scan of u/p/T
-  bool check_jacobian = true;    ///< element min det J > 0 on the ALE mesh
   bool check_population = true;  ///< per-cell point count within the band
   bool repair_population = true; ///< run population control on a violation
-  bool population_strict = false; ///< an unrepairable band violation fails
-                                  ///< the check (default: warn + count only,
-                                  ///< donor-free regions are legitimate)
-  PopulationOptions population;   ///< the enforced per-cell band
+  PopulationOptions population;  ///< the enforced per-cell band
 };
 
 struct HealthReport {

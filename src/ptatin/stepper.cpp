@@ -131,9 +131,8 @@ std::string SafeguardedStepper::diagnose(const StepReport& report) const {
   // failure taxonomy; only its sentinel trip needs the safeguard tier.
   if (report.energy.linear.reason == ConvergedReason::kDivergedSdc)
     return "sdc: energy solve " + report.energy.linear.reason_message();
-  if (opts_.check_fields &&
-      (!all_finite(ctx_.velocity()) || !all_finite(ctx_.pressure()) ||
-       !all_finite(ctx_.temperature())))
+  if (!all_finite(ctx_.velocity()) || !all_finite(ctx_.pressure()) ||
+      !all_finite(ctx_.temperature()))
     return "non-finite values in solution fields";
   return {};
 }
@@ -251,7 +250,7 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
     // bitwise reproducibility) instead of cutting the step size.
     const Real dt_next = sdc_failure ? dt : dt * opts_.dt_cut_factor;
     if (!snapshot->valid() || attempt >= opts_.max_retries ||
-        !(dt_next > opts_.dt_min)) {
+        !(dt_next > 0)) {
       res.retries = attempt;
       break; // unrecoverable: report failure to the caller
     }

@@ -45,8 +45,6 @@ struct SafeguardOptions {
   int max_retries = 3;       ///< rollback/retry attempts per step
   Real dt_cut_factor = 0.5;  ///< dt multiplier per retry
   Real dt_grow_factor = 1.5; ///< cap growth per clean step after a cut
-  Real dt_min = 0.0;         ///< give up when the retry dt would drop below
-  bool check_fields = true;  ///< NaN/Inf scan of u/p/T after each step
 
   // Run-health watchdog (docs/ROBUSTNESS.md).
   int health_every = 0;      ///< full health check every N steps (0 = only

@@ -129,9 +129,9 @@ UzawaStats uzawa_solve(const StokesOperator& op,
       break;
     }
 
-    // p += omega Mp^{-1} r_p.
+    // p += Mp^{-1} r_p.
     schur.apply(rp, zp);
-    p.axpy(opts.omega, zp);
+    p.axpy(1.0, zp);
   }
 
   stats.iterations = it;

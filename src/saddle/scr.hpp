@@ -48,10 +48,9 @@ ScrStats scr_solve(const StokesOperator& op, const Preconditioner& velocity_pc,
 /// The Uzawa method (§III-B: "a well-known stationary iteration in the SCR
 /// family"): Richardson iteration on the Schur complement,
 ///   u_k = J_uu^{-1} (F_u - J_up p_k)
-///   p_{k+1} = p_k + omega * Mp^{-1} (J_pu u_k - F_p),
+///   p_{k+1} = p_k + Mp^{-1} (J_pu u_k - F_p),
 /// each step costing one accurate velocity solve.
 struct UzawaOptions {
-  Real omega = 1.0;
   int max_it = 200;
   Real rtol = 1e-5;        ///< on the divergence residual ||J_pu u - F_p||
   KrylovSettings inner;    ///< velocity solves

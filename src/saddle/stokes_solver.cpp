@@ -43,24 +43,22 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
                                : BcFactory([](const StructuredMesh& m) {
                                    return sinker_boundary_conditions(m);
                                  });
-    // Precompute the coarsest mesh for rigid-body modes; restrict the modes
-    // to the unconstrained dofs (nonzero near-nullspace entries at Dirichlet
-    // rows pollute the aggregate bases near boundaries).
-    StructuredMesh coarsest = mesh;
-    for (int l = 1; l < opts.gmg.levels; ++l) coarsest = coarsest.coarsen();
-    const DirichletBc coarsest_bc = bc_factory(coarsest);
     const AmgOptions amg_opts = opts.amg;
     const GmgCoarseSolve cs = opts.coarse_solve;
     const Index nblocks = opts.coarse_bjacobi_blocks;
     double* coarse_setup = &coarse_setup_seconds_;
 
     CoarseSolverFactory coarse_factory =
-        [coarsest, coarsest_bc, amg_opts, cs, nblocks,
-         coarse_setup](const CsrMatrix& a) -> std::unique_ptr<Preconditioner> {
+        [amg_opts, cs, nblocks, coarse_setup](
+            const CsrMatrix& a, const StructuredMesh& coarsest,
+            const DirichletBc& coarsest_bc) -> std::unique_ptr<Preconditioner> {
       Timer ct;
       std::unique_ptr<Preconditioner> pc;
       switch (cs) {
         case GmgCoarseSolve::kAmg: {
+          // Rigid-body modes of the coarsest mesh, restricted to the
+          // unconstrained dofs (nonzero near-nullspace entries at Dirichlet
+          // rows pollute the aggregate bases near boundaries).
           std::vector<Vector> rbm = rigid_body_modes(coarsest);
           for (auto& mode : rbm) coarsest_bc.zero_constrained(mode);
           pc = std::make_unique<SaAmg>(a, rbm, amg_opts);

@@ -253,13 +253,8 @@ Vector assemble_traction_force(
 }
 
 PressureMassSchur::PressureMassSchur(const StructuredMesh& mesh,
-                                     const QuadCoefficients& coeff) {
-  update(mesh, coeff);
-}
-
-void PressureMassSchur::update(const StructuredMesh& mesh,
-                               const QuadCoefficients& coeff) {
-  nel_ = mesh.num_elements();
+                                     const QuadCoefficients& coeff)
+    : nel_(mesh.num_elements()) {
   blocks_.assign(nel_ * 16, 0.0);
   inv_blocks_.assign(nel_ * 16, 0.0);
 

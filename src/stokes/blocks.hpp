@@ -75,9 +75,6 @@ public:
 
   Index size() const { return 4 * nel_; }
 
-  /// Recompute the blocks after a viscosity update.
-  void update(const StructuredMesh& mesh, const QuadCoefficients& coeff);
-
 private:
   Index nel_ = 0;
   /// Per element: the 4x4 mass block and its inverse, row-major.

@@ -1,17 +1,7 @@
 // Base-class masking logic and matrix-free diagonal extraction.
 #include "stokes/viscous_ops.hpp"
 
-#include "fem/subdomain_engine.hpp"
-
 namespace ptatin {
-
-void ViscousOperatorBase::set_subdomain_engine(const SubdomainEngine* engine) {
-  PT_ASSERT_MSG(engine == nullptr ||
-                    (engine->mx() == mesh_.mx() && engine->my() == mesh_.my() &&
-                     engine->mz() == mesh_.mz()),
-                "subdomain engine was built for a different element grid");
-  engine_ = engine;
-}
 
 void ViscousOperatorBase::apply(const Vector& x, Vector& y,
                                 bool newton) const {

@@ -1,6 +1,5 @@
 // The one viscous back-end construction path: a switch over the back-end,
-// with the batch width passed to the constructor and the subdomain engine
-// wired afterwards.
+// with the batch width and the subdomain engine passed to the constructor.
 #include "common/error.hpp"
 #include "stokes/viscous_ops.hpp"
 
@@ -12,26 +11,24 @@ make_viscous_backend(const KernelSpec& spec, const StructuredMesh& mesh,
   const int w = spec.batch_width;
   // Checked here for every back-end: the assembled constructor takes no
   // width, so it would otherwise accept any.
-  if (w != 0 && !is_batch_width(w))
+  if (w != 0 && w != kSolverBatchWidth)
     PT_THROW("kernel " << kernel_label(spec)
                        << ": batch width must be 0 (scalar) or 8");
-  std::unique_ptr<ViscousOperatorBase> op;
   switch (spec.type) {
     case FineOperatorType::kAssembled:
-      op = std::make_unique<AsmbViscousOperator>(mesh, coeff, bc);
-      break;
+      return std::make_unique<AsmbViscousOperator>(mesh, coeff, bc,
+                                                   spec.engine);
     case FineOperatorType::kMatrixFree:
-      op = std::make_unique<MfViscousOperator>(mesh, coeff, bc, w);
-      break;
+      return std::make_unique<MfViscousOperator>(mesh, coeff, bc, w,
+                                                 spec.engine);
     case FineOperatorType::kTensor:
-      op = std::make_unique<TensorViscousOperator>(mesh, coeff, bc, w);
-      break;
+      return std::make_unique<TensorViscousOperator>(mesh, coeff, bc, w,
+                                                     spec.engine);
     case FineOperatorType::kTensorC:
-      op = std::make_unique<TensorCViscousOperator>(mesh, coeff, bc, w);
-      break;
+      return std::make_unique<TensorCViscousOperator>(mesh, coeff, bc, w,
+                                                      spec.engine);
   }
-  op->set_subdomain_engine(spec.engine);
-  return op;
+  PT_THROW("unknown fine operator type");
 }
 
 } // namespace ptatin

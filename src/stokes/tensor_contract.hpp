@@ -5,11 +5,9 @@
 // factorization of §III-D that applies the reference gradient in
 // 3 * 2 * 3^4 = 4374 flops instead of the 13122 of the dense contraction.
 //
-// The kernels are templated over the compile-time 1D point count P (P = 3
-// for Q2) so every loop has a fixed trip count and unrolls fully. Each sum
-// accumulates left-associated in a fixed order, scalar and batched alike:
-// the bitwise batched == scalar contract and the -final_state digests
-// depend on it.
+// Every loop has a fixed trip count and unrolls fully. Each sum accumulates
+// left-associated in a fixed order, scalar and batched alike: the bitwise
+// batched == scalar contract and the -final_state digests depend on it.
 #pragma once
 
 #include "common/aligned.hpp"
@@ -18,97 +16,66 @@
 namespace ptatin {
 namespace tensor_kernel {
 
-/// Contract a P^3-value lattice along one axis with a PxP matrix (row-major,
-/// M[q*P + a]): out[q over axis] = sum_a M[q][a] in[a over axis].
-/// `Transpose` applies M^T.
-template <bool Transpose, int P>
-inline void contract_axis(const Real* M, int axis, const Real* in, Real* out) {
-  const int stride = axis == 0 ? 1 : (axis == 1 ? P : P * P);
-  const int s1 = axis == 0 ? P : 1;
-  const int s2 = axis == 2 ? P : P * P;
-  for (int l2 = 0; l2 < P; ++l2)
-    for (int l1 = 0; l1 < P; ++l1) {
+/// Points per direction, and values per element lattice.
+inline constexpr int kP = 3;
+inline constexpr int kN = kP * kP * kP;
+
+/// Contract a 27-value lattice along one axis with a 3x3 matrix:
+/// out[q over axis] = sum_a M[q][a] in[a over axis]. `Transpose` applies M^T.
+template <bool Transpose>
+inline void contract_axis(const Real M[kP][kP], int axis, const Real* in,
+                          Real* out) {
+  const int stride = axis == 0 ? 1 : (axis == 1 ? kP : kP * kP);
+  const int s1 = axis == 0 ? kP : 1;
+  const int s2 = axis == 2 ? kP : kP * kP;
+  for (int l2 = 0; l2 < kP; ++l2)
+    for (int l1 = 0; l1 < kP; ++l1) {
       const int base = l1 * s1 + l2 * s2;
-      Real v[P];
-      for (int a = 0; a < P; ++a) v[a] = in[base + a * stride];
-      for (int q = 0; q < P; ++q) {
-        Real acc = (Transpose ? M[0 * P + q] : M[q * P + 0]) * v[0];
-        for (int a = 1; a < P; ++a)
-          acc += (Transpose ? M[a * P + q] : M[q * P + a]) * v[a];
+      Real v[kP];
+      for (int a = 0; a < kP; ++a) v[a] = in[base + a * stride];
+      for (int q = 0; q < kP; ++q) {
+        Real acc = (Transpose ? M[0][q] : M[q][0]) * v[0];
+        for (int a = 1; a < kP; ++a)
+          acc += (Transpose ? M[a][q] : M[q][a]) * v[a];
         out[base + q * stride] = acc;
       }
     }
 }
 
-/// Q2 convenience overload over the historical [3][3] matrix type.
-template <bool Transpose>
-inline void contract_axis(const Real M[3][3], int axis, const Real* in,
-                          Real* out) {
-  contract_axis<Transpose, 3>(&M[0][0], axis, in, out);
-}
-
-/// Forward gradient: nodal values (P^3) -> three reference derivatives at the
-/// P^3 tensorized quadrature points.
-template <int P>
-inline void tensor_gradient_p(const Real* B, const Real* D, const Real* u,
-                              Real* gx, Real* gy, Real* gz) {
-  constexpr int N = P * P * P;
-  Real t1[N], t2[N], t3[N];
-  contract_axis<false, P>(D, 0, u, t1);
-  contract_axis<false, P>(B, 1, t1, t2);
-  contract_axis<false, P>(B, 2, t2, gx);
-  contract_axis<false, P>(B, 0, u, t1);
-  contract_axis<false, P>(D, 1, t1, t2);
-  contract_axis<false, P>(B, 2, t2, gy);
-  contract_axis<false, P>(B, 1, t1, t3); // t1 = B_x u reused
-  contract_axis<false, P>(D, 2, t3, gz);
-}
-
-inline void tensor_gradient(const Real B[3][3], const Real D[3][3],
+/// Forward gradient: nodal values (27) -> three reference derivatives at the
+/// 27 tensorized quadrature points.
+inline void tensor_gradient(const Real B[kP][kP], const Real D[kP][kP],
                             const Real* u, Real* gx, Real* gy, Real* gz) {
-  tensor_gradient_p<3>(&B[0][0], &D[0][0], u, gx, gy, gz);
+  Real t1[kN], t2[kN], t3[kN];
+  contract_axis<false>(D, 0, u, t1);
+  contract_axis<false>(B, 1, t1, t2);
+  contract_axis<false>(B, 2, t2, gx);
+  contract_axis<false>(B, 0, u, t1);
+  contract_axis<false>(D, 1, t1, t2);
+  contract_axis<false>(B, 2, t2, gy);
+  contract_axis<false>(B, 1, t1, t3); // t1 = B_x u reused
+  contract_axis<false>(D, 2, t3, gz);
 }
 
 /// Adjoint of tensor_gradient: accumulate nodal residuals from the three
 /// reference-stress fields at quadrature points.
-template <int P>
-inline void tensor_gradient_transpose_p(const Real* B, const Real* D,
-                                        const Real* sx, const Real* sy,
-                                        const Real* sz, Real* y) {
-  constexpr int N = P * P * P;
-  Real t1[N], t2[N], t3[N];
-  contract_axis<true, P>(B, 2, sx, t1);
-  contract_axis<true, P>(B, 1, t1, t2);
-  contract_axis<true, P>(D, 0, t2, t3);
-  for (int i = 0; i < N; ++i) y[i] += t3[i];
-  contract_axis<true, P>(B, 2, sy, t1);
-  contract_axis<true, P>(D, 1, t1, t2);
-  contract_axis<true, P>(B, 0, t2, t3);
-  for (int i = 0; i < N; ++i) y[i] += t3[i];
-  contract_axis<true, P>(D, 2, sz, t1);
-  contract_axis<true, P>(B, 1, t1, t2);
-  contract_axis<true, P>(B, 0, t2, t3);
-  for (int i = 0; i < N; ++i) y[i] += t3[i];
-}
-
-inline void tensor_gradient_transpose(const Real B[3][3], const Real D[3][3],
-                                      const Real* sx, const Real* sy,
-                                      const Real* sz, Real* y) {
-  tensor_gradient_transpose_p<3>(&B[0][0], &D[0][0], sx, sy, sz, y);
-}
-
-/// Interpolate nodal values to quadrature points: out = (B⊗B⊗B) u.
-template <int P>
-inline void tensor_interpolate_p(const Real* B, const Real* u, Real* out) {
-  constexpr int N = P * P * P;
-  Real t1[N], t2[N];
-  contract_axis<false, P>(B, 0, u, t1);
-  contract_axis<false, P>(B, 1, t1, t2);
-  contract_axis<false, P>(B, 2, t2, out);
-}
-
-inline void tensor_interpolate(const Real B[3][3], const Real* u, Real* out) {
-  tensor_interpolate_p<3>(&B[0][0], u, out);
+inline void tensor_gradient_transpose(const Real B[kP][kP],
+                                      const Real D[kP][kP], const Real* sx,
+                                      const Real* sy, const Real* sz,
+                                      Real* y) {
+  Real t1[kN], t2[kN], t3[kN];
+  contract_axis<true>(B, 2, sx, t1);
+  contract_axis<true>(B, 1, t1, t2);
+  contract_axis<true>(D, 0, t2, t3);
+  for (int i = 0; i < kN; ++i) y[i] += t3[i];
+  contract_axis<true>(B, 2, sy, t1);
+  contract_axis<true>(D, 1, t1, t2);
+  contract_axis<true>(B, 0, t2, t3);
+  for (int i = 0; i < kN; ++i) y[i] += t3[i];
+  contract_axis<true>(D, 2, sz, t1);
+  contract_axis<true>(B, 1, t1, t2);
+  contract_axis<true>(B, 0, t2, t3);
+  for (int i = 0; i < kN; ++i) y[i] += t3[i];
 }
 
 // ---------------------------------------------------------------------------
@@ -121,95 +88,70 @@ inline void tensor_interpolate(const Real B[3][3], const Real* u, Real* out) {
 // batched results are bitwise identical to the per-element path.
 // ---------------------------------------------------------------------------
 
-/// Batched contract_axis: in/out are [P^3][W] lane buffers, M is PxP
-/// row-major.
-template <bool Transpose, int P, int W>
-inline void contract_axis_batched(const Real* M, int axis, const Real* in,
-                                  Real* out) {
-  const int stride = axis == 0 ? 1 : (axis == 1 ? P : P * P);
-  const int s1 = axis == 0 ? P : 1;
-  const int s2 = axis == 2 ? P : P * P;
-  for (int l2 = 0; l2 < P; ++l2)
-    for (int l1 = 0; l1 < P; ++l1) {
+/// Batched contract_axis: in/out are [27][W] lane buffers.
+template <bool Transpose, int W>
+inline void contract_axis_batched(const Real M[kP][kP], int axis,
+                                  const Real* in, Real* out) {
+  const int stride = axis == 0 ? 1 : (axis == 1 ? kP : kP * kP);
+  const int s1 = axis == 0 ? kP : 1;
+  const int s2 = axis == 2 ? kP : kP * kP;
+  for (int l2 = 0; l2 < kP; ++l2)
+    for (int l1 = 0; l1 < kP; ++l1) {
       const int base = l1 * s1 + l2 * s2;
-      const Real* v[P];
-      for (int a = 0; a < P; ++a) v[a] = in + (base + a * stride) * W;
-      for (int q = 0; q < P; ++q) {
-        Real m[P];
-        for (int a = 0; a < P; ++a)
-          m[a] = Transpose ? M[a * P + q] : M[q * P + a];
+      const Real* v[kP];
+      for (int a = 0; a < kP; ++a) v[a] = in + (base + a * stride) * W;
+      for (int q = 0; q < kP; ++q) {
+        Real m[kP];
+        for (int a = 0; a < kP; ++a) m[a] = Transpose ? M[a][q] : M[q][a];
         Real* o = out + (base + q * stride) * W;
         PT_SIMD
         for (int l = 0; l < W; ++l) {
           Real acc = m[0] * v[0][l];
-          for (int a = 1; a < P; ++a) acc += m[a] * v[a][l];
+          for (int a = 1; a < kP; ++a) acc += m[a] * v[a][l];
           o[l] = acc;
         }
       }
     }
 }
 
-/// Q2 convenience overload over the historical [3][3] matrix type.
-template <bool Transpose, int W>
-inline void contract_axis_batched(const Real M[3][3], int axis, const Real* in,
-                                  Real* out) {
-  contract_axis_batched<Transpose, 3, W>(&M[0][0], axis, in, out);
-}
-
-/// Batched forward gradient: u, gx, gy, gz are [P^3][W] lane buffers.
-template <int P, int W>
-inline void tensor_gradient_batched_p(const Real* B, const Real* D,
-                                      const Real* u, Real* gx, Real* gy,
-                                      Real* gz) {
-  constexpr int N = P * P * P;
-  alignas(kSimdAlign) Real t1[N * W], t2[N * W], t3[N * W];
-  contract_axis_batched<false, P, W>(D, 0, u, t1);
-  contract_axis_batched<false, P, W>(B, 1, t1, t2);
-  contract_axis_batched<false, P, W>(B, 2, t2, gx);
-  contract_axis_batched<false, P, W>(B, 0, u, t1);
-  contract_axis_batched<false, P, W>(D, 1, t1, t2);
-  contract_axis_batched<false, P, W>(B, 2, t2, gy);
-  contract_axis_batched<false, P, W>(B, 1, t1, t3); // t1 = B_x u reused
-  contract_axis_batched<false, P, W>(D, 2, t3, gz);
-}
-
+/// Batched forward gradient: u, gx, gy, gz are [27][W] lane buffers.
 template <int W>
-inline void tensor_gradient_batched(const Real B[3][3], const Real D[3][3],
+inline void tensor_gradient_batched(const Real B[kP][kP], const Real D[kP][kP],
                                     const Real* u, Real* gx, Real* gy,
                                     Real* gz) {
-  tensor_gradient_batched_p<3, W>(&B[0][0], &D[0][0], u, gx, gy, gz);
+  alignas(kSimdAlign) Real t1[kN * W], t2[kN * W], t3[kN * W];
+  contract_axis_batched<false, W>(D, 0, u, t1);
+  contract_axis_batched<false, W>(B, 1, t1, t2);
+  contract_axis_batched<false, W>(B, 2, t2, gx);
+  contract_axis_batched<false, W>(B, 0, u, t1);
+  contract_axis_batched<false, W>(D, 1, t1, t2);
+  contract_axis_batched<false, W>(B, 2, t2, gy);
+  contract_axis_batched<false, W>(B, 1, t1, t3); // t1 = B_x u reused
+  contract_axis_batched<false, W>(D, 2, t3, gz);
 }
 
-/// Batched adjoint gradient: sx, sy, sz, y are [P^3][W] lane buffers.
-template <int P, int W>
-inline void tensor_gradient_transpose_batched_p(const Real* B, const Real* D,
-                                                const Real* sx, const Real* sy,
-                                                const Real* sz, Real* y) {
-  constexpr int N = P * P * P;
-  alignas(kSimdAlign) Real t1[N * W], t2[N * W], t3[N * W];
-  contract_axis_batched<true, P, W>(B, 2, sx, t1);
-  contract_axis_batched<true, P, W>(B, 1, t1, t2);
-  contract_axis_batched<true, P, W>(D, 0, t2, t3);
-  PT_SIMD
-  for (int i = 0; i < N * W; ++i) y[i] += t3[i];
-  contract_axis_batched<true, P, W>(B, 2, sy, t1);
-  contract_axis_batched<true, P, W>(D, 1, t1, t2);
-  contract_axis_batched<true, P, W>(B, 0, t2, t3);
-  PT_SIMD
-  for (int i = 0; i < N * W; ++i) y[i] += t3[i];
-  contract_axis_batched<true, P, W>(D, 2, sz, t1);
-  contract_axis_batched<true, P, W>(B, 1, t1, t2);
-  contract_axis_batched<true, P, W>(B, 0, t2, t3);
-  PT_SIMD
-  for (int i = 0; i < N * W; ++i) y[i] += t3[i];
-}
-
+/// Batched adjoint gradient: sx, sy, sz, y are [27][W] lane buffers.
 template <int W>
-inline void tensor_gradient_transpose_batched(const Real B[3][3],
-                                              const Real D[3][3],
+inline void tensor_gradient_transpose_batched(const Real B[kP][kP],
+                                              const Real D[kP][kP],
                                               const Real* sx, const Real* sy,
                                               const Real* sz, Real* y) {
-  tensor_gradient_transpose_batched_p<3, W>(&B[0][0], &D[0][0], sx, sy, sz, y);
+  alignas(kSimdAlign) Real t1[kN * W], t2[kN * W], t3[kN * W];
+  contract_axis_batched<true, W>(B, 2, sx, t1);
+  contract_axis_batched<true, W>(B, 1, t1, t2);
+  contract_axis_batched<true, W>(D, 0, t2, t3);
+  PT_SIMD
+  for (int i = 0; i < kN * W; ++i) y[i] += t3[i];
+  contract_axis_batched<true, W>(B, 2, sy, t1);
+  contract_axis_batched<true, W>(D, 1, t1, t2);
+  contract_axis_batched<true, W>(B, 0, t2, t3);
+  PT_SIMD
+  for (int i = 0; i < kN * W; ++i) y[i] += t3[i];
+  contract_axis_batched<true, W>(D, 2, sz, t1);
+  contract_axis_batched<true, W>(B, 1, t1, t2);
+  contract_axis_batched<true, W>(B, 0, t2, t3);
+  PT_SIMD
+  for (int i = 0; i < kN * W; ++i) y[i] += t3[i];
 }
 
 } // namespace tensor_kernel

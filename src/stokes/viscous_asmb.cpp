@@ -82,8 +82,9 @@ CsrMatrix assemble_viscous_matrix(const StructuredMesh& mesh,
 
 AsmbViscousOperator::AsmbViscousOperator(const StructuredMesh& mesh,
                                          const QuadCoefficients& coeff,
-                                         const DirichletBc* bc)
-    : ViscousOperatorBase(mesh, coeff, bc),
+                                         const DirichletBc* bc,
+                                         const SubdomainEngine* engine)
+    : ViscousOperatorBase(mesh, coeff, bc, 0, engine),
       a_(assemble_viscous_matrix(mesh, coeff)) {
   if (bc_ != nullptr) bc_->apply_to_matrix_symmetric(a_);
 }

@@ -55,14 +55,24 @@ struct OperatorCostModel {
 class ViscousOperatorBase : public LinearOperator {
 public:
   /// batch_width: 0 = per-element scalar path; 8 = cross-element SIMD
-  /// batches (only meaningful for the matrix-free back-ends; the assembled
-  /// back-end ignores it).
+  /// batches. engine: route the unmasked apply through a subdomain-parallel
+  /// engine (per-subdomain element sweeps + in-memory halo exchange,
+  /// docs/PARALLELISM.md) instead of the global colored loop; borrowed, must
+  /// outlive the operator and match its element grid; null = the global
+  /// loop. Both matter to the matrix-free back-ends only: the assembled
+  /// back-end (a global SpMV, no element sweep) runs the same either way.
   ViscousOperatorBase(const StructuredMesh& mesh, const QuadCoefficients& coeff,
-                      const DirichletBc* bc, int batch_width = 0)
-      : mesh_(mesh), coeff_(coeff), bc_(bc), batch_width_(batch_width) {
+                      const DirichletBc* bc, int batch_width = 0,
+                      const SubdomainEngine* engine = nullptr)
+      : mesh_(mesh), coeff_(coeff), bc_(bc), batch_width_(batch_width),
+        engine_(engine) {
     PT_ASSERT(coeff.num_elements() == mesh.num_elements());
-    PT_ASSERT_MSG(batch_width == 0 || is_batch_width(batch_width),
+    PT_ASSERT_MSG(batch_width == 0 || batch_width == kSolverBatchWidth,
                   "batch width must be 0 (scalar) or 8");
+    PT_ASSERT_MSG(engine == nullptr ||
+                      (engine->mx() == mesh.mx() && engine->my() == mesh.my() &&
+                       engine->mz() == mesh.mz()),
+                  "subdomain engine was built for a different element grid");
   }
 
   Index rows() const override { return num_velocity_dofs(mesh_); }
@@ -89,14 +99,6 @@ public:
   const QuadCoefficients& coefficients() const { return coeff_; }
   const DirichletBc* bc() const { return bc_; }
   int batch_width() const { return batch_width_; }
-
-  /// Route the unmasked apply through a subdomain-parallel engine (per-
-  /// subdomain element sweeps + in-memory halo exchange, docs/PARALLELISM.md)
-  /// instead of the global colored loop, at the operator's batch width.
-  /// Borrowed; must outlive the operator and match its element dimensions;
-  /// null restores the global path. The assembled back-end (a global SpMV,
-  /// no element sweep) ignores it.
-  virtual void set_subdomain_engine(const SubdomainEngine* engine);
   const SubdomainEngine* subdomain_engine() const { return engine_; }
 
 protected:
@@ -136,8 +138,8 @@ protected:
   const StructuredMesh& mesh_;
   const QuadCoefficients& coeff_;
   const DirichletBc* bc_;
-  int batch_width_ = 0;
-  const SubdomainEngine* engine_ = nullptr;
+  const int batch_width_;
+  const SubdomainEngine* const engine_;
   mutable Vector work_;
 
 private:
@@ -158,8 +160,11 @@ make_viscous_backend(const KernelSpec& spec, const StructuredMesh& mesh,
 /// K[(i,c)(i',c')] = sum_q w detJ eta (delta_cc' g_i.g_i' + g_i[c'] g_i'[c]).
 class AsmbViscousOperator : public ViscousOperatorBase {
 public:
+  /// `engine` is only recorded (subdomain_engine()): a global SpMV has no
+  /// element sweep to route through it.
   AsmbViscousOperator(const StructuredMesh& mesh, const QuadCoefficients& coeff,
-                      const DirichletBc* bc);
+                      const DirichletBc* bc,
+                      const SubdomainEngine* engine = nullptr);
 
   FineOperatorType type() const override {
     return FineOperatorType::kAssembled;
@@ -215,9 +220,6 @@ public:
   FineOperatorType type() const override { return FineOperatorType::kTensor; }
   std::string name() const override { return decorated_name("Tens"); }
   OperatorCostModel cost_model() const override;
-
-  /// Also drops the geometry cache: the engine's batches differ.
-  void set_subdomain_engine(const SubdomainEngine* engine) override;
 
   /// The cached geometry's bytes, 2160 per element of a full batch; empty
   /// before the second apply and on the scalar path (the GMG seal reads it).
@@ -276,13 +278,11 @@ class TensorCViscousOperator : public ViscousOperatorBase {
 public:
   TensorCViscousOperator(const StructuredMesh& mesh,
                          const QuadCoefficients& coeff, const DirichletBc* bc,
-                         int batch_width = 0);
+                         int batch_width = 0,
+                         const SubdomainEngine* engine = nullptr);
   FineOperatorType type() const override { return FineOperatorType::kTensorC; }
   std::string name() const override { return decorated_name("TensC"); }
   OperatorCostModel cost_model() const override;
-
-  /// Refresh the stored metric after mesh/coefficient changes.
-  void update_stored_coefficients();
 
 protected:
   void apply_unmasked(const Vector& x, Vector& y, bool newton) const override;

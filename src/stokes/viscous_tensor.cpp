@@ -330,14 +330,6 @@ void TensorViscousOperator::allocate_geometry_cache() const {
   geometry_.resize(static_cast<std::size_t>(slots));
 }
 
-void TensorViscousOperator::set_subdomain_engine(
-    const SubdomainEngine* engine) {
-  ViscousOperatorBase::set_subdomain_engine(engine);
-  applies_ = 0;
-  slot_ = {};
-  geometry_ = {};
-}
-
 template <bool Pressure>
 void TensorViscousOperator::sweep_tensor(const Real* xp, Real* yp,
                                          const Real* pin, Real* pout,

@@ -72,12 +72,9 @@ inline void apply_tensorc_element(const StructuredMesh& mesh,
 TensorCViscousOperator::TensorCViscousOperator(const StructuredMesh& mesh,
                                                const QuadCoefficients& coeff,
                                                const DirichletBc* bc,
-                                               int batch_width)
-    : ViscousOperatorBase(mesh, coeff, bc, batch_width) {
-  update_stored_coefficients();
-}
-
-void TensorCViscousOperator::update_stored_coefficients() {
+                                               int batch_width,
+                                               const SubdomainEngine* engine)
+    : ViscousOperatorBase(mesh, coeff, bc, batch_width, engine) {
   gtilde_.assign(static_cast<std::size_t>(mesh_.num_elements()) * kQuadPerEl * 9,
                  0.0);
   parallel_for(mesh_.num_elements(), [&](Index e) {

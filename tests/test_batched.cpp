@@ -154,15 +154,14 @@ TEST_P(BatchedBitwise, MatchesScalarAtEveryWidth) {
   Vector y0;
   scalar_op->apply(x, y0, p.newton);
 
-  for (int width : kBatchWidths) {
-    auto batched_op = make_op(p.backend, mesh, coeff, &bc, width);
-    Vector y;
-    batched_op->apply(x, y, p.newton);
-    ASSERT_EQ(y.size(), y0.size());
-    for (Index i = 0; i < y.size(); ++i)
-      ASSERT_EQ(y[i], y0[i]) << batched_op->name() << " lane drift at dof "
-                             << i << " (width " << width << ")";
-  }
+  const int width = kSolverBatchWidth;
+  auto batched_op = make_op(p.backend, mesh, coeff, &bc, width);
+  Vector y;
+  batched_op->apply(x, y, p.newton);
+  ASSERT_EQ(y.size(), y0.size());
+  for (Index i = 0; i < y.size(); ++i)
+    ASSERT_EQ(y[i], y0[i]) << batched_op->name() << " lane drift at dof "
+                           << i << " (width " << width << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -203,13 +202,12 @@ TEST(FoldedStokesBitwise, MatchesScalarAtEveryWidth) {
       return y;
     };
     const Vector y0 = folded(0);
-    for (int width : kBatchWidths) {
-      const Vector y = folded(width);
-      ASSERT_EQ(y.size(), y0.size());
-      for (Index i = 0; i < y.size(); ++i)
-        ASSERT_EQ(y[i], y0[i]) << "folded lane drift at row " << i
-                               << " (width " << width << ")";
-    }
+    const int width = kSolverBatchWidth;
+    const Vector y = folded(width);
+    ASSERT_EQ(y.size(), y0.size());
+    for (Index i = 0; i < y.size(); ++i)
+      ASSERT_EQ(y[i], y0[i]) << "folded lane drift at row " << i
+                             << " (width " << width << ")";
   }
 }
 
@@ -231,15 +229,14 @@ TEST_P(BackendInterchange, AllVariantsAgreeOnDeformedMesh) {
   ops.push_back(std::make_unique<TensorViscousOperator>(mesh, coeff, &bc));
   if (!newton)
     ops.push_back(std::make_unique<TensorCViscousOperator>(mesh, coeff, &bc));
-  for (int width : kBatchWidths) {
+  const int width = kSolverBatchWidth;
+  ops.push_back(
+      std::make_unique<MfViscousOperator>(mesh, coeff, &bc, width));
+  ops.push_back(
+      std::make_unique<TensorViscousOperator>(mesh, coeff, &bc, width));
+  if (!newton)
     ops.push_back(
-        std::make_unique<MfViscousOperator>(mesh, coeff, &bc, width));
-    ops.push_back(
-        std::make_unique<TensorViscousOperator>(mesh, coeff, &bc, width));
-    if (!newton)
-      ops.push_back(
-          std::make_unique<TensorCViscousOperator>(mesh, coeff, &bc, width));
-  }
+        std::make_unique<TensorCViscousOperator>(mesh, coeff, &bc, width));
   Vector x = random_vector(ops[0]->rows(), 31);
   Vector y0;
   ops[0]->apply(x, y0, newton);
@@ -269,7 +266,8 @@ TEST(BatchedMg, BatchedFineOperatorReproducesScalarVcycle) {
     GmgHierarchy gmg(
         fine, go,
         [](const StructuredMesh& m) { return sinker_boundary_conditions(m); },
-        [](const CsrMatrix& a) -> std::unique_ptr<Preconditioner> {
+        [](const CsrMatrix& a, const StructuredMesh&,
+           const DirichletBc&) -> std::unique_ptr<Preconditioner> {
           return std::make_unique<BlockJacobiPc>(a, 1, SubdomainSolve::kLu);
         });
     Vector b = random_vector(gmg.fine_operator().rows(), 41);

@@ -93,7 +93,8 @@ QuadCoefficients sinker_coeff(const StructuredMesh& mesh, Real contrast) {
 }
 
 CoarseSolverFactory lu_coarse_factory() {
-  return [](const CsrMatrix& a) -> std::unique_ptr<Preconditioner> {
+  return [](const CsrMatrix& a, const StructuredMesh&,
+            const DirichletBc&) -> std::unique_ptr<Preconditioner> {
     return std::make_unique<BlockJacobiPc>(a, 1, SubdomainSolve::kLu);
   };
 }

@@ -131,8 +131,8 @@ TEST_P(CoupledApply, FoldedMatchesAssembledBlocks) {
     engine = std::make_unique<SubdomainEngine>(mesh, p.px, p.py, p.pz);
 
   TensorViscousOperator global(mesh, coeff, &bc, kSolverBatchWidth);
-  TensorViscousOperator folded_op(mesh, coeff, &bc, kSolverBatchWidth);
-  folded_op.set_subdomain_engine(engine.get());
+  TensorViscousOperator folded_op(mesh, coeff, &bc, kSolverBatchWidth,
+                                  engine.get());
   const Index nu = num_velocity_dofs(mesh);
   const Vector x = random_vector(nu + num_pressure_dofs(mesh), 11);
 
@@ -239,9 +239,8 @@ TEST_P(GeometryCache, InlineFillingAndCachedAppliesMatchScalar) {
     return y;
   };
   const auto make = [&](int width) {
-    auto a = std::make_unique<TensorViscousOperator>(mesh, coeff, &bc, width);
-    a->set_subdomain_engine(engine.get());
-    return a;
+    return std::make_unique<TensorViscousOperator>(mesh, coeff, &bc, width,
+                                                   engine.get());
   };
 
   const int saved = num_threads();
@@ -249,24 +248,23 @@ TEST_P(GeometryCache, InlineFillingAndCachedAppliesMatchScalar) {
     set_num_threads(nt);
     for (Form form : {Form::kPicard, Form::kNewton, Form::kStokes}) {
       const Vector want = apply(*make(0), form);
-      for (int width : kBatchWidths) {
-        SCOPED_TRACE(std::string(form_name(form)) + ", width " +
-                     std::to_string(width) + ", threads " +
-                     std::to_string(nt));
-        const auto a = make(width);
-        for (const char* pass : {"inline", "filling", "cached"}) {
-          const Vector y = apply(*a, form);
-          EXPECT_EQ(first_bit_difference(y, want), -1) << pass << " apply";
-          if (std::string(pass) == "inline") {
-            EXPECT_TRUE(a->geometry_cache().empty())
-                << "an operator applied once holds a cache";
-          }
+      const int width = kSolverBatchWidth;
+      SCOPED_TRACE(std::string(form_name(form)) + ", width " +
+                   std::to_string(width) + ", threads " +
+                   std::to_string(nt));
+      const auto a = make(width);
+      for (const char* pass : {"inline", "filling", "cached"}) {
+        const Vector y = apply(*a, form);
+        EXPECT_EQ(first_bit_difference(y, want), -1) << pass << " apply";
+        if (std::string(pass) == "inline") {
+          EXPECT_TRUE(a->geometry_cache().empty())
+              << "an operator applied once holds a cache";
         }
-        EXPECT_EQ(a->geometry_cache().size(),
-                  static_cast<std::size_t>(
-                      batched_elements(mesh, engine.get(), width)) *
-                      kCacheBytesPerElement);
       }
+      EXPECT_EQ(a->geometry_cache().size(),
+                static_cast<std::size_t>(
+                    batched_elements(mesh, engine.get(), width)) *
+                    kCacheBytesPerElement);
     }
   }
   set_num_threads(saved);
@@ -274,35 +272,6 @@ TEST_P(GeometryCache, InlineFillingAndCachedAppliesMatchScalar) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GeometryCache, testing::ValuesIn(kShapes),
                          shape_name);
-
-// Switching the engine changes the batches, so it drops the cache; the
-// operator then caches the new batches, still bitwise.
-TEST(GeometryCache, EngineSwitchDropsTheCache) {
-  const StructuredMesh mesh = deformed_mesh(5, 3, 7);
-  const QuadCoefficients coeff = varying_viscosity(mesh);
-  const DirichletBc bc = sinker_boundary_conditions(mesh);
-  const SubdomainEngine engine(mesh, 2, 2, 1);
-  const Vector x = random_vector(num_velocity_dofs(mesh), 19);
-  TensorViscousOperator ref(mesh, coeff, &bc, 0);
-  ref.set_subdomain_engine(&engine);
-  Vector want;
-  ref.apply(x, want);
-
-  TensorViscousOperator a(mesh, coeff, &bc, kSolverBatchWidth);
-  Vector y;
-  for (int k = 0; k < 3; ++k) a.apply(x, y);
-  ASSERT_FALSE(a.geometry_cache().empty());
-  a.set_subdomain_engine(&engine);
-  EXPECT_TRUE(a.geometry_cache().empty());
-  for (int k = 0; k < 3; ++k) {
-    a.apply(x, y);
-    EXPECT_EQ(first_bit_difference(y, want), -1) << "apply " << k;
-  }
-  EXPECT_EQ(a.geometry_cache().size(),
-            static_cast<std::size_t>(
-                batched_elements(mesh, &engine, kSolverBatchWidth)) *
-                kCacheBytesPerElement);
-}
 
 // The engine hands each batch W consecutive, node-sharing elements of one
 // subdomain list; the folded scalar path (ragged tails, W = 0) and the lanes
@@ -317,20 +286,18 @@ TEST(CoupledApply, EngineWidthsAgreeBitwise) {
     const SubdomainEngine engine(mesh, 2, 2, pz);
     for (bool newton : {false, true}) {
       auto folded = [&](int width) {
-        TensorViscousOperator a(mesh, coeff, &bc, width);
-        a.set_subdomain_engine(&engine);
+        TensorViscousOperator a(mesh, coeff, &bc, width, &engine);
         const StokesOperator op(mesh, a, bc, newton);
         Vector y;
         op.apply(x, y);
         return y;
       };
       const Vector y0 = folded(0);
-      for (int width : kBatchWidths) {
-        const Vector y = folded(width);
-        for (Index i = 0; i < y.size(); ++i)
-          ASSERT_EQ(y[i], y0[i]) << "2x2x" << pz << ", width " << width
-                                 << ", newton " << newton << ": row " << i;
-      }
+      const int width = kSolverBatchWidth;
+      const Vector y = folded(width);
+      for (Index i = 0; i < y.size(); ++i)
+        ASSERT_EQ(y[i], y0[i]) << "2x2x" << pz << ", width " << width
+                               << ", newton " << newton << ": row " << i;
     }
   }
 }

@@ -211,22 +211,21 @@ TEST_P(EngineBatched, MatchesScalarEngineApplyBitwise) {
     return y;
   };
   const Vector y0 = engine_apply(0);
-  for (int width : kBatchWidths) {
-    bool full_batch = false, ragged_tail = false;
-    for (Index s = 0; s < eng.num_subdomains(); ++s)
-      for (const auto* list :
-           {&eng.boundary_elements(s), &eng.interior_elements(s)}) {
-        full_batch |= list->size() >= std::size_t(width);
-        ragged_tail |= list->size() % width != 0;
-      }
-    ASSERT_TRUE(full_batch && ragged_tail)
-        << "mesh chosen to give width " << width
-        << " full batches and ragged tails";
-    const Vector y = engine_apply(width);
-    ASSERT_EQ(y.size(), y0.size());
-    for (Index i = 0; i < y.size(); ++i)
-      ASSERT_EQ(y[i], y0[i]) << "width " << width << " drifted at dof " << i;
-  }
+  const int width = kSolverBatchWidth;
+  bool full_batch = false, ragged_tail = false;
+  for (Index s = 0; s < eng.num_subdomains(); ++s)
+    for (const auto* list :
+         {&eng.boundary_elements(s), &eng.interior_elements(s)}) {
+      full_batch |= list->size() >= std::size_t(width);
+      ragged_tail |= list->size() % width != 0;
+    }
+  ASSERT_TRUE(full_batch && ragged_tail)
+      << "mesh chosen to give width " << width
+      << " full batches and ragged tails";
+  const Vector y = engine_apply(width);
+  ASSERT_EQ(y.size(), y0.size());
+  for (Index i = 0; i < y.size(); ++i)
+    ASSERT_EQ(y[i], y0[i]) << "width " << width << " drifted at dof " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -341,11 +340,10 @@ TEST(SubdomainEngine, StokesSolveIterationsIdenticalAcrossShapes) {
   cfg.stokes().krylov.max_it = 300;
 
   auto run = [&](Index px, Index py, Index pz) {
-    SolverConfig shaped = cfg;
-    shaped.decomp(px, py, pz);
-    std::unique_ptr<SubdomainEngine> eng = shaped.make_engine(setup.mesh);
-    auto solver =
-        shaped.make_stokes_solver(setup.mesh, coeff, bc, eng.get());
+    std::unique_ptr<SubdomainEngine> eng;
+    if (px * py * pz > 1)
+      eng = std::make_unique<SubdomainEngine>(setup.mesh, px, py, pz);
+    auto solver = cfg.make_stokes_solver(setup.mesh, coeff, bc, eng.get());
     StokesSolveResult res = solver->solve(f);
     EXPECT_TRUE(res.stats.converged)
         << px << "x" << py << "x" << pz << " failed to converge";
@@ -463,12 +461,15 @@ TEST(SolverConfig, FromOptionsWiresDecompAndSolverKnobs) {
   EXPECT_EQ(cfg.stokes().gmg.levels, 2);
   EXPECT_FALSE(cfg.use_safeguard());
 
-  StructuredMesh mesh = StructuredMesh::box(4, 4, 4, {0, 0, 0}, {1, 1, 1});
-  auto eng = cfg.make_engine(mesh);
-  ASSERT_NE(eng, nullptr);
-  EXPECT_EQ(eng->num_subdomains(), 4);
-  // 1x1x1 = global paths, no engine.
-  EXPECT_EQ(SolverConfig().make_engine(mesh), nullptr);
+  // The context builds the engine for the shape; 1x1x1 builds none.
+  SinkerParams sp;
+  sp.mx = sp.my = sp.mz = 4;
+  const auto ctx = cfg.make_context(make_sinker_model(sp));
+  ASSERT_NE(ctx->subdomain_engine(), nullptr);
+  EXPECT_EQ(ctx->subdomain_engine()->num_subdomains(), 4);
+  EXPECT_EQ(SolverConfig().make_context(make_sinker_model(sp))
+                ->subdomain_engine(),
+            nullptr);
 }
 
 TEST(SolverConfig, FromOptionsRejectsZeroPointsAndCheckpointKeep) {

@@ -330,25 +330,18 @@ TEST(Decomposition, PartitionCoversAllElements) {
   StructuredMesh m = StructuredMesh::box(5, 4, 3, {0, 0, 0}, {1, 1, 1});
   Decomposition d = Decomposition::create(m, 2, 2, 1);
   EXPECT_EQ(d.num_ranks(), 4);
-  Index total = 0;
   std::set<Index> seen;
   for (Index r = 0; r < d.num_ranks(); ++r) {
-    auto own = d.owned_elements(m, r);
-    total += static_cast<Index>(own.size());
-    for (Index e : own) {
-      EXPECT_TRUE(seen.insert(e).second) << "element owned twice";
-      EXPECT_EQ(d.rank_of_element(m, e), r);
-    }
+    const Subdomain& s = d.subdomain(r);
+    for (Index ek = s.elo[2]; ek < s.ehi[2]; ++ek)
+      for (Index ej = s.elo[1]; ej < s.ehi[1]; ++ej)
+        for (Index ei = s.elo[0]; ei < s.ehi[0]; ++ei) {
+          const Index e = m.element_index(ei, ej, ek);
+          EXPECT_TRUE(seen.insert(e).second) << "element owned twice";
+          EXPECT_EQ(d.rank_of_element(m, e), r);
+        }
   }
-  EXPECT_EQ(total, m.num_elements());
-}
-
-TEST(Decomposition, NeighborTopology) {
-  StructuredMesh m = StructuredMesh::box(4, 4, 4, {0, 0, 0}, {1, 1, 1});
-  Decomposition d = Decomposition::create(m, 2, 2, 2);
-  // Every rank of a 2x2x2 grid neighbors all 7 others.
-  for (Index r = 0; r < 8; ++r)
-    EXPECT_EQ(d.subdomain(r).neighbors.size(), 7u);
+  EXPECT_EQ(static_cast<Index>(seen.size()), m.num_elements());
 }
 
 TEST(Decomposition, BalancedWithinOnePerDirection) {
@@ -397,22 +390,6 @@ TEST(Decomposition, ExactPartitionForUnevenDivisions) {
   }
 }
 
-TEST(Decomposition, NeighborListsAreSymmetric) {
-  StructuredMesh m = StructuredMesh::box(6, 5, 4, {0, 0, 0}, {1, 1, 1});
-  Decomposition d = Decomposition::create(m, 3, 2, 2);
-  for (Index r = 0; r < d.num_ranks(); ++r) {
-    const auto& nbrs = d.subdomain(r).neighbors;
-    EXPECT_EQ(std::set<Index>(nbrs.begin(), nbrs.end()).size(), nbrs.size())
-        << "duplicate neighbor";
-    for (Index n : nbrs) {
-      EXPECT_NE(n, r) << "rank lists itself as neighbor";
-      const auto& back = d.subdomain(n).neighbors;
-      EXPECT_TRUE(std::find(back.begin(), back.end(), r) != back.end())
-          << "rank " << n << " does not list " << r << " back";
-    }
-  }
-}
-
 TEST(Decomposition, RankOfElementAgreesWithOwnsElementIjk) {
   StructuredMesh m = StructuredMesh::box(5, 4, 3, {0, 0, 0}, {1, 1, 1});
   Decomposition d = Decomposition::create(m, 2, 2, 3);
@@ -421,9 +398,14 @@ TEST(Decomposition, RankOfElementAgreesWithOwnsElementIjk) {
       for (Index ei = 0; ei < m.mx(); ++ei) {
         const Index e = m.element_index(ei, ej, ek);
         const Index owner = d.rank_of_element(m, e);
-        for (Index r = 0; r < d.num_ranks(); ++r)
-          EXPECT_EQ(d.subdomain(r).owns_element_ijk(ei, ej, ek), r == owner)
+        for (Index r = 0; r < d.num_ranks(); ++r) {
+          const Subdomain& s = d.subdomain(r);
+          const bool in_box = ei >= s.elo[0] && ei < s.ehi[0] &&
+                              ej >= s.elo[1] && ej < s.ehi[1] &&
+                              ek >= s.elo[2] && ek < s.ehi[2];
+          EXPECT_EQ(in_box, r == owner)
               << "element (" << ei << "," << ej << "," << ek << ") rank " << r;
+        }
       }
 }
 

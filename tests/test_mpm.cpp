@@ -2,16 +2,12 @@
 // advection, migration, population control.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "fem/dofmap.hpp"
 #include "mpm/advection.hpp"
-#include "mpm/exchanger.hpp"
 #include "mpm/points.hpp"
 #include "mpm/population.hpp"
 #include "mpm/projection.hpp"
@@ -199,218 +195,6 @@ TEST(Advection, CflTimeStepScalesInverselyWithVelocity) {
   }
   EXPECT_NEAR(compute_cfl_dt(mesh, u1, 0.5) / compute_cfl_dt(mesh, u2, 0.5),
               4.0, 1e-10);
-}
-
-// --- migration -------------------------------------------------------------------
-
-TEST(Migration, PointsMoveToOwningRank) {
-  StructuredMesh mesh = StructuredMesh::box(4, 4, 4, {0, 0, 0}, {1, 1, 1});
-  Decomposition decomp = Decomposition::create(mesh, 2, 1, 1);
-
-  MaterialPoints global;
-  layout_points(mesh, 2, [](const Vec3&) { return 0; }, global);
-  auto ranks = distribute_points(mesh, decomp, global);
-  const Index total = global.size();
-  EXPECT_EQ(ranks[0].points.size() + ranks[1].points.size(), total);
-
-  // Displace some rank-0 points into rank 1's half (x > 0.5) without
-  // relocating them.
-  Index moved = 0;
-  for (Index i = 0; i < ranks[0].points.size() && moved < 5; ++i) {
-    Vec3 x = ranks[0].points.position(i);
-    if (x[0] < 0.4) {
-      x[0] += 0.5;
-      ranks[0].points.set_position(i, x);
-      ++moved;
-    }
-  }
-  ASSERT_EQ(moved, 5);
-
-  MigrationStats st = migrate_points(mesh, decomp, ranks);
-  EXPECT_EQ(st.sent, 5);
-  EXPECT_EQ(st.received, 5);
-  EXPECT_EQ(st.deleted, 0);
-  EXPECT_EQ(ranks[0].points.size() + ranks[1].points.size(), total);
-
-  // Every point now sits in an element owned by its rank.
-  for (const auto& rp : ranks) {
-    const Subdomain& sub = decomp.subdomain(rp.rank);
-    for (Index i = 0; i < rp.points.size(); ++i) {
-      Index ei, ej, ek;
-      mesh.element_ijk(rp.points.element(i), ei, ej, ek);
-      EXPECT_TRUE(sub.owns_element_ijk(ei, ej, ek));
-    }
-  }
-}
-
-TEST(Migration, OutflowPointsAreDeleted) {
-  StructuredMesh mesh = StructuredMesh::box(4, 4, 4, {0, 0, 0}, {1, 1, 1});
-  Decomposition decomp = Decomposition::create(mesh, 2, 2, 1);
-  MaterialPoints global;
-  global.add({0.1, 0.1, 0.1}, 0);
-  global.add({0.9, 0.9, 0.9}, 0);
-  locate_all(mesh, global);
-  auto ranks = distribute_points(mesh, decomp, global);
-
-  // Push one point out of the domain.
-  for (auto& rp : ranks) {
-    for (Index i = 0; i < rp.points.size(); ++i) {
-      Vec3 x = rp.points.position(i);
-      if (x[0] < 0.5) {
-        x[0] = -0.3;
-        rp.points.set_position(i, x);
-      }
-    }
-  }
-  MigrationStats st = migrate_points(mesh, decomp, ranks);
-  EXPECT_EQ(st.deleted, 1);
-  Index total = 0;
-  for (const auto& rp : ranks) total += rp.points.size();
-  EXPECT_EQ(total, 1);
-}
-
-TEST(Migration, GatherRoundTripPreservesData) {
-  StructuredMesh mesh = StructuredMesh::box(4, 4, 4, {0, 0, 0}, {1, 1, 1});
-  Decomposition decomp = Decomposition::create(mesh, 2, 2, 2);
-  MaterialPoints global;
-  layout_points(mesh, 2, [](const Vec3& x) { return x[0] > 0.5 ? 1 : 0; },
-                global);
-  for (Index i = 0; i < global.size(); ++i)
-    global.plastic_strain(i) = Real(i) * 0.01;
-  const Index total = global.size();
-
-  auto ranks = distribute_points(mesh, decomp, global);
-  MaterialPoints back = gather_points(ranks);
-  EXPECT_EQ(back.size(), total);
-  // Lithology counts preserved.
-  Index ones_before = 0, ones_after = 0;
-  for (Index i = 0; i < total; ++i) {
-    ones_before += global.lithology(i);
-    ones_after += back.lithology(i);
-  }
-  EXPECT_EQ(ones_after, ones_before);
-}
-
-/// Payload fingerprint keyed by exact position bits: migration moves points
-/// between ranks but must never alter x, lithology, or history variables.
-std::map<std::array<Real, 3>, std::pair<int, Real>>
-payload_map(const MaterialPoints& pts) {
-  std::map<std::array<Real, 3>, std::pair<int, Real>> m;
-  for (Index i = 0; i < pts.size(); ++i) {
-    const Vec3 x = pts.position(i);
-    m[{x[0], x[1], x[2]}] = {pts.lithology(i), pts.plastic_strain(i)};
-  }
-  return m;
-}
-
-TEST(Migration, ConservesCountAndPayloadAcrossRanks) {
-  StructuredMesh mesh = StructuredMesh::box(4, 4, 4, {0, 0, 0}, {1, 1, 1});
-  Decomposition decomp = Decomposition::create(mesh, 2, 2, 1);
-  MaterialPoints global;
-  layout_points(mesh, 2, [](const Vec3& x) { return x[1] > 0.5 ? 2 : 1; },
-                global);
-  for (Index i = 0; i < global.size(); ++i)
-    global.plastic_strain(i) = Real(i) * 0.03125;
-  const Index total = global.size();
-
-  auto ranks = distribute_points(mesh, decomp, global);
-  // Scatter points across subdomain boundaries in both directions (stay
-  // inside the global domain so nothing is deleted).
-  Index displaced = 0;
-  for (auto& rp : ranks)
-    for (Index i = 0; i < rp.points.size(); ++i) {
-      Vec3 x = rp.points.position(i);
-      // Non-lattice offsets: displaced points must not land exactly on an
-      // existing point (positions are the payload-map key).
-      if (i % 7 == 0 && x[0] < 0.45) {
-        x[0] += 0.503;
-      } else if (i % 7 == 3 && x[1] > 0.55) {
-        x[1] -= 0.497;
-      } else {
-        continue;
-      }
-      rp.points.set_position(i, x);
-      ++displaced;
-    }
-  ASSERT_GT(displaced, 0);
-  const auto before = payload_map(gather_points(ranks));
-  ASSERT_EQ(before.size(), std::size_t(total)); // positions are unique keys
-  // Pre-migration holder of every point, keyed by exact position bits.
-  std::map<std::array<Real, 3>, Index> source_of;
-  for (const auto& rp : ranks)
-    for (Index i = 0; i < rp.points.size(); ++i) {
-      const Vec3 x = rp.points.position(i);
-      source_of[{x[0], x[1], x[2]}] = rp.rank;
-    }
-
-  MigrationStats st = migrate_points(mesh, decomp, ranks);
-  EXPECT_EQ(st.sent, displaced);
-  EXPECT_EQ(st.received + st.deleted, st.sent); // every sent point accounted
-  EXPECT_EQ(st.deleted, 0);                     // nothing left the domain
-
-  Index after_total = 0;
-  for (const auto& rp : ranks) after_total += rp.points.size();
-  EXPECT_EQ(after_total, total);
-  // Per-point payload survived the trip byte for byte.
-  EXPECT_EQ(payload_map(gather_points(ranks)), before);
-
-  // Every receiver adopts in ascending source-rank order: its adopted points
-  // (the ones it did not hold before) come grouped by source, lowest first.
-  int multi_source_receivers = 0;
-  for (const auto& rp : ranks) {
-    std::vector<Index> sources;
-    for (Index i = 0; i < rp.points.size(); ++i) {
-      const Vec3 x = rp.points.position(i);
-      const Index src = source_of.at({x[0], x[1], x[2]});
-      if (src != rp.rank) sources.push_back(src);
-    }
-    EXPECT_TRUE(std::is_sorted(sources.begin(), sources.end()))
-        << "rank " << rp.rank;
-    if (!sources.empty() && sources.front() != sources.back())
-      ++multi_source_receivers;
-  }
-  EXPECT_GT(multi_source_receivers, 0); // the order check is not vacuous
-}
-
-TEST(Migration, EmptySubdomainsSendNothingAndCanReceive) {
-  StructuredMesh mesh = StructuredMesh::box(8, 2, 2, {0, 0, 0}, {1, 1, 1});
-  Decomposition decomp = Decomposition::create(mesh, 4, 1, 1);
-
-  // All points start in rank 0's slab (x < 0.25): ranks 1-3 are empty.
-  MaterialPoints global;
-  global.add({0.05, 0.5, 0.5}, 1);
-  global.add({0.10, 0.5, 0.5}, 2);
-  global.add({0.20, 0.5, 0.5}, 3);
-  locate_all(mesh, global);
-  auto ranks = distribute_points(mesh, decomp, global);
-  ASSERT_EQ(ranks[0].points.size(), 3);
-  for (int r = 1; r < 4; ++r) ASSERT_EQ(ranks[r].points.size(), 0);
-
-  // Migrating with empty subdomains present is a no-op, not a crash.
-  MigrationStats st = migrate_points(mesh, decomp, ranks);
-  EXPECT_EQ(st.sent, 0);
-  EXPECT_EQ(st.received, 0);
-  EXPECT_EQ(st.deleted, 0);
-
-  // A previously-empty subdomain adopts a point displaced into it.
-  // (Delivery is neighbor-to-neighbor: a point may hop one subdomain per
-  // migration, exactly like the advection CFL limit guarantees.)
-  Vec3 x = ranks[0].points.position(1);
-  x[0] = 0.30; // rank 1's slab
-  ranks[0].points.set_position(1, x);
-  st = migrate_points(mesh, decomp, ranks);
-  EXPECT_EQ(st.sent, 1);
-  EXPECT_EQ(st.received, 1);
-  EXPECT_EQ(st.deleted, 0);
-  EXPECT_EQ(ranks[1].points.size(), 1);
-  Index total = 0;
-  for (const auto& rp : ranks) total += rp.points.size();
-  EXPECT_EQ(total, 3);
-  // The migrated point kept its payload.
-  MaterialPoints all = gather_points(ranks);
-  int liths = 0;
-  for (Index i = 0; i < all.size(); ++i) liths += all.lithology(i);
-  EXPECT_EQ(liths, 1 + 2 + 3);
 }
 
 // --- population control -----------------------------------------------------------

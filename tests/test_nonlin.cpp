@@ -2,9 +2,11 @@
 // search, Eisenstat-Walker behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "nonlin/newton.hpp"
+#include "obs/metrics.hpp"
 #include "rheology/flow_law.hpp"
 #include "stokes/fields.hpp"
 
@@ -168,6 +170,32 @@ TEST(Nonlinear, StepLengthsRecordedAndPositive) {
     EXPECT_GT(l, 0.0);
     EXPECT_LE(l, 1.0);
   }
+}
+
+// Each state's residual is evaluated once: the first residual and every
+// line-search trial. A Newton step builds its right-hand side from the
+// residual of the state it starts at, which the last of those evaluated.
+TEST(Nonlinear, OneResidualEvaluationPerState) {
+  StructuredMesh mesh = StructuredMesh::box(4, 4, 4, {0, 0, 0}, {1, 1, 1});
+  DirichletBc bc = lid_bc(mesh, 1.0);
+  NonlinearOptions opts = small_options();
+  opts.linear.bc_factory = lid_bc_factory();
+  NonlinearStokesSolver solver(mesh, bc, opts);
+  Vector u(num_velocity_dofs(mesh), 0.0), p;
+  bc.set_values(u);
+  Vector f(num_velocity_dofs(mesh), 0.0);
+  const obs::Counter& evaluations =
+      obs::MetricsRegistry::instance().counter("nonlin.residual_evaluations");
+  const long long before = evaluations.value();
+  NonlinearResult res = solver.solve(power_law_updater(mesh, 3.0), f, u, p);
+  ASSERT_TRUE(res.converged);
+  ASSERT_GE(res.step_lengths.size(), 2u);
+  // A step of length 2^-k took k + 1 trials, unless the search ran out.
+  long long trials = 0;
+  for (Real lambda : res.step_lengths)
+    trials += std::min<long long>(std::llround(std::log2(1 / lambda)) + 1,
+                                  opts.line_search_max + 1);
+  EXPECT_EQ(evaluations.value() - before, 1 + trials);
 }
 
 TEST(Nonlinear, ResidualOfExactSolutionIsZero) {

@@ -150,8 +150,7 @@ TEST(Pipeline, ProjectedViscosityIsBoundedByMaterials) {
   Vector u(num_velocity_dofs(ctx.mesh()), 0.0);
   Vector pr(num_pressure_dofs(ctx.mesh()), 0.0);
   PointEvaluation().update(ctx.mesh(), ctx.setup().materials, ctx.points(), u,
-                           pr, nullptr, false, CoefficientPipelineOptions{},
-                           coeff);
+                           pr, nullptr, false, nullptr, coeff);
   EXPECT_GE(coeff.eta_min(), 1e-3 - 1e-12);
   EXPECT_LE(coeff.eta_max(), 1.0 + 1e-12);
 }
@@ -168,8 +167,7 @@ TEST(Pipeline, NewtonTermsFilled) {
     u[3 * n + 0] = ctx.mesh().node_coord(n)[1];
   Vector pr(num_pressure_dofs(ctx.mesh()), 0.0);
   PointEvaluation().update(ctx.mesh(), ctx.setup().materials, ctx.points(), u,
-                           pr, nullptr, true, CoefficientPipelineOptions{},
-                           coeff);
+                           pr, nullptr, true, nullptr, coeff);
   ASSERT_TRUE(coeff.has_newton());
   // D0 = strain of u: the xy component is 1/2 everywhere.
   EXPECT_NEAR(coeff.d0(0, 0)[3], 0.5, 1e-9);
@@ -338,18 +336,12 @@ protected:
     return ctx;
   }
 
-  static CoefficientPipelineOptions pipeline(const PtatinContext& ctx) {
-    CoefficientPipelineOptions o;
-    o.decomp = ctx.subdomain_engine();
-    return o;
-  }
-
   /// Update `coeff` at the context's (u, p) through `evaluation`.
   static void update(const PtatinContext& ctx, PointEvaluation& evaluation,
                      bool newton_terms, QuadCoefficients& coeff) {
     evaluation.update(ctx.mesh(), ctx.setup().materials, ctx.points(),
                       ctx.velocity(), ctx.pressure(), &ctx.temperature(),
-                      newton_terms, pipeline(ctx), coeff);
+                      newton_terms, ctx.subdomain_engine(), coeff);
   }
 
   /// Update `coeff` at the context's (u, p) through a fresh evaluation.

@@ -56,7 +56,8 @@ TEST(GmgIntrospection, LevelDofsShrinkAndGalerkinTimed) {
   GmgHierarchy mg(
       fine, opts,
       [](const StructuredMesh& m) { return sinker_boundary_conditions(m); },
-      [](const CsrMatrix& a) -> std::unique_ptr<Preconditioner> {
+      [](const CsrMatrix& a, const StructuredMesh&,
+         const DirichletBc&) -> std::unique_ptr<Preconditioner> {
         return std::make_unique<BlockJacobiPc>(a, 1, SubdomainSolve::kLu);
       });
   ASSERT_EQ(mg.num_levels(), 2);
@@ -76,7 +77,8 @@ TEST(GmgIntrospection, AssembledFinestAccumulatesGalerkinTime) {
   GmgHierarchy mg(
       fine, opts,
       [](const StructuredMesh& m) { return sinker_boundary_conditions(m); },
-      [](const CsrMatrix& a) -> std::unique_ptr<Preconditioner> {
+      [](const CsrMatrix& a, const StructuredMesh&,
+         const DirichletBc&) -> std::unique_ptr<Preconditioner> {
         return std::make_unique<BlockJacobiPc>(a, 1, SubdomainSolve::kLu);
       });
   EXPECT_GT(mg.galerkin_setup_seconds(), 0.0);

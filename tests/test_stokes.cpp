@@ -300,8 +300,7 @@ TEST(ViscousOp, FactoryWiresTheSubdomainEngine) {
 
   const KernelSpec spec{.type = FineOperatorType::kTensor, .engine = &eng};
   auto fac_op = make_viscous_backend(spec, mesh, coeff, &bc);
-  TensorViscousOperator dir_op(mesh, coeff, &bc, 0);
-  dir_op.set_subdomain_engine(&eng);
+  TensorViscousOperator dir_op(mesh, coeff, &bc, 0, &eng);
   fac_op->apply(x, y_fac);
   dir_op.apply(x, y_dir);
   for (Index i = 0; i < x.size(); ++i) ASSERT_EQ(y_fac[i], y_dir[i]);
