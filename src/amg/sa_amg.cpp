@@ -176,7 +176,7 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
     lev.op = std::make_unique<MatrixOperator>(&lev.a);
     lev.op->enable_blocked();
     if (opts.smoother == AmgSmoother::kChebyshev) {
-      lev.smoother.setup(*lev.op, lev.a.diagonal(), opts.chebyshev);
+      lev.smoother.setup(*lev.op, lev.a.diagonal());
     } else {
       lev.krylov_smoother_pc = std::make_unique<Ilu0Pc>(lev.a);
     }
@@ -203,7 +203,8 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
     seal_ = sdc::ScopedSeal("amg.operators", [this]() {
       std::vector<sdc::Region> regions;
       for (std::size_t l = 0; l < levels_.size(); ++l) {
-        const std::string prefix = "L" + std::to_string(l);
+        std::string prefix = "L";
+        prefix += std::to_string(l);
         levels_[l].a.append_seal_regions(prefix, regions);
         if (levels_[l].p.nnz() > 0)
           levels_[l].p.append_seal_regions(prefix + ".p", regions);

@@ -47,7 +47,6 @@ struct AmgOptions {
   int smooth_post = 2;
   AmgSmoother smoother = AmgSmoother::kChebyshev;
   AmgCoarsestSolve coarsest = AmgCoarsestSolve::kBlockJacobiLu;
-  ChebyshevOptions chebyshev;
   /// Register the per-level Galerkin operators and prolongators with the SDC
   /// seal registry (docs/ROBUSTNESS.md): the hierarchy is setup-immutable,
   /// so the periodic scrubber can detect a flipped bit. Enabled by the
@@ -68,7 +67,6 @@ public:
   void vcycle(const Vector& b, Vector& x) const;
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
-  Index level_rows(int l) const { return levels_[l].a.rows(); }
   double setup_seconds() const { return setup_seconds_; }
 
   /// Total operator complexity: sum(nnz_l) / nnz_0.

@@ -17,15 +17,6 @@ namespace detail {
 void log_write(const std::string& line);
 }
 
-template <class... Args>
-void log_info(Args&&... args) {
-  if (log_level() >= LogLevel::kInfo) {
-    std::ostringstream os;
-    (os << ... << args);
-    detail::log_write(os.str());
-  }
-}
-
 /// Warnings share the info level but carry a prefix so safeguard events
 /// (injected faults, fallbacks, dt cuts) stand out in step logs.
 template <class... Args>

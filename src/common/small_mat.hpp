@@ -38,10 +38,6 @@ inline Vec3 matvec3(const Mat3& m, const Vec3& v) {
               m[6] * v[0] + m[7] * v[1] + m[8] * v[2]};
 }
 
-inline Vec3 sub3(const Vec3& a, const Vec3& b) {
-  return Vec3{a[0] - b[0], a[1] - b[1], a[2] - b[2]};
-}
-
 inline Real norm3(const Vec3& v) {
   return std::sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
 }

@@ -23,38 +23,4 @@ private:
   Clock::time_point start_;
 };
 
-/// Accumulating timer: total time across many start/stop intervals.
-class AccumTimer {
-public:
-  void start() { t_.reset(); running_ = true; }
-  void stop() {
-    if (running_) {
-      total_ += t_.seconds();
-      ++count_;
-      running_ = false;
-    }
-  }
-  double total() const { return total_; }
-  long count() const { return count_; }
-  void reset() { total_ = 0.0; count_ = 0; running_ = false; }
-
-private:
-  Timer t_;
-  double total_ = 0.0;
-  long count_ = 0;
-  bool running_ = false;
-};
-
-/// RAII interval that adds its lifetime to an AccumTimer.
-class ScopedTimer {
-public:
-  explicit ScopedTimer(AccumTimer& t) : t_(t) { t_.start(); }
-  ~ScopedTimer() { t_.stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-private:
-  AccumTimer& t_;
-};
-
 } // namespace ptatin

@@ -15,9 +15,6 @@ using Real = double;
 /// Global index type (64-bit, matching the paper's configuration).
 using Index = std::int64_t;
 
-/// Small local index (element-local node/quadrature numbering).
-using LocalIndex = std::int32_t;
-
 /// Number of spatial dimensions. pTatin3D is a 3D code.
 inline constexpr int kDim = 3;
 

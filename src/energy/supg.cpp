@@ -30,13 +30,11 @@ Real supg_tau(Real vnorm, Real h, Real kappa) {
 
 } // namespace
 
-EnergySolver::EnergySolver(const StructuredMesh& mesh, Real kappa,
-                           std::function<Real(const Vec3&)> source)
-    : mesh_(mesh), kappa_(kappa), source_(std::move(source)) {}
+EnergySolver::EnergySolver(const StructuredMesh& mesh, Real kappa)
+    : mesh_(mesh), kappa_(kappa) {}
 
 Real EnergySolver::element_system(
     const Vector& u, Real dt, const Vector& T, Index e,
-    const std::vector<Real>* element_source,
     Real Ae[kQ1NodesPerEl][kQ1NodesPerEl], Real be[kQ1NodesPerEl]) const {
   const auto& tab = q1_tabulation();
   Index verts[kQ1NodesPerEl];
@@ -59,13 +57,10 @@ Real EnergySolver::element_system(
   for (int q = 0; q < QuadQ1::kPoints; ++q) {
     // Geometry at the Q1 quadrature point.
     Mat3 J{};
-    Vec3 xq{0, 0, 0};
     for (int v = 0; v < kQ1NodesPerEl; ++v)
-      for (int r = 0; r < 3; ++r) {
-        xq[r] += tab.N[q][v] * xe[v][r];
+      for (int r = 0; r < 3; ++r)
         for (int d = 0; d < 3; ++d)
           J[3 * r + d] += xe[v][r] * tab.dN[q][v][d];
-      }
     const Real det = det3(J);
     PT_DEBUG_ASSERT(det > 0);
     const Mat3 gi = inv3(J, det);
@@ -92,9 +87,6 @@ Real EnergySolver::element_system(
       for (int v = 0; v < kQ1NodesPerEl; ++v) t += tab.N[q][v] * T[verts[v]];
       return t;
     }();
-    Real src = source_ ? source_(xq) : 0.0;
-    if (element_source != nullptr) src += (*element_source)[e];
-
     for (int i = 0; i < kQ1NodesPerEl; ++i) {
       // SUPG-augmented test function: N_i + tau u.grad(N_i).
       const Real ugi = vel[0] * g[i][0] + vel[1] * g[i][1] + vel[2] * g[i][2];
@@ -110,16 +102,15 @@ Real EnergySolver::element_system(
                          g[i][2] * g[j][2]);
         Ae[i][j] += w * val;
       }
-      be[i] += w * wi * (idt * old_T + src);
+      be[i] += w * wi * (idt * old_T);
     }
   }
   return tau_max;
 }
 
 Real EnergySolver::assemble(const Vector& u, Real dt, const VertexBc& bc,
-                            const Vector& T,
-                            const std::vector<Real>* element_source,
-                            CsrMatrix& A, Vector& rhs) const {
+                            const Vector& T, CsrMatrix& A,
+                            Vector& rhs) const {
   const Index nv = mesh_.num_vertices();
   // Vertex-lattice 27-point neighbourhoods in closed form
   // (fem/lattice_pattern.hpp).
@@ -136,8 +127,7 @@ Real EnergySolver::assemble(const Vector& u, Real dt, const VertexBc& bc,
   for (Index e = 0; e < mesh_.num_elements(); ++e) {
     Real Ae[kQ1NodesPerEl][kQ1NodesPerEl];
     Real be[kQ1NodesPerEl];
-    tau_max = std::max(
-        tau_max, element_system(u, dt, T, e, element_source, Ae, be));
+    tau_max = std::max(tau_max, element_system(u, dt, T, e, Ae, be));
     Index ei, ej, ek;
     mesh_.element_ijk(e, ei, ej, ek);
     for (int i = 0; i < kQ1NodesPerEl; ++i) {
@@ -161,18 +151,14 @@ Real EnergySolver::assemble(const Vector& u, Real dt, const VertexBc& bc,
   return tau_max;
 }
 
-EnergySolveStats EnergySolver::step(
-    const Vector& u, Real dt, const VertexBc& bc, Vector& T,
-    const std::vector<Real>* element_source) const {
-  PT_ASSERT(element_source == nullptr ||
-            static_cast<Index>(element_source->size()) ==
-                mesh_.num_elements());
+EnergySolveStats EnergySolver::step(const Vector& u, Real dt,
+                                    const VertexBc& bc, Vector& T) const {
   PT_ASSERT(T.size() == mesh_.num_vertices());
   PT_ASSERT(bc.size() == mesh_.num_vertices());
   EnergySolveStats stats;
   CsrMatrix A;
   Vector rhs;
-  stats.tau_max = assemble(u, dt, bc, T, element_source, A, rhs);
+  stats.tau_max = assemble(u, dt, bc, T, A, rhs);
 
   // Solve (nonsymmetric with advection): GMRES + ILU(0).
   MatrixOperator op(&A);

@@ -5,14 +5,12 @@
 // discretized with Q1 finite elements on the corner-vertex mesh, stabilized
 // with SUPG, and stepped with backward Euler:
 //
-//   (M/dt + K + C(u)) T^{n+1} = M/dt T^n + s
+//   (M/dt + K + C(u)) T^{n+1} = M/dt T^n
 //
 // The SUPG test function w + tau u.grad w multiplies the advective and
 // temporal terms; tau uses the classical coth rule
 // tau = h/(2|u|) (coth(Pe) - 1/Pe), Pe = |u| h / (2 kappa).
 #pragma once
-
-#include <functional>
 
 #include "fem/bc.hpp"
 #include "fem/mesh.hpp"
@@ -47,32 +45,25 @@ struct EnergySolveStats {
 
 class EnergySolver {
 public:
-  /// kappa: thermal diffusivity (constant); source: volumetric heating
-  /// evaluated at physical positions (may be null).
-  EnergySolver(const StructuredMesh& mesh, Real kappa,
-               std::function<Real(const Vec3&)> source = nullptr);
+  /// kappa: thermal diffusivity (constant).
+  EnergySolver(const StructuredMesh& mesh, Real kappa);
 
   /// Advance T (vertex field) by one backward-Euler step with the Q2
   /// velocity field u. The system matrix is reassembled (mesh and velocity
-  /// change every time step in ALE runs). `element_source` (optional) adds a
-  /// per-element volumetric heating rate — e.g. shear heating
-  /// Phi/(rho c) computed from the converged flow.
+  /// change every time step in ALE runs).
   EnergySolveStats step(const Vector& u, Real dt, const VertexBc& bc,
-                        Vector& T,
-                        const std::vector<Real>* element_source = nullptr) const;
+                        Vector& T) const;
 
   /// The backward-Euler system step() solves: A on the closed-form vertex
   /// lattice pattern (fem/lattice_pattern.hpp), Dirichlet rows replaced by
   /// identity rows and their values. Returns the largest SUPG tau.
   Real assemble(const Vector& u, Real dt, const VertexBc& bc, const Vector& T,
-                const std::vector<Real>* element_source, CsrMatrix& A,
-                Vector& rhs) const;
+                CsrMatrix& A, Vector& rhs) const;
 
   /// Element matrix and load vector of element e, rows and columns in the
   /// corner order of element_corner_vertices. Returns the element's largest
   /// SUPG tau.
   Real element_system(const Vector& u, Real dt, const Vector& T, Index e,
-                      const std::vector<Real>* element_source,
                       Real Ae[kQ1NodesPerEl][kQ1NodesPerEl],
                       Real be[kQ1NodesPerEl]) const;
 
@@ -89,7 +80,6 @@ public:
 private:
   const StructuredMesh& mesh_;
   Real kappa_;
-  std::function<Real(const Vec3&)> source_;
   int sentinel_every_ = 0;
   Real sentinel_tol_ = 1e-6;
 };

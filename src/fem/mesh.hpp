@@ -52,11 +52,6 @@ public:
     PT_DEBUG_ASSERT(i >= 0 && i < nx() && j >= 0 && j < ny() && k >= 0 && k < nz());
     return i + nx() * (j + ny() * k);
   }
-  void node_ijk(Index n, Index& i, Index& j, Index& k) const {
-    i = n % nx();
-    j = (n / nx()) % ny();
-    k = n / (nx() * ny());
-  }
   Index element_index(Index ei, Index ej, Index ek) const {
     PT_DEBUG_ASSERT(ei >= 0 && ei < mx_ && ej >= 0 && ej < my_ && ek >= 0 && ek < mz_);
     return ei + mx_ * (ej + my_ * ek);

@@ -154,20 +154,6 @@ public:
         [](Index, Real*) {});
   }
 
-  /// Run `fn(rank, e)` for every owned element, subdomains in parallel on
-  /// the thread team (no halo exchange — for per-element-disjoint outputs
-  /// such as strain-rate sampling).
-  template <class Fn>
-  void for_each_owned_element(Fn&& fn) const {
-    const Index S = num_subdomains();
-    parallel_for_phased(
-        1, [S](int) { return S; },
-        [&](int, Index s) {
-          for (Index e : subs_[s].boundary) fn(s, e);
-          for (Index e : subs_[s].interior) fn(s, e);
-        });
-  }
-
   DecompStats stats() const;
   void reset_stats();
 

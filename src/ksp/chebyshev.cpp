@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/faultinject.hpp"
 #include "common/log.hpp"
 #include "common/muladd.hpp"
 #include "common/parallel.hpp"
@@ -15,10 +14,12 @@ namespace ptatin {
 namespace {
 /// Iterations of the λmax estimator.
 constexpr int kEigEstIterations = 12;
+/// The smoothed interval as fractions of the estimated λmax (§III-C).
+constexpr Real kEminFraction = 0.2;
+constexpr Real kEmaxFraction = 1.1;
 } // namespace
 
-void ChebyshevSmoother::setup(const LinearOperator& a, Vector diag,
-                              const ChebyshevOptions& opt) {
+void ChebyshevSmoother::setup(const LinearOperator& a, Vector diag) {
   PT_ASSERT(a.rows() == a.cols());
   PT_ASSERT(diag.size() == a.rows());
   a_ = &a;
@@ -34,8 +35,7 @@ void ChebyshevSmoother::setup(const LinearOperator& a, Vector diag,
   // is already corrupted. Degrade to a conservative default interval rather
   // than aborting: the smoother merely smooths badly, and the outer Krylov
   // guards (dtol/NaN) catch a genuinely broken operator.
-  eig_fallback_ = !(std::isfinite(lambda_max_) && lambda_max_ > 0.0);
-  if (eig_fallback_) {
+  if (!(std::isfinite(lambda_max_) && lambda_max_ > 0.0)) {
     log_warn("Chebyshev: invalid eigenvalue estimate (", lambda_max_,
              "); falling back to lambda_max = 1");
     obs::MetricsRegistry::instance()
@@ -43,13 +43,12 @@ void ChebyshevSmoother::setup(const LinearOperator& a, Vector diag,
         .inc();
     lambda_max_ = 1.0;
   }
-  emin_ = opt.emin_fraction * lambda_max_;
-  emax_ = opt.emax_fraction * lambda_max_;
-  // Size the sweep scratch once: smooth()/solve() are the V-cycle hot path
-  // and must not allocate per call.
+  emin_ = kEminFraction * lambda_max_;
+  emax_ = kEmaxFraction * lambda_max_;
+  // Size the sweep scratch once: smooth() is the V-cycle hot path and must
+  // not allocate per call.
   const Index n = a.rows();
   r_.resize(n);
-  z_.resize(n);
   p_.resize(n);
 }
 
@@ -64,7 +63,6 @@ void ChebyshevSmoother::smooth(const Vector& b, Vector& x, int iterations,
   if (x.size() != n) x.resize(n, 0.0);
   if (r_.size() != n) {
     r_.resize(n);
-    z_.resize(n);
     p_.resize(n);
   }
 
@@ -117,70 +115,6 @@ void ChebyshevSmoother::smooth(const Vector& b, Vector& x, int iterations,
     });
     rho = rho_new;
   }
-}
-
-SolveStats ChebyshevSmoother::solve(const Vector& b, Vector& x,
-                                    const KrylovSettings& s) const {
-  PT_ASSERT(a_ != nullptr);
-  SolveStats stats;
-  const Index n = b.size();
-  if (x.size() != n) x.resize(n, 0.0);
-
-  const Real theta = Real(0.5) * (emax_ + emin_);
-  const Real delta = Real(0.5) * (emax_ - emin_);
-  const Real sigma = theta / delta;
-
-  if (r_.size() != n) {
-    r_.resize(n);
-    z_.resize(n);
-    p_.resize(n);
-  }
-  Vector& r = r_;
-  Vector& z = z_;
-  Vector& p = p_;
-  const Real* idg = inv_diag_.data();
-
-  a_->residual(b, x, r);
-  Real rnorm = fault::corrupt("ksp.rnorm", r.norm2());
-  stats.initial_residual = rnorm;
-  const ConvergenceTest conv(s, rnorm);
-  if (s.record_history) stats.history.push_back(rnorm);
-  if (s.monitor) s.monitor(0, rnorm, &r);
-
-  int it = 0;
-  Real rho = Real(1) / sigma;
-  ConvergedReason reason = conv.test(rnorm, it);
-  while (reason == ConvergedReason::kIterating) {
-    {
-      const Real* rp = r.data();
-      Real* zp = z.data();
-      parallel_for(n, [&](Index i) { zp[i] = rp[i] * idg[i]; });
-    }
-    if (it == 0) {
-      p.copy_from(z);
-      p.scale(Real(1) / theta);
-    } else {
-      const Real rho_new = Real(1) / (Real(2) * sigma - rho);
-      p.scale(rho_new * rho);
-      p.axpy(Real(2) * rho_new / delta, z);
-      rho = rho_new;
-    }
-    x.axpy(1.0, p);
-    a_->residual(b, x, r);
-    rnorm = fault::corrupt("ksp.rnorm", r.norm2());
-    ++it;
-    if (s.record_history) stats.history.push_back(rnorm);
-    if (s.monitor) s.monitor(it, rnorm, &r);
-    reason = conv.test(rnorm, it);
-  }
-
-  stats.iterations = it;
-  stats.final_residual = rnorm;
-  stats.reason = reason;
-  stats.converged = is_converged(reason);
-  obs::MetricsRegistry::instance().counter("ksp.chebyshev.solves").inc();
-  obs::MetricsRegistry::instance().counter("ksp.chebyshev.iterations").inc(it);
-  return stats;
 }
 
 } // namespace ptatin

@@ -10,15 +10,8 @@
 
 #include "ksp/operator.hpp"
 #include "ksp/pc.hpp"
-#include "ksp/settings.hpp"
 
 namespace ptatin {
-
-struct ChebyshevOptions {
-  /// Interval as fractions of the estimated λmax (paper: [0.2, 1.1]).
-  Real emin_fraction = 0.2;
-  Real emax_fraction = 1.1;
-};
 
 /// A reusable Chebyshev smoother: setup estimates λmax of D^{-1}A once, then
 /// smooth() runs a fixed number of iterations (no convergence test — this is
@@ -27,24 +20,15 @@ class ChebyshevSmoother {
 public:
   ChebyshevSmoother() = default;
 
-  /// `diag` is the operator diagonal; λmax is estimated internally.
-  void setup(const LinearOperator& a, Vector diag, const ChebyshevOptions& opt);
+  /// `diag` is the operator diagonal; λmax is estimated internally, and the
+  /// smoother targets [0.2 λmax, 1.1 λmax].
+  void setup(const LinearOperator& a, Vector diag);
 
   /// In-place smoothing of A x = b starting from x (zero or nonzero). With
   /// `zero_guess` the caller promises x == 0 on entry: the first residual is
   /// then b itself, and the operator apply on the zero vector is skipped.
   void smooth(const Vector& b, Vector& x, int iterations,
               bool zero_guess = false) const;
-
-  /// Run the same semi-iteration as a stand-alone solver with per-iteration
-  /// residual monitoring and the shared convergence/divergence guards (NaN,
-  /// dtol). The MG smoothing path stays on `smooth`, which adds no norm
-  /// reductions to the hot loop.
-  SolveStats solve(const Vector& b, Vector& x, const KrylovSettings& s) const;
-
-  /// True when setup had to fall back to a default spectral interval
-  /// because the eigenvalue estimate was NaN/Inf or nonpositive.
-  bool eig_estimate_fallback() const { return eig_fallback_; }
 
   Real lambda_max() const { return lambda_max_; }
   Real interval_min() const { return emin_; }
@@ -54,10 +38,9 @@ private:
   const LinearOperator* a_ = nullptr;
   Vector inv_diag_;
   Real lambda_max_ = 0.0, emin_ = 0.0, emax_ = 0.0;
-  bool eig_fallback_ = false;
   /// Persistent sweep scratch, sized at setup: smooth() sits on the V-cycle
   /// hot path and must not heap-allocate per call (docs/KERNELS.md).
-  mutable Vector r_, z_, p_;
+  mutable Vector r_, p_;
 };
 
 } // namespace ptatin

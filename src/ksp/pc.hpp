@@ -36,7 +36,6 @@ public:
   explicit JacobiPc(Vector diag);
 
   void apply(const Vector& r, Vector& z) const override;
-  const Vector& inverse_diagonal() const { return inv_diag_; }
 
 private:
   Vector inv_diag_;

@@ -76,35 +76,6 @@ void BlockedSpMV::rebuild(const CsrMatrix& a) {
   });
 }
 
-void BlockedSpMV::refresh_values(const CsrMatrix& a) {
-  if (a.rows() != rows_ || a.cols() != cols_ ||
-      a.row_ptr() != src_row_ptr_) {
-    rebuild(a);
-    return;
-  }
-  const Index* rp = src_row_ptr_.data();
-  const Real* va = a.values().data();
-  parallel_for(static_cast<Index>(blocks_.size()), [&](Index b) {
-    const Block& blk = blocks_[static_cast<std::size_t>(b)];
-    if (blk.sell) {
-      for (Index r = 0; r < blk.nrows; ++r) {
-        const Index row = blk.first_row + r;
-        const Index lo = rp[row];
-        const Index len = rp[row + 1] - lo;
-        std::copy(va + lo, va + lo + len,
-                  vals_.begin() +
-                      static_cast<std::ptrdiff_t>(blk.off + r * blk.width));
-        // Padding values stay 0.0.
-      }
-    } else {
-      const Index base = rp[blk.first_row];
-      const Index len = rp[blk.first_row + blk.nrows] - base;
-      std::copy(va + base, va + base + len,
-                vals_.begin() + static_cast<std::ptrdiff_t>(blk.off));
-    }
-  });
-}
-
 void BlockedSpMV::mult(const Vector& x, Vector& y) const {
   PT_ASSERT(x.size() == cols_);
   if (y.size() != rows_) y.resize(rows_);

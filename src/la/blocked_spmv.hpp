@@ -39,10 +39,6 @@ public:
   /// Build (or rebuild) the blocked layout from scratch.
   void rebuild(const CsrMatrix& a);
 
-  /// Re-copy values from `a`, which must have the pattern rebuild() saw
-  /// (validated via row_ptr; falls back to rebuild() on mismatch).
-  void refresh_values(const CsrMatrix& a);
-
   /// y <- A x. Bitwise identical to CsrMatrix::mult.
   void mult(const Vector& x, Vector& y) const;
 

@@ -101,8 +101,6 @@ const Real* CsrMatrix::find(Index i, Index j) const {
   return const_cast<CsrMatrix*>(this)->find(i, j);
 }
 
-void CsrMatrix::zero_values() { std::fill(vals_.begin(), vals_.end(), 0.0); }
-
 void CsrMatrix::zero_row_set_identity(Index i) {
   for (Index k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k)
     vals_[k] = (col_idx_[k] == i) ? 1.0 : 0.0;

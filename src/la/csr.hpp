@@ -54,9 +54,6 @@ public:
   Real* find(Index i, Index j);
   const Real* find(Index i, Index j) const;
 
-  /// Zero all stored values, keeping the pattern.
-  void zero_values();
-
   /// Replace row i with e_i^T (diag=1, off-diag=0). Used for strong Dirichlet.
   void zero_row_set_identity(Index i);
 

@@ -157,7 +157,7 @@ GmgHierarchy::GmgHierarchy(const ViscousOperatorBase& fine_op,
   for (int l = 1; l < L; ++l) {
     PerfScope span(level_tag("MGSetupSmoother", l));
     Level& lev = levels_[l];
-    lev.smoother.setup(*lev.op, lev.op->diagonal(), opts.chebyshev);
+    lev.smoother.setup(*lev.op, lev.op->diagonal());
   }
   // Cycle workspace (r/e on every level, rc/ec on the coarse targets) is
   // sized here once: the V-cycle itself never allocates.
@@ -177,8 +177,7 @@ GmgHierarchy::GmgHierarchy(const ViscousOperatorBase& fine_op,
   if (L == 1) {
     // Degenerate single-level "hierarchy": smoother-only preconditioner.
     PerfScope span(level_tag("MGSetupSmoother", 0));
-    levels_[0].smoother.setup(*levels_[0].op, levels_[0].op->diagonal(),
-                              opts.chebyshev);
+    levels_[0].smoother.setup(*levels_[0].op, levels_[0].op->diagonal());
   } else {
     PT_ASSERT_MSG(coarse_factory != nullptr, "coarse solver factory required");
     PerfScope span("MGSetupCoarse");
@@ -202,7 +201,8 @@ GmgHierarchy::GmgHierarchy(const ViscousOperatorBase& fine_op,
       std::vector<sdc::Region> regions;
       for (std::size_t l = 0; l < levels_.size(); ++l) {
         const Level& lev = levels_[l];
-        const std::string prefix = "L" + std::to_string(l);
+        std::string prefix = "L";
+        prefix += std::to_string(l);
         if (lev.assembled != nullptr && lev.assembled->nnz() > 0)
           lev.assembled->append_seal_regions(prefix, regions);
         // A matrix-free coarse level's operator is its restricted

@@ -53,7 +53,6 @@ struct GmgOptions {
   CoarseOperatorType coarse_type = CoarseOperatorType::kGalerkin;
   int smooth_pre = 2;  ///< V(2,2) by default (§IV-A)
   int smooth_post = 2;
-  ChebyshevOptions chebyshev;
   /// Register the coarse operators and prolongations with the SDC seal
   /// registry (docs/ROBUSTNESS.md): the assembled matrices, the restricted
   /// coefficients and mesh coordinates of a matrix-free coarse level, and

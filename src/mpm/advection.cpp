@@ -6,26 +6,17 @@
 #include "common/parallel.hpp"
 #include "fem/dofmap.hpp"
 #include "fem/point_location.hpp"
-#include "fem/subdomain_engine.hpp"
 #include "stokes/fields.hpp"
 
 namespace ptatin {
 
-namespace {
-
-struct Flags {
-  std::vector<std::uint8_t> lost;
-};
-
-template <bool Rk2>
-AdvectionStats advect_impl(const StructuredMesh& mesh, const Vector& u,
-                           Real dt, MaterialPoints& points,
-                           const SubdomainEngine* engine) {
+AdvectionStats advect_points_rk2(const StructuredMesh& mesh, const Vector& u,
+                                 Real dt, MaterialPoints& points) {
   AdvectionStats stats;
   const Index n = points.size();
   std::vector<std::uint8_t> lost(n, 0);
 
-  auto advance = [&](Index i) {
+  parallel_for(n, [&](Index i) {
     Index e = points.element(i);
     if (e < 0) {
       lost[i] = 1;
@@ -34,18 +25,13 @@ AdvectionStats advect_impl(const StructuredMesh& mesh, const Vector& u,
     const Vec3 x0 = points.position(i);
     const Vec3 v0 = interpolate_velocity(mesh, u, e, points.local_coord(i));
 
-    Vec3 x1;
-    if constexpr (Rk2) {
-      // Midpoint rule: v evaluated at x0 + dt/2 v0.
-      Vec3 xm{x0[0] + Real(0.5) * dt * v0[0], x0[1] + Real(0.5) * dt * v0[1],
-              x0[2] + Real(0.5) * dt * v0[2]};
-      const PointLocation lm = locate_point(mesh, xm, e);
-      Vec3 vm = v0;
-      if (lm.found) vm = interpolate_velocity(mesh, u, lm.element, lm.xi);
-      x1 = Vec3{x0[0] + dt * vm[0], x0[1] + dt * vm[1], x0[2] + dt * vm[2]};
-    } else {
-      x1 = Vec3{x0[0] + dt * v0[0], x0[1] + dt * v0[1], x0[2] + dt * v0[2]};
-    }
+    // Midpoint rule: v evaluated at x0 + dt/2 v0.
+    Vec3 xm{x0[0] + Real(0.5) * dt * v0[0], x0[1] + Real(0.5) * dt * v0[1],
+            x0[2] + Real(0.5) * dt * v0[2]};
+    const PointLocation lm = locate_point(mesh, xm, e);
+    Vec3 vm = v0;
+    if (lm.found) vm = interpolate_velocity(mesh, u, lm.element, lm.xi);
+    const Vec3 x1{x0[0] + dt * vm[0], x0[1] + dt * vm[1], x0[2] + dt * vm[2]};
 
     points.set_position(i, x1);
     const PointLocation l1 = locate_point(mesh, x1, e);
@@ -55,31 +41,7 @@ AdvectionStats advect_impl(const StructuredMesh& mesh, const Vector& u,
       points.invalidate_location(i);
       lost[i] = 1;
     }
-  };
-
-  if (engine != nullptr) {
-    // §II-D: each subdomain advects its own points. Per-point updates are
-    // independent, so the partitioned sweep is bitwise identical to the
-    // global parallel_for — the binning only changes which thread runs it.
-    const Decomposition& decomp = engine->decomposition();
-    std::vector<std::vector<Index>> bins(decomp.num_ranks());
-    for (Index i = 0; i < n; ++i) {
-      const Index e = points.element(i);
-      if (e < 0) {
-        lost[i] = 1;
-        continue;
-      }
-      bins[decomp.rank_of_element(mesh, e)].push_back(i);
-    }
-    const Index S = decomp.num_ranks();
-    parallel_for_phased(
-        1, [S](int) { return S; },
-        [&](int, Index s) {
-          for (Index i : bins[s]) advance(i);
-        });
-  } else {
-    parallel_for(n, advance);
-  }
+  });
 
   for (Index i = 0; i < n; ++i) {
     if (lost[i]) {
@@ -89,24 +51,6 @@ AdvectionStats advect_impl(const StructuredMesh& mesh, const Vector& u,
     }
   }
   return stats;
-}
-
-} // namespace
-
-AdvectionStats advect_points_rk2(const StructuredMesh& mesh, const Vector& u,
-                                 Real dt, MaterialPoints& points) {
-  return advect_impl<true>(mesh, u, dt, points, nullptr);
-}
-
-AdvectionStats advect_points_rk2(const StructuredMesh& mesh, const Vector& u,
-                                 Real dt, MaterialPoints& points,
-                                 const SubdomainEngine* engine) {
-  return advect_impl<true>(mesh, u, dt, points, engine);
-}
-
-AdvectionStats advect_points_euler(const StructuredMesh& mesh, const Vector& u,
-                                   Real dt, MaterialPoints& points) {
-  return advect_impl<false>(mesh, u, dt, points, nullptr);
 }
 
 Real compute_cfl_dt(const StructuredMesh& mesh, const Vector& u, Real cfl) {

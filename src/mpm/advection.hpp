@@ -8,8 +8,6 @@
 
 namespace ptatin {
 
-class SubdomainEngine;
-
 struct AdvectionStats {
   Index advected = 0;
   Index left_domain = 0; ///< points whose midpoint/endpoint left the mesh
@@ -20,18 +18,6 @@ struct AdvectionStats {
 /// have an invalid element (the caller deletes them; PtatinContext does).
 AdvectionStats advect_points_rk2(const StructuredMesh& mesh, const Vector& u,
                                  Real dt, MaterialPoints& points);
-
-/// Subdomain-parallel variant (docs/PARALLELISM.md): points are binned by
-/// owning subdomain and each subdomain advects its own points on the thread
-/// team (§II-D). Per-point updates are independent, so results are bitwise
-/// identical to the global sweep. Null engine = the global parallel loop.
-AdvectionStats advect_points_rk2(const StructuredMesh& mesh, const Vector& u,
-                                 Real dt, MaterialPoints& points,
-                                 const SubdomainEngine* engine);
-
-/// Forward-Euler variant (ablation / cheap paths).
-AdvectionStats advect_points_euler(const StructuredMesh& mesh, const Vector& u,
-                                   Real dt, MaterialPoints& points);
 
 /// Stable advective time step: dt <= cfl * min(h_el / |u|_el).
 Real compute_cfl_dt(const StructuredMesh& mesh, const Vector& u, Real cfl);

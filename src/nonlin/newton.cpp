@@ -260,12 +260,6 @@ NonlinearResult NonlinearStokesSolver::solve(
     rec.step_lengths = res.step_lengths;
     report.add_newton(std::move(rec));
   }
-
-  res.u = std::move(u);
-  res.p = std::move(p);
-  // Keep caller copies in sync (u/p were moved out).
-  u.copy_from(res.u);
-  p.copy_from(res.p);
   return res;
 }
 

@@ -72,7 +72,6 @@ struct NonlinearResult {
   std::vector<Real> residual_history; ///< ||F|| per nonlinear iteration
   std::vector<int> krylov_per_iteration;
   std::vector<Real> step_lengths;
-  Vector u, p;
 };
 
 class NonlinearStokesSolver {
@@ -101,8 +100,9 @@ private:
   /// Cross-iteration GMG setup cache: every Newton step rebuilds the
   /// hierarchy, but the Galerkin RAP patterns are mesh-topological — the
   /// cache turns the rebuild's coarse products into numeric-only refreshes.
-  /// Mutable because solve() is const; solve() is not concurrently reentrant
-  /// (it never was — it shares fu/fp scratch too).
+  /// Mutable because solve() is const. That shared cache is also why solve()
+  /// is not concurrently reentrant: two concurrent solves would refresh it
+  /// at once.
   mutable GmgSetupCache gmg_cache_;
 };
 

@@ -42,8 +42,6 @@ public:
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
-  bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
 
   bool as_bool() const;
   double as_number() const;

@@ -141,31 +141,11 @@ JsonValue sdc_to_json(const SdcRecord& s) {
   return j;
 }
 
-std::vector<double> number_array(const JsonValue* a) {
-  std::vector<double> out;
-  if (a == nullptr || !a->is_array()) return out;
-  out.reserve(a->size());
-  for (std::size_t i = 0; i < a->size(); ++i) out.push_back(a->at(i).as_number());
-  return out;
-}
-
 std::string string_or(const JsonValue& obj, const std::string& key,
                       const std::string& dflt) {
   const JsonValue* v = obj.find(key);
   return v != nullptr && v->type() == JsonValue::Type::kString ? v->as_string()
                                                                : dflt;
-}
-
-double number_or(const JsonValue& obj, const std::string& key, double dflt) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->type() == JsonValue::Type::kNumber ? v->as_number()
-                                                               : dflt;
-}
-
-bool bool_or(const JsonValue& obj, const std::string& key, bool dflt) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->type() == JsonValue::Type::kBool ? v->as_bool()
-                                                             : dflt;
 }
 
 /// Per-MG-level timing table derived from the perf events emitted by the
@@ -262,130 +242,10 @@ bool SolverReport::write(const std::string& path) const {
   return bool(f);
 }
 
-SolverReport SolverReport::parse(const std::string& json_text) {
-  const JsonValue j = JsonValue::parse(json_text);
-  PT_ASSERT_MSG(string_or(j, "schema", "") == kSolverReportSchema,
-                "not a ptatin.solver_report/1 document");
-  SolverReport rep;
-  if (const JsonValue* meta = j.find("meta"); meta != nullptr)
-    for (const auto& [k, v] : meta->members()) rep.meta_[k] = v.as_string();
-
-  if (const JsonValue* krylov = j.find("krylov"); krylov != nullptr)
-    for (std::size_t i = 0; i < krylov->size(); ++i) {
-      const JsonValue& r = krylov->at(i);
-      KrylovRecord rec;
-      rec.label = string_or(r, "label", "");
-      rec.method = string_or(r, "method", "");
-      rec.converged = bool_or(r, "converged", false);
-      rec.iterations = int(number_or(r, "iterations", 0));
-      rec.initial_residual = number_or(r, "initial_residual", 0);
-      rec.final_residual = number_or(r, "final_residual", 0);
-      rec.seconds = number_or(r, "seconds", 0);
-      rec.reason = string_or(r, "reason", "");
-      rec.history = number_array(r.find("history"));
-      rep.krylov_.push_back(std::move(rec));
-    }
-
-  if (const JsonValue* newton = j.find("newton"); newton != nullptr)
-    for (std::size_t i = 0; i < newton->size(); ++i) {
-      const JsonValue& r = newton->at(i);
-      NewtonRecord rec;
-      rec.label = string_or(r, "label", "");
-      rec.converged = bool_or(r, "converged", false);
-      rec.iterations = int(number_or(r, "iterations", 0));
-      rec.total_krylov_iterations =
-          long(number_or(r, "total_krylov_iterations", 0));
-      rec.seconds = number_or(r, "seconds", 0);
-      rec.failure = string_or(r, "failure", "");
-      rec.fallbacks = int(number_or(r, "fallbacks", 0));
-      rec.residual_history = number_array(r.find("residual_history"));
-      for (double v : number_array(r.find("krylov_per_iteration")))
-        rec.krylov_per_iteration.push_back(int(v));
-      rec.step_lengths = number_array(r.find("step_lengths"));
-      rep.newton_.push_back(std::move(rec));
-    }
-
-  if (const JsonValue* sg = j.find("safeguards"); sg != nullptr)
-    for (std::size_t i = 0; i < sg->size(); ++i) {
-      const JsonValue& r = sg->at(i);
-      SafeguardRecord rec;
-      rec.step = int(number_or(r, "step", 0));
-      rec.recovered = bool_or(r, "recovered", false);
-      rec.retries = int(number_or(r, "retries", 0));
-      rec.dt_history = number_array(r.find("dt_history"));
-      if (const JsonValue* fails = r.find("failures");
-          fails != nullptr && fails->is_array())
-        for (std::size_t k = 0; k < fails->size(); ++k)
-          rec.failures.push_back(fails->at(k).as_string());
-      rep.safeguards_.push_back(std::move(rec));
-    }
-
-  if (const JsonValue* pop = j.find("population"); pop != nullptr)
-    for (std::size_t i = 0; i < pop->size(); ++i) {
-      const JsonValue& r = pop->at(i);
-      PopulationRecord rec;
-      rec.step = int(number_or(r, "step", 0));
-      rec.injected = (long long)(number_or(r, "injected", 0));
-      rec.removed = (long long)(number_or(r, "removed", 0));
-      rec.deficient = (long long)(number_or(r, "deficient", 0));
-      rec.min_per_cell = (long long)(number_or(r, "min_per_cell", 0));
-      rec.max_per_cell = (long long)(number_or(r, "max_per_cell", 0));
-      rep.population_.push_back(rec);
-    }
-
-  if (const JsonValue* st = j.find("state"); st != nullptr) {
-    rep.state_.checkpoint_saves = int(number_or(*st, "checkpoint_saves", 0));
-    rep.state_.checkpoint_save_failures =
-        int(number_or(*st, "checkpoint_save_failures", 0));
-    rep.state_.restarts = int(number_or(*st, "restarts", 0));
-    rep.state_.restart_step = (long long)(number_or(*st, "restart_step", -1));
-    rep.state_.restart_path = string_or(*st, "restart_path", "");
-    if (const JsonValue* skipped = st->find("corrupt_skipped");
-        skipped != nullptr && skipped->is_array())
-      for (std::size_t k = 0; k < skipped->size(); ++k)
-        rep.state_.corrupt_skipped.push_back(skipped->at(k).as_string());
-    rep.state_.health_checks = int(number_or(*st, "health_checks", 0));
-    rep.state_.health_failures = int(number_or(*st, "health_failures", 0));
-    rep.state_.health_repairs = int(number_or(*st, "health_repairs", 0));
-  }
-
-  if (const JsonValue* sd = j.find("sdc"); sd != nullptr) {
-    rep.sdc_.seals_armed = (long long)(number_or(*sd, "seals_armed", 0));
-    rep.sdc_.seal_verifies = (long long)(number_or(*sd, "seal_verifies", 0));
-    rep.sdc_.scrubs = (long long)(number_or(*sd, "scrubs", 0));
-    rep.sdc_.detections = (long long)(number_or(*sd, "detections", 0));
-    rep.sdc_.heals = (long long)(number_or(*sd, "heals", 0));
-    rep.sdc_.sentinel_checks =
-        (long long)(number_or(*sd, "sentinel_checks", 0));
-    rep.sdc_.sentinel_trips = (long long)(number_or(*sd, "sentinel_trips", 0));
-    rep.sdc_.unrecovered = (long long)(number_or(*sd, "unrecovered", 0));
-  }
-
-  if (const JsonValue* d = j.find("decomposition"); d != nullptr) {
-    DecompRecord rec;
-    rec.px = (long long)(number_or(*d, "px", 1));
-    rec.py = (long long)(number_or(*d, "py", 1));
-    rec.pz = (long long)(number_or(*d, "pz", 1));
-    rec.applies = (long long)(number_or(*d, "applies", 0));
-    rec.halo_bytes_sent = (long long)(number_or(*d, "halo_bytes_sent", 0));
-    rec.halo_bytes_received =
-        (long long)(number_or(*d, "halo_bytes_received", 0));
-    rec.exchange_seconds = number_or(*d, "exchange_seconds", 0);
-    rec.interior_seconds = number_or(*d, "interior_seconds", 0);
-    rec.boundary_seconds = number_or(*d, "boundary_seconds", 0);
-    rec.interior_elements = (long long)(number_or(*d, "interior_elements", 0));
-    rec.boundary_elements = (long long)(number_or(*d, "boundary_elements", 0));
-    rep.set_decomposition(rec);
-  }
-  return rep;
-}
-
 void enable_telemetry(bool on) {
   Tracer::instance().set_enabled(on);
   SolverReport::global().set_enabled(on);
 }
-
-bool telemetry_enabled() { return SolverReport::global().enabled(); }
 
 bool write_telemetry(const std::string& dir) {
   std::error_code ec;

@@ -9,10 +9,10 @@
 // events, and a per-MG-level timing table derived from the "MGSmooth(Lk)" /
 // "MGTransfer(Lk)" perf events.
 //
-// Serialized reports are versioned ("ptatin.solver_report/1") and round-trip
-// through SolverReport::parse. The same JSON writer also maintains the
-// BENCH_*.json trajectory files ("ptatin.bench/1": one object per benchmark
-// with an appended "runs" array) via append_bench_run().
+// Serialized reports are versioned ("ptatin.solver_report/1"). The same JSON
+// writer also maintains the BENCH_*.json trajectory files ("ptatin.bench/1":
+// one object per benchmark with an appended "runs" array) via
+// append_bench_run().
 #pragma once
 
 #include <map>
@@ -148,14 +148,9 @@ public:
   }
   void clear();
 
-  const std::map<std::string, std::string>& meta() const { return meta_; }
   const std::vector<KrylovRecord>& krylov_solves() const { return krylov_; }
-  const std::vector<NewtonRecord>& newton_solves() const { return newton_; }
   const std::vector<SafeguardRecord>& safeguard_events() const {
     return safeguards_;
-  }
-  const std::vector<PopulationRecord>& population_events() const {
-    return population_;
   }
   StateRecord& state() { return state_; }
   const StateRecord& state() const { return state_; }
@@ -168,19 +163,12 @@ public:
     decomp_ = r;
     has_decomp_ = true;
   }
-  bool has_decomposition() const { return has_decomp_; }
-  const DecompRecord& decomposition() const { return decomp_; }
 
   /// Full report including metrics / perf / MG-level sections (those are
   /// snapshots of the global registries at serialization time).
   JsonValue to_json() const;
   std::string to_json_string(int indent = 1) const;
   bool write(const std::string& path) const;
-
-  /// Rebuild meta + solve records from a serialized report. Registry
-  /// snapshot sections are not re-imported. Throws ptatin::Error on schema
-  /// mismatch or malformed input.
-  static SolverReport parse(const std::string& json_text);
 
 private:
   bool enabled_ = false;
@@ -199,7 +187,6 @@ private:
 
 /// Master switch: turns on trace-span collection and solver-report capture.
 void enable_telemetry(bool on = true);
-bool telemetry_enabled();
 
 /// Write <dir>/trace.json (Chrome trace_event) and <dir>/solver_report.json,
 /// creating <dir> if needed. Returns false if either file failed to write.

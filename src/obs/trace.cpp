@@ -45,13 +45,6 @@ std::vector<TraceEvent> Tracer::collect() const {
   return out;
 }
 
-std::size_t Tracer::event_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& buf : buffers_) n += buf->events.size();
-  return n;
-}
-
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& buf : buffers_) buf->events.clear();

@@ -64,8 +64,6 @@ public:
   // --- cold path: call from serial sections only --------------------------
   /// Merge all thread buffers, sorted by start time.
   std::vector<TraceEvent> collect() const;
-  /// Number of buffered events across all threads.
-  std::size_t event_count() const;
   /// Drop all buffered events (thread registrations are kept).
   void clear();
   /// Chrome trace_event JSON document.

@@ -17,7 +17,6 @@
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
 #include "common/log.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
 #include "obs/report.hpp"
@@ -34,9 +33,6 @@ constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kSecMesh = 0x4853454Du;
 constexpr std::uint32_t kSecFields = 0x53444C46u;
 constexpr std::uint32_t kSecPoints = 0x53544E50u;
-
-constexpr const char* kManifestSchema = "ptatin.checkpoint_manifest/1";
-constexpr const char* kManifestName = "manifest.json";
 
 template <class T>
 void write_pod(std::ostream& os, const T& v) {
@@ -369,37 +365,8 @@ std::vector<std::string> CheckpointRotation::list() const {
   namespace fs = std::filesystem;
   std::vector<std::string> files;
 
-  // Prefer the manifest: it is published atomically, so it names exactly the
-  // set of complete checkpoints as of the last save.
-  const fs::path manifest = fs::path(dir_) / kManifestName;
-  if (std::ifstream in(manifest); in) {
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    try {
-      const obs::JsonValue doc = obs::JsonValue::parse(ss.str());
-      const obs::JsonValue* schema = doc.find("schema");
-      const obs::JsonValue* entries = doc.find("files");
-      if (schema != nullptr && schema->as_string() == kManifestSchema &&
-          entries != nullptr && entries->is_array()) {
-        for (std::size_t i = 0; i < entries->size(); ++i)
-          if (const obs::JsonValue* f = entries->at(i).find("file"))
-            files.push_back((fs::path(dir_) / f->as_string()).string());
-      }
-    } catch (const Error&) {
-      files.clear(); // unreadable manifest: fall through to the scan
-    }
-    // Drop manifest entries whose file vanished (e.g. a kill between prune
-    // and manifest publication).
-    files.erase(std::remove_if(files.begin(), files.end(),
-                               [](const std::string& p) {
-                                 std::error_code ec;
-                                 return !fs::exists(p, ec);
-                               }),
-                files.end());
-    if (!files.empty()) return files;
-  }
-
-  // Fallback: scan the directory. Names encode the step zero-padded, so a
+  // Each checkpoint is published by an atomic rename, so the scan finds
+  // exactly the complete ones. Names encode the step zero-padded, so a
   // lexicographic sort is oldest-to-newest.
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
@@ -412,43 +379,6 @@ std::vector<std::string> CheckpointRotation::list() const {
   return files;
 }
 
-void CheckpointRotation::write_manifest(
-    const std::vector<std::string>& files) const {
-  namespace fs = std::filesystem;
-  obs::JsonValue doc = obs::JsonValue::object();
-  doc["schema"] = obs::JsonValue(kManifestSchema);
-  doc["keep"] = obs::JsonValue(keep_);
-  obs::JsonValue entries = obs::JsonValue::array();
-  for (const std::string& p : files) {
-    obs::JsonValue e = obs::JsonValue::object();
-    const fs::path path(p);
-    e["file"] = obs::JsonValue(path.filename().string());
-    // Step index is encoded in the name: ckpt_<step>.bin.
-    const std::string name = path.filename().string();
-    long long step = -1;
-    std::sscanf(name.c_str(), "ckpt_%lld.bin", &step);
-    e["step"] = obs::JsonValue(step);
-    std::error_code ec;
-    const auto bytes = fs::file_size(p, ec);
-    e["bytes"] = obs::JsonValue((long long)(ec ? 0 : bytes));
-    entries.push_back(std::move(e));
-  }
-  doc["files"] = std::move(entries);
-
-  const fs::path manifest = fs::path(dir_) / kManifestName;
-  const std::string tmp = manifest.string() + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::trunc);
-    PT_ASSERT_MSG(f.good(), "checkpoint rotation: cannot write manifest");
-    f << doc.dump(1) << "\n";
-    PT_ASSERT_MSG(f.good(), "checkpoint rotation: manifest write failed");
-  }
-  fsync_file(tmp);
-  std::error_code ec;
-  fs::rename(tmp, manifest, ec);
-  PT_ASSERT_MSG(!ec, "checkpoint rotation: cannot publish manifest");
-}
-
 std::string CheckpointRotation::save(const PtatinContext& ctx,
                                      const CheckpointMeta& meta) {
   namespace fs = std::filesystem;
@@ -459,10 +389,6 @@ std::string CheckpointRotation::save(const PtatinContext& ctx,
   save_checkpoint(path, ctx, meta);
 
   std::vector<std::string> files = list();
-  if (std::find(files.begin(), files.end(), path) == files.end())
-    files.push_back(path);
-  std::sort(files.begin(), files.end());
-
   auto& metrics = obs::MetricsRegistry::instance();
   while (files.size() > std::size_t(keep_)) {
     std::error_code ec;
@@ -470,7 +396,6 @@ std::string CheckpointRotation::save(const PtatinContext& ctx,
     if (!ec) metrics.counter("checkpoint.pruned").inc();
     files.erase(files.begin());
   }
-  write_manifest(files);
   ++obs::SolverReport::global().state().checkpoint_saves;
   return path;
 }

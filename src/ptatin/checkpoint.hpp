@@ -19,10 +19,9 @@
 //
 // Durability on disk: save_checkpoint writes to "<path>.tmp", flushes and
 // fsyncs, then atomically renames — readers never observe a half-written
-// file. CheckpointRotation manages a checkpoint directory: the last K
-// checkpoints plus a manifest (ptatin.checkpoint_manifest/1 JSON), and
-// load_latest falls back to the newest checkpoint that verifies, recording
-// what was skipped.
+// file. CheckpointRotation manages a checkpoint directory holding the last K
+// checkpoints, and load_latest falls back to the newest checkpoint that
+// verifies, recording what was skipped.
 //
 // Two transports share the format: files (save/load_checkpoint) and
 // std::iostream streams (the *_stream variants). MemoryCheckpoint layers an
@@ -73,18 +72,16 @@ void save_checkpoint_stream(std::ostream& os, const PtatinContext& ctx,
                             const CheckpointMeta& meta = {});
 CheckpointMeta load_checkpoint_stream(std::istream& is, PtatinContext& ctx);
 
-/// Rotation directory: keeps the last `keep` checkpoints plus a manifest.
-/// File names encode the step ("ckpt_<step>.bin"); the manifest
-/// ("manifest.json", schema ptatin.checkpoint_manifest/1) lists them oldest
-/// to newest and is itself published atomically.
+/// Rotation directory: keeps the last `keep` checkpoints. File names encode
+/// the step ("ckpt_<step>.bin").
 class CheckpointRotation {
 public:
   /// Creates `dir` if needed. keep >= 1.
   CheckpointRotation(std::string dir, int keep = 3);
 
-  /// Checkpoint the state, publish atomically, prune beyond `keep`, and
-  /// update the manifest. Returns the published path. Throws Error on I/O
-  /// failure (the previous checkpoints are left intact).
+  /// Checkpoint the state, publish atomically and prune beyond `keep`.
+  /// Returns the published path. Throws Error on I/O failure (the previous
+  /// checkpoints are left intact).
   std::string save(const PtatinContext& ctx, const CheckpointMeta& meta);
 
   struct LoadResult {
@@ -100,17 +97,14 @@ public:
   /// section). Throws Error when no checkpoint in the directory verifies.
   LoadResult load_latest(PtatinContext& ctx);
 
-  /// Checkpoint files currently on disk, oldest to newest. Prefers the
-  /// manifest; falls back to a directory scan when the manifest is missing
-  /// or unreadable (e.g. the run was killed while publishing it).
+  /// Checkpoint files currently on disk, oldest to newest (a directory
+  /// scan: each file is published by an atomic rename).
   std::vector<std::string> list() const;
 
   const std::string& dir() const { return dir_; }
   int keep() const { return keep_; }
 
 private:
-  void write_manifest(const std::vector<std::string>& files) const;
-
   std::string dir_;
   int keep_ = 3;
 };

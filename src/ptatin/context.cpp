@@ -3,7 +3,6 @@
 #include "common/timing.hpp"
 #include "fem/subdomain_engine.hpp"
 #include "obs/perf.hpp"
-#include "stokes/fields.hpp"
 
 namespace ptatin {
 
@@ -114,31 +113,16 @@ StepReport PtatinContext::step(Real dt) {
     }
   }
 
-  // 3. Energy equation (with optional shear heating from the converged
-  //    flow: source = 2 eta D:D / (rho c), element-averaged).
+  // 3. Energy equation.
   if (setup_.use_energy) {
     PerfScope span("Stage(Energy)");
-    if (setup_.shear_heating) {
-      std::vector<StrainRateSample> sr;
-      evaluate_strain_rates(setup_.mesh, u_, sr, engine_.get());
-      std::vector<Real> source(setup_.mesh.num_elements(), 0.0);
-      for (Index e = 0; e < setup_.mesh.num_elements(); ++e) {
-        Real acc = 0;
-        for (int q = 0; q < kQuadPerEl; ++q)
-          acc += 2.0 * coeff_.eta(e, q) * 2.0 * sr[e * kQuadPerEl + q].j2;
-        source[e] = acc / (kQuadPerEl * setup_.heat_capacity);
-      }
-      report.energy = energy_->step(u_, dt, temperature_bc_, T_, &source);
-    } else {
-      report.energy = energy_->step(u_, dt, temperature_bc_, T_);
-    }
+    report.energy = energy_->step(u_, dt, temperature_bc_, T_);
   }
 
   // 4. Material point advection + population control.
   {
     PerfScope span("Stage(Advection)");
-    report.advection =
-        advect_points_rk2(setup_.mesh, u_, dt, points_, engine_.get());
+    report.advection = advect_points_rk2(setup_.mesh, u_, dt, points_);
     // Drop points that left the domain (outflow deletion, §II-D).
     for (Index i = 0; i < points_.size();) {
       if (points_.element(i) < 0) {

@@ -35,10 +35,6 @@ struct ModelSetup {
   Real kappa = 1e-6;
   std::function<Real(const Vec3&)> initial_temperature;
   std::function<void(const StructuredMesh&, VertexBc&)> temperature_bc;
-  /// Feed the viscous dissipation Phi = 2 eta D:D of the converged flow back
-  /// into the energy equation as the source Phi / (rho c).
-  bool shear_heating = false;
-  Real heat_capacity = 1.0; ///< rho * c of the source scaling
 };
 
 } // namespace ptatin

@@ -5,25 +5,18 @@
 #include "common/parallel.hpp"
 #include "fem/basis.hpp"
 #include "fem/dofmap.hpp"
-#include "fem/subdomain_engine.hpp"
 #include "stokes/geometry.hpp"
 
 namespace ptatin {
 
 void evaluate_strain_rates(const StructuredMesh& mesh, const Vector& u,
                            std::vector<StrainRateSample>& out) {
-  evaluate_strain_rates(mesh, u, out, nullptr);
-}
-
-void evaluate_strain_rates(const StructuredMesh& mesh, const Vector& u,
-                           std::vector<StrainRateSample>& out,
-                           const SubdomainEngine* engine) {
   PT_ASSERT(u.size() == num_velocity_dofs(mesh));
   const auto& tab = q2_tabulation();
   out.assign(mesh.num_elements() * kQuadPerEl, StrainRateSample{});
   const Real* up = u.data();
 
-  auto element_samples = [&](Index e) {
+  parallel_for(mesh.num_elements(), [&](Index e) {
     Index nodes[kQ2NodesPerEl];
     mesh.element_nodes(e, nodes);
     Real ue[kQ2NodesPerEl][3];
@@ -54,16 +47,7 @@ void evaluate_strain_rates(const StructuredMesh& mesh, const Vector& u,
       s.j2 = Real(0.5) * (s.d[0] * s.d[0] + s.d[1] * s.d[1] + s.d[2] * s.d[2]) +
              s.d[3] * s.d[3] + s.d[4] * s.d[4] + s.d[5] * s.d[5];
     }
-  };
-
-  // Output slots are per-element disjoint, so both paths are race-free and
-  // produce bitwise-identical samples (same per-element arithmetic).
-  if (engine != nullptr) {
-    engine->for_each_owned_element(
-        [&](Index, Index e) { element_samples(e); });
-  } else {
-    parallel_for(mesh.num_elements(), element_samples);
-  }
+  });
 }
 
 void evaluate_pressure_at_quadrature(const StructuredMesh& mesh,

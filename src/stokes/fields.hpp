@@ -11,8 +11,6 @@
 
 namespace ptatin {
 
-class SubdomainEngine;
-
 /// Strain-rate state at one quadrature point.
 struct StrainRateSample {
   Real j2 = 0.0;   ///< 1/2 D:D
@@ -23,13 +21,6 @@ struct StrainRateSample {
 /// `out` has num_elements*27 entries, indexed e*27+q.
 void evaluate_strain_rates(const StructuredMesh& mesh, const Vector& u,
                            std::vector<StrainRateSample>& out);
-
-/// Subdomain-parallel variant: per-subdomain element sweeps on the thread
-/// team (outputs are per-element disjoint, so no halo exchange is needed;
-/// docs/PARALLELISM.md). Falls back to the global loop when `engine` is null.
-void evaluate_strain_rates(const StructuredMesh& mesh, const Vector& u,
-                           std::vector<StrainRateSample>& out,
-                           const SubdomainEngine* engine);
 
 /// Evaluate the P1disc pressure field at all quadrature points
 /// (out[e*27+q]).

@@ -122,8 +122,7 @@ CsrMatrix reference_masked(const CsrMatrix& b, const DirichletBc& bc) {
 
 CsrMatrix reference_supg(const StructuredMesh& mesh, const EnergySolver& solver,
                          const Vector& u, Real dt, const VertexBc& bc,
-                         const Vector& T, const std::vector<Real>& source,
-                         Vector& rhs) {
+                         const Vector& T, Vector& rhs) {
   const Index nv = mesh.num_vertices();
   ReferencePattern pattern(nv, nv);
   Index verts[kQ1NodesPerEl];
@@ -137,7 +136,7 @@ CsrMatrix reference_supg(const StructuredMesh& mesh, const EnergySolver& solver,
   for (Index e = 0; e < mesh.num_elements(); ++e) {
     Real Ae[kQ1NodesPerEl][kQ1NodesPerEl];
     Real be[kQ1NodesPerEl];
-    solver.element_system(u, dt, T, e, &source, Ae, be);
+    solver.element_system(u, dt, T, e, Ae, be);
     mesh.element_corner_vertices(e, verts);
     for (int i = 0; i < kQ1NodesPerEl; ++i) {
       for (int j = 0; j < kQ1NodesPerEl; ++j)
@@ -260,8 +259,8 @@ TEST_P(AssemblyParity, GradientBlocksMatchReference) {
 
 TEST_P(AssemblyParity, SupgMatrixMatchesReference) {
   const StructuredMesh mesh = deformed_mesh(GetParam());
-  // A rotating flow, a varying temperature and per-element heating; the
-  // bottom and top vertex layers are held at fixed temperatures.
+  // A rotating flow and a varying temperature; the bottom and top vertex
+  // layers are held at fixed temperatures.
   Vector u(num_velocity_dofs(mesh));
   for (Index n = 0; n < mesh.num_nodes(); ++n) {
     const Vec3 x = mesh.node_coord(n);
@@ -272,25 +271,22 @@ TEST_P(AssemblyParity, SupgMatrixMatchesReference) {
   Vector T(mesh.num_vertices());
   for (Index v = 0; v < mesh.num_vertices(); ++v)
     T[v] = std::cos(0.7 * Real(v));
-  std::vector<Real> source(static_cast<std::size_t>(mesh.num_elements()));
-  for (Index e = 0; e < mesh.num_elements(); ++e)
-    source[e] = std::exp(8.0 * std::sin(0.3 * Real(e)));
   VertexBc bc(mesh.num_vertices());
   for (Index vj = 0; vj < mesh.vy(); ++vj)
     for (Index vi = 0; vi < mesh.vx(); ++vi) {
       bc.constrain(mesh.vertex_index(vi, vj, 0), 1.0);
       bc.constrain(mesh.vertex_index(vi, vj, mesh.vz() - 1), 0.0);
     }
-  const EnergySolver solver(mesh, 1e-3, [](const Vec3& x) { return x[2]; });
+  const EnergySolver solver(mesh, 1e-3);
   const Real dt = 0.05;
 
   Vector want_rhs;
   const CsrMatrix want =
-      reference_supg(mesh, solver, u, dt, bc, T, source, want_rhs);
+      reference_supg(mesh, solver, u, dt, bc, T, want_rhs);
   at_thread_counts([&] {
     CsrMatrix a;
     Vector rhs;
-    solver.assemble(u, dt, bc, T, &source, a, rhs);
+    solver.assemble(u, dt, bc, T, a, rhs);
     expect_identical(a, want, "SUPG");
     ASSERT_EQ(rhs.size(), want_rhs.size());
     for (Index v = 0; v < rhs.size(); ++v)

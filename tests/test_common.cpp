@@ -170,15 +170,6 @@ TEST(Timing, TimerIsMonotonic) {
   EXPECT_GT(t.seconds(), t0);
 }
 
-TEST(Timing, AccumTimerCountsIntervals) {
-  AccumTimer at;
-  for (int i = 0; i < 3; ++i) {
-    ScopedTimer s(at);
-  }
-  EXPECT_EQ(at.count(), 3);
-  EXPECT_GE(at.total(), 0.0);
-}
-
 TEST(Perf, EventAccumulatesFlops) {
   auto& reg = PerfRegistry::instance();
   reg.event("unit-test-ev").reset();

@@ -15,14 +15,12 @@
 #include "common/rng.hpp"
 #include "fem/bc.hpp"
 #include "fem/subdomain_engine.hpp"
-#include "mpm/advection.hpp"
 #include "mpm/points.hpp"
 #include "mpm/projection.hpp"
 #include "obs/report.hpp"
 #include "ptatin/config.hpp"
 #include "ptatin/models_sinker.hpp"
 #include "saddle/stokes_solver.hpp"
-#include "stokes/fields.hpp"
 #include "stokes/viscous_ops.hpp"
 
 namespace ptatin {
@@ -252,22 +250,6 @@ TEST(SubdomainEngine, BodyForceMatchesGlobalTo1e12) {
   EXPECT_LE(max_rel_diff(f0, f1), 1e-12);
 }
 
-TEST(SubdomainEngine, StrainRatesAreBitwiseGlobal) {
-  StructuredMesh mesh = make_deformed_mesh(4, 3, 5);
-  SubdomainEngine eng(mesh, 1, 2, 2);
-  Vector u = random_vector(num_velocity_dofs(mesh), 23);
-  std::vector<StrainRateSample> s0, s1;
-  evaluate_strain_rates(mesh, u, s0);
-  evaluate_strain_rates(mesh, u, s1, &eng);
-  ASSERT_EQ(s0.size(), s1.size());
-  // Outputs are per-element disjoint: the engine path only re-partitions the
-  // loop, so every sample must be bitwise identical.
-  for (std::size_t i = 0; i < s0.size(); ++i) {
-    EXPECT_EQ(s0[i].j2, s1[i].j2);
-    for (int t = 0; t < kSymSize; ++t) EXPECT_EQ(s0[i].d[t], s1[i].d[t]);
-  }
-}
-
 // --- MPM paths ---------------------------------------------------------------
 
 TEST(SubdomainEngine, ProjectionMatchesSerialTo1e12) {
@@ -303,25 +285,6 @@ TEST(SubdomainEngine, ProjectionFallbackForEmptyVertices) {
   EXPECT_EQ(serial.empty_vertices, decomp.empty_vertices);
   for (Index v = 0; v < mesh.num_vertices(); ++v)
     EXPECT_EQ(serial.vertex_values[v], decomp.vertex_values[v]);
-}
-
-TEST(SubdomainEngine, AdvectionIsBitwiseGlobal) {
-  StructuredMesh mesh = make_deformed_mesh(4, 4, 4);
-  SubdomainEngine eng(mesh, 2, 2, 2);
-  Vector u = random_vector(num_velocity_dofs(mesh), 29);
-  MaterialPoints a, b;
-  layout_points(mesh, 2, [](const Vec3&) { return 0; }, a, 0.3);
-  b = a;
-  const AdvectionStats sa = advect_points_rk2(mesh, u, 0.01, a);
-  const AdvectionStats sb = advect_points_rk2(mesh, u, 0.01, b, &eng);
-  EXPECT_EQ(sa.advected, sb.advected);
-  EXPECT_EQ(sa.left_domain, sb.left_domain);
-  ASSERT_EQ(a.size(), b.size());
-  for (Index i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.element(i), b.element(i));
-    for (int c = 0; c < 3; ++c)
-      EXPECT_EQ(a.position(i)[c], b.position(i)[c]) << "point " << i;
-  }
 }
 
 // --- full solve across shapes (the acceptance criterion) ---------------------
@@ -408,21 +371,24 @@ TEST(SubdomainEngine, ReportDecompositionSectionRoundTrips) {
   rec.boundary_elements = 24;
   rep.set_decomposition(rec);
 
-  const obs::SolverReport back = obs::SolverReport::parse(
-      rep.to_json_string());
-  ASSERT_TRUE(back.has_decomposition());
-  const obs::DecompRecord& r = back.decomposition();
-  EXPECT_EQ(r.px, 2);
-  EXPECT_EQ(r.py, 2);
-  EXPECT_EQ(r.pz, 1);
-  EXPECT_EQ(r.applies, 42);
-  EXPECT_EQ(r.halo_bytes_sent, 1024);
-  EXPECT_EQ(r.halo_bytes_received, 1024);
-  EXPECT_DOUBLE_EQ(r.exchange_seconds, 0.25);
-  EXPECT_DOUBLE_EQ(r.interior_seconds, 1.5);
-  EXPECT_DOUBLE_EQ(r.boundary_seconds, 0.75);
-  EXPECT_EQ(r.interior_elements, 40);
-  EXPECT_EQ(r.boundary_elements, 24);
+  const obs::JsonValue doc = obs::JsonValue::parse(rep.to_json_string());
+  const obs::JsonValue* d = doc.find("decomposition");
+  ASSERT_NE(d, nullptr);
+  const auto number = [&](const char* key) {
+    const obs::JsonValue* v = d->find(key);
+    return v != nullptr ? v->as_number() : -1.0;
+  };
+  EXPECT_EQ(number("px"), 2);
+  EXPECT_EQ(number("py"), 2);
+  EXPECT_EQ(number("pz"), 1);
+  EXPECT_EQ(number("applies"), 42);
+  EXPECT_EQ(number("halo_bytes_sent"), 1024);
+  EXPECT_EQ(number("halo_bytes_received"), 1024);
+  EXPECT_EQ(number("exchange_seconds"), 0.25);
+  EXPECT_EQ(number("interior_seconds"), 1.5);
+  EXPECT_EQ(number("boundary_seconds"), 0.75);
+  EXPECT_EQ(number("interior_elements"), 40);
+  EXPECT_EQ(number("boundary_elements"), 24);
 }
 
 // --- options / config --------------------------------------------------------

@@ -366,7 +366,7 @@ TEST(Chebyshev, SmootherReducesResidual) {
   CsrMatrix a = laplacian1d(128);
   MatrixOperator op(&a);
   ChebyshevSmoother cheb;
-  cheb.setup(op, a.diagonal(), ChebyshevOptions{});
+  cheb.setup(op, a.diagonal());
   Vector b(128, 1.0), x(128, 0.0);
   Vector r0;
   op.residual(b, x, r0);
@@ -384,7 +384,7 @@ TEST(Chebyshev, TargetsUpperSpectrum) {
   CsrMatrix a = laplacian1d(n);
   MatrixOperator op(&a);
   ChebyshevSmoother cheb;
-  cheb.setup(op, a.diagonal(), ChebyshevOptions{});
+  cheb.setup(op, a.diagonal());
 
   auto mode_decay = [&](int mode) {
     Vector x(n), b(n, 0.0);
@@ -405,7 +405,7 @@ TEST(Chebyshev, IntervalMatchesPaperFractions) {
   CsrMatrix a = laplacian1d(64);
   MatrixOperator op(&a);
   ChebyshevSmoother cheb;
-  cheb.setup(op, a.diagonal(), ChebyshevOptions{});
+  cheb.setup(op, a.diagonal());
   EXPECT_NEAR(cheb.interval_min() / cheb.lambda_max(), 0.2, 1e-12);
   EXPECT_NEAR(cheb.interval_max() / cheb.lambda_max(), 1.1, 1e-12);
 }

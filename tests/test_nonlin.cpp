@@ -214,9 +214,9 @@ TEST(Nonlinear, ResidualOfExactSolutionIsZero) {
   ASSERT_TRUE(res.converged);
 
   QuadCoefficients coeff(mesh.num_elements());
-  power_law_updater(mesh, 1.0)(res.u, res.p, false, coeff);
+  power_law_updater(mesh, 1.0)(u, p, false, coeff);
   Vector fu, fp;
-  solver.residual(coeff, f, res.u, res.p, fu, fp);
+  solver.residual(coeff, f, u, p, fu, fp);
   const Real norm = std::sqrt(fu.dot(fu) + fp.dot(fp));
   EXPECT_NEAR(norm, res.residual_history.back(), 1e-10);
 }

@@ -336,19 +336,12 @@ TEST(Report, CapturesStokesResidualHistoryAndRoundTrips) {
   ASSERT_NE(mg, nullptr);
   EXPECT_GE(mg->size(), 1u); // at least the fine level smoother was timed
 
-  // Round-trip.
-  const obs::SolverReport back = obs::SolverReport::parse(text);
-  EXPECT_EQ(back.meta().at("case"), "unit-test");
-  ASSERT_EQ(back.krylov_solves().size(), 1u);
-  EXPECT_EQ(back.krylov_solves().front().iterations, rec.iterations);
-  ASSERT_EQ(back.krylov_solves().front().history.size(), rec.history.size());
-  EXPECT_DOUBLE_EQ(back.krylov_solves().front().history.front(),
-                   rec.initial_residual);
+  // Round-trip: the written values read back exactly.
+  EXPECT_EQ(doc.find("meta")->find("case")->as_string(), "unit-test");
+  const JsonValue& solve = doc.find("krylov")->at(0);
+  EXPECT_EQ(solve.find("iterations")->as_number(), rec.iterations);
+  EXPECT_EQ(solve.find("history")->at(0).as_number(), rec.initial_residual);
   report.clear();
-}
-
-TEST(Report, ParseRejectsWrongSchema) {
-  EXPECT_THROW(obs::SolverReport::parse(R"({"schema": "bogus/9"})"), Error);
 }
 
 TEST(Report, WriteTelemetryProducesBothFiles) {

@@ -1,11 +1,10 @@
 // Verification: h-convergence on a manufactured trigonometric Stokes
-// solution, and shear heating.
+// solution.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "ksp/gcr.hpp"
-#include "ptatin/context.hpp"
 #include "saddle/stokes_solver.hpp"
 
 namespace ptatin {
@@ -90,58 +89,6 @@ TEST(Convergence, Q2VelocityIsThirdOrder) {
   const Real e4 = solve_and_error(4);
   EXPECT_LT(e4, e2);
   EXPECT_GT(e2 / e4, 5.0) << "observed rate " << std::log2(e2 / e4);
-}
-
-// --- shear heating ----------------------------------------------------------------
-
-TEST(ShearHeating, DissipationWarmsTheFluid) {
-  // A sheared box with insulating-ish BCs: with shear heating on, the mean
-  // temperature after one step is strictly larger.
-  auto run = [&](bool heating) {
-    ModelSetup setup;
-    setup.name = "shear-heating-test";
-    setup.mesh = StructuredMesh::box(4, 4, 4, {0, 0, 0}, {1, 1, 1});
-    // Driven shear: top lid moves in +x.
-    DirichletBc bc(num_velocity_dofs(setup.mesh));
-    for (auto fc : {MeshFace::kXMin, MeshFace::kXMax, MeshFace::kYMin,
-                    MeshFace::kYMax, MeshFace::kZMin})
-      constrain_no_slip(setup.mesh, fc, bc);
-    constrain_face_component(setup.mesh, MeshFace::kZMax, 0, 2.0, bc);
-    constrain_face_component(setup.mesh, MeshFace::kZMax, 1, 0.0, bc);
-    constrain_face_component(setup.mesh, MeshFace::kZMax, 2, 0.0, bc);
-    setup.bc = bc;
-    setup.bc_factory = [](const StructuredMesh& mm) {
-      DirichletBc cbc(num_velocity_dofs(mm));
-      for (auto fc : {MeshFace::kXMin, MeshFace::kXMax, MeshFace::kYMin,
-                      MeshFace::kYMax, MeshFace::kZMin, MeshFace::kZMax})
-        constrain_no_slip(mm, fc, cbc);
-      return cbc;
-    };
-    setup.gravity = {0, 0, 0}; // no buoyancy: flow purely lid-driven
-    setup.materials.add(std::make_shared<ConstantViscosityLaw>(1.0, 1.0));
-    setup.lithology_of = [](const Vec3&) { return 0; };
-    setup.use_energy = true;
-    setup.kappa = 1e-3;
-    setup.shear_heating = heating;
-    setup.initial_temperature = [](const Vec3&) { return 0.0; };
-    // No temperature Dirichlet: pure heating balance.
-
-    PtatinOptions po;
-    po.points_per_dim = 2;
-    po.update_mesh = false;
-    po.nonlinear.max_it = 2;
-    po.nonlinear.rtol = 1e-2;
-    po.nonlinear.linear.gmg.levels = 2;
-    po.nonlinear.linear.coarse_solve = GmgCoarseSolve::kBJacobiLu;
-    po.nonlinear.linear.coarse_bjacobi_blocks = 1;
-    PtatinContext ctx(std::move(setup), po);
-    ctx.step(0.05);
-    return ctx.temperature().sum() / Real(ctx.mesh().num_vertices());
-  };
-  const Real t_off = run(false);
-  const Real t_on = run(true);
-  EXPECT_NEAR(t_off, 0.0, 1e-8);
-  EXPECT_GT(t_on, 1e-4);
 }
 
 } // namespace
