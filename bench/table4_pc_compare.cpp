@@ -114,6 +114,15 @@ int main(int argc, char** argv) {
     configs.push_back(c);
   }
 
+  // One untimed GMG-mf solve, capped at one restart cycle like ptbench's
+  // warm-up, so the first timed row does not pay the process's first-run
+  // costs (EXPERIMENTS.md, Table IV note (c)).
+  {
+    StokesSolverOptions warm = configs.front().opts;
+    warm.krylov.max_it = warm.krylov.restart;
+    StokesSolver(mesh, coeff, bc, warm).solve(f);
+  }
+
   bench::Table tab({"Config", "Its", "MatMult(s)", "PCsetup(s)", "PCapply(s)",
                     "Solve(s)", "vs GMG-mf"});
   tab.print_header();

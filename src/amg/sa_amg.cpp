@@ -174,7 +174,6 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
   for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
     Level& lev = levels_[l];
     lev.op = std::make_unique<MatrixOperator>(&lev.a);
-    lev.op->enable_blocked();
     if (opts.smoother == AmgSmoother::kChebyshev) {
       lev.smoother.setup(*lev.op, lev.a.diagonal());
     } else {
@@ -192,7 +191,6 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
   // Coarsest solver.
   Level& last = levels_.back();
   last.op = std::make_unique<MatrixOperator>(&last.a);
-  last.op->enable_blocked();
   coarsest_.setup(last.a, std::min(kCoarsestBlocks, last.a.rows()),
                   SubdomainSolve::kLu);
 

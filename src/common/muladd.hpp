@@ -7,8 +7,9 @@
 // and an uncontracted replay differs in the last bit. So Vector::axpy and
 // Vector::dot spell their multiply-add with pt_muladd, and so does every
 // fused loop that must replay them bitwise (the Chebyshev sweep, mgs_sweep).
-// (CSR products are a different story: see blocked_spmv.hpp, which gets
-// parity by sharing CsrMatrix::mult's exact loop shape instead.)
+// (CSR products are a different story: CsrMatrix::mult's row sum is a
+// reduction whose contraction the compiler picks, so no second loop
+// replays it; every CSR apply calls CsrMatrix::mult itself.)
 //
 // On targets without hardware FMA the seed loops cannot contract either, so
 // the plain mul+add form is the matching choice there.

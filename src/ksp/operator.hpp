@@ -8,10 +8,8 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 
 #include "common/types.hpp"
-#include "la/blocked_spmv.hpp"
 #include "la/csr.hpp"
 #include "la/vector.hpp"
 
@@ -40,28 +38,15 @@ class MatrixOperator : public LinearOperator {
 public:
   explicit MatrixOperator(const CsrMatrix* a) : a_(a) {}
 
-  void apply(const Vector& x, Vector& y) const override {
-    if (blocked_ != nullptr) {
-      blocked_->mult(x, y);
-    } else {
-      a_->mult(x, y);
-    }
-  }
+  void apply(const Vector& x, Vector& y) const override { a_->mult(x, y); }
   Index rows() const override { return a_->rows(); }
   Index cols() const override { return a_->cols(); }
   Vector diagonal() const override { return a_->diagonal(); }
 
   const CsrMatrix& matrix() const { return *a_; }
 
-  /// Route applies through the blocked (SELL-8) SpMV layout — bitwise
-  /// identical to the plain CSR path (la/blocked_spmv.hpp), just faster on
-  /// the near-uniform coarse-level rows.
-  void enable_blocked() { blocked_ = std::make_unique<BlockedSpMV>(*a_); }
-  bool blocked() const { return blocked_ != nullptr; }
-
 private:
   const CsrMatrix* a_;
-  std::unique_ptr<BlockedSpMV> blocked_;
 };
 
 /// Operator defined by a callable (MatShell analogue).

@@ -6,7 +6,6 @@
 
 #include "common/faultinject.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 
 namespace ptatin {
 
@@ -14,7 +13,6 @@ bool sdc_sentinel_drift(Real recurrence, Real truenorm, Real rnorm0, int it,
                         const KrylovSettings& s, SolveStats& stats) {
   auto& metrics = obs::MetricsRegistry::instance();
   metrics.counter("sdc.sentinel_checks").inc();
-  ++obs::SolverReport::global().sdc().sentinel_checks;
   if (fault::fires("sdc.krylov_drift"))
     recurrence = truenorm + 100.0 * s.sentinel_tol * (rnorm0 + 1.0);
   // Non-finite values are the NaN guard's jurisdiction, not drift.
@@ -27,7 +25,6 @@ bool sdc_sentinel_drift(Real recurrence, Real truenorm, Real rnorm0, int it,
                 double(recurrence), double(truenorm), it);
   stats.detail = buf;
   metrics.counter("sdc.sentinel_trips").inc();
-  ++obs::SolverReport::global().sdc().sentinel_trips;
   return true;
 }
 

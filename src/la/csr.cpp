@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -283,16 +282,6 @@ CsrMatrix CsrMatrix::add(Real alpha, const CsrMatrix& a, const CsrMatrix& b) {
     rp[i + 1] = static_cast<Index>(ci.size());
   }
   return CsrMatrix(m, a.cols(), std::move(rp), std::move(ci), std::move(va));
-}
-
-Real CsrMatrix::frobenius_norm() const {
-  const Real* va = vals_.data();
-  // Deterministic fixed-chunk reduction: bitwise reproducible at any thread
-  // count (and a different — equally valid — rounding than the old serial
-  // left-to-right sum once nnz exceeds one chunk).
-  const Real s =
-      parallel_reduce_sum(nnz(), [&](Index k) { return va[k] * va[k]; });
-  return std::sqrt(s);
 }
 
 } // namespace ptatin

@@ -75,9 +75,6 @@ public:
            double(row_ptr_.size()) * sizeof(Index);
   }
 
-  /// Frobenius norm (used by tests).
-  Real frobenius_norm() const;
-
 private:
   Index rows_ = 0, cols_ = 0;
   std::vector<Index> row_ptr_;

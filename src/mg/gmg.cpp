@@ -122,14 +122,11 @@ GmgHierarchy::GmgHierarchy(const ViscousOperatorBase& fine_op,
       }
       lev.bc->apply_to_matrix_symmetric(*lev.assembled);
       const double dt = t.seconds();
-      galerkin_seconds_ += dt;
       if (refreshed) {
         rap_refresh_seconds_ += dt;
-        ++rap_refreshes_;
         obs::MetricsRegistry::instance().counter("mg.rap.refreshes").inc();
       } else {
         rap_setup_seconds_ += dt;
-        ++rap_setups_;
         obs::MetricsRegistry::instance().counter("mg.rap.setups").inc();
       }
       // A matrix-free finer level needed its matrix for this product only.
@@ -141,7 +138,6 @@ GmgHierarchy::GmgHierarchy(const ViscousOperatorBase& fine_op,
       lev.bc->apply_to_matrix_symmetric(*lev.assembled);
     }
     lev.mat_op = std::make_unique<MatrixOperator>(lev.assembled.get());
-    lev.mat_op->enable_blocked();
     lev.op = lev.mat_op.get();
   }
 

@@ -121,16 +121,17 @@ public:
     return *levels_[level].op;
   }
 
-  /// Setup time spent assembling Galerkin products (reported in Table IV as
-  /// the extra R^T A R cost). Sum of the setup and refresh buckets below.
-  double galerkin_setup_seconds() const { return galerkin_seconds_; }
-
   /// RAP time split by path: full symbolic+numeric setups vs numeric-only
-  /// refreshes served by the GmgSetupCache.
+  /// refreshes served by the GmgSetupCache (the mg.rap.setups and
+  /// mg.rap.refreshes counters count the products).
   double rap_setup_seconds() const { return rap_setup_seconds_; }
   double rap_refresh_seconds() const { return rap_refresh_seconds_; }
-  long rap_setups() const { return rap_setups_; }
-  long rap_refreshes() const { return rap_refreshes_; }
+
+  /// Setup time spent assembling Galerkin products (reported in Table IV as
+  /// the extra R^T A R cost).
+  double galerkin_setup_seconds() const {
+    return rap_setup_seconds_ + rap_refresh_seconds_;
+  }
 
   Index level_dofs(int level) const { return levels_[level].ndofs; }
 
@@ -177,9 +178,7 @@ private:
   std::vector<Level> levels_; ///< [0] = coarsest ... [L-1] = finest
   std::unique_ptr<Preconditioner> coarse_solver_;
   GmgOptions opts_;
-  double galerkin_seconds_ = 0.0;
   double rap_setup_seconds_ = 0.0, rap_refresh_seconds_ = 0.0;
-  long rap_setups_ = 0, rap_refreshes_ = 0;
   /// Captured once: counter lookup by name allocates for long names.
   obs::Counter* restrict_counter_ = nullptr;
   obs::Counter* prolong_counter_ = nullptr;

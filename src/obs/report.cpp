@@ -25,7 +25,6 @@ void SolverReport::clear() {
   safeguards_.clear();
   population_.clear();
   state_ = StateRecord{};
-  sdc_ = SdcRecord{};
   decomp_ = DecompRecord{};
   has_decomp_ = false;
 }
@@ -112,32 +111,34 @@ JsonValue decomp_to_json(const DecompRecord& d) {
   return j;
 }
 
+/// The state and sdc sections count events with the metrics counters that
+/// the checkpoint, health and SDC layers increment.
+JsonValue counted(const std::string& name) {
+  return JsonValue(MetricsRegistry::instance().counter(name).value());
+}
+
 JsonValue state_to_json(const StateRecord& s) {
   JsonValue j = JsonValue::object();
-  j["checkpoint_saves"] = JsonValue(s.checkpoint_saves);
-  j["checkpoint_save_failures"] = JsonValue(s.checkpoint_save_failures);
-  j["restarts"] = JsonValue(s.restarts);
+  j["checkpoint_saves"] = counted("checkpoint.saves");
+  j["checkpoint_save_failures"] = counted("checkpoint.save_failures");
+  j["restarts"] = counted("checkpoint.restarts");
   j["restart_step"] = JsonValue(s.restart_step);
   j["restart_path"] = JsonValue(s.restart_path);
   JsonValue skipped = JsonValue::array();
   for (const auto& p : s.corrupt_skipped) skipped.push_back(JsonValue(p));
   j["corrupt_skipped"] = std::move(skipped);
-  j["health_checks"] = JsonValue(s.health_checks);
-  j["health_failures"] = JsonValue(s.health_failures);
-  j["health_repairs"] = JsonValue(s.health_repairs);
+  j["health_checks"] = counted("health.checks");
+  j["health_failures"] = counted("health.failures");
+  j["health_repairs"] = counted("health.population_repairs");
   return j;
 }
 
-JsonValue sdc_to_json(const SdcRecord& s) {
+JsonValue sdc_to_json() {
   JsonValue j = JsonValue::object();
-  j["seals_armed"] = JsonValue(s.seals_armed);
-  j["seal_verifies"] = JsonValue(s.seal_verifies);
-  j["scrubs"] = JsonValue(s.scrubs);
-  j["detections"] = JsonValue(s.detections);
-  j["heals"] = JsonValue(s.heals);
-  j["sentinel_checks"] = JsonValue(s.sentinel_checks);
-  j["sentinel_trips"] = JsonValue(s.sentinel_trips);
-  j["unrecovered"] = JsonValue(s.unrecovered);
+  for (const char* key :
+       {"seals_armed", "seal_verifies", "scrubs", "detections", "heals",
+        "sentinel_checks", "sentinel_trips", "unrecovered"})
+    j[key] = counted(std::string("sdc.") + key);
   return j;
 }
 
@@ -209,7 +210,7 @@ JsonValue SolverReport::to_json() const {
   j["population"] = std::move(population);
 
   j["state"] = state_to_json(state_);
-  j["sdc"] = sdc_to_json(sdc_);
+  j["sdc"] = sdc_to_json();
   if (has_decomp_) j["decomposition"] = decomp_to_json(decomp_);
 
   j["mg_levels"] = mg_levels_json();

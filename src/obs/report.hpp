@@ -78,20 +78,15 @@ struct PopulationRecord {
   long long max_per_cell = 0;
 };
 
-/// Checkpoint/restart and health-watchdog summary — the "state" section of
-/// ptatin.solver_report/1 (docs/ROBUSTNESS.md). Filled by the checkpoint
-/// rotation, the health pass, and the stepper as events happen.
+/// The restart the checkpoint rotation resumed from, for the "state" section
+/// of ptatin.solver_report/1 (docs/ROBUSTNESS.md). The section's counts
+/// (checkpoint saves and save failures, restarts, health checks, failures
+/// and repairs) are the checkpoint.* and health.* counters.
 struct StateRecord {
-  int checkpoint_saves = 0;
-  int checkpoint_save_failures = 0;
-  int restarts = 0;
   long long restart_step = -1;       ///< step the run resumed from (-1 = none)
   std::string restart_path;          ///< checkpoint file the restart used
   std::vector<std::string> corrupt_skipped; ///< checkpoints that failed
                                             ///< verification and were bypassed
-  int health_checks = 0;
-  int health_failures = 0;
-  int health_repairs = 0;            ///< population repairs taken by a check
 };
 
 /// Subdomain-parallel execution summary — the "decomposition" section of
@@ -108,21 +103,6 @@ struct DecompRecord {
   double boundary_seconds = 0.0;      ///< halo-boundary element compute time
   long long interior_elements = 0;
   long long boundary_elements = 0;
-};
-
-/// Silent-data-corruption defense summary — the "sdc" section of
-/// ptatin.solver_report/1 (docs/ROBUSTNESS.md). Filled by the seal layer
-/// (src/common/sealed), the Krylov sentinels (src/ksp/sentinel), the
-/// scrubber, and the safeguarded stepper's detect-and-heal path.
-struct SdcRecord {
-  long long seals_armed = 0;     ///< seal arm events (initial + re-arms)
-  long long seal_verifies = 0;   ///< per-entry registry verifications
-  long long scrubs = 0;          ///< scrubber sweeps over the seal registry
-  long long detections = 0;      ///< seal mismatches attributed to corruption
-  long long heals = 0;           ///< corrupted state restored from a snapshot
-  long long sentinel_checks = 0; ///< Krylov recurrence-vs-true cross-checks
-  long long sentinel_trips = 0;  ///< cross-checks that flagged drift
-  long long unrecovered = 0;     ///< SDC events no snapshot could heal
 };
 
 class SolverReport {
@@ -154,8 +134,6 @@ public:
   }
   StateRecord& state() { return state_; }
   const StateRecord& state() const { return state_; }
-  SdcRecord& sdc() { return sdc_; }
-  const SdcRecord& sdc() const { return sdc_; }
 
   /// Record (or overwrite — the stats are cumulative) the subdomain
   /// execution summary. Serialized only once set.
@@ -164,8 +142,9 @@ public:
     has_decomp_ = true;
   }
 
-  /// Full report including metrics / perf / MG-level sections (those are
-  /// snapshots of the global registries at serialization time).
+  /// Full report including metrics / perf / MG-level sections (those, and
+  /// the counts of the state and sdc sections, are snapshots of the global
+  /// registries at serialization time).
   JsonValue to_json() const;
   std::string to_json_string(int indent = 1) const;
   bool write(const std::string& path) const;
@@ -178,7 +157,6 @@ private:
   std::vector<SafeguardRecord> safeguards_;
   std::vector<PopulationRecord> population_;
   StateRecord state_;
-  SdcRecord sdc_;
   DecompRecord decomp_;
   bool has_decomp_ = false;
 };

@@ -396,7 +396,6 @@ std::string CheckpointRotation::save(const PtatinContext& ctx,
     if (!ec) metrics.counter("checkpoint.pruned").inc();
     files.erase(files.begin());
   }
-  ++obs::SolverReport::global().state().checkpoint_saves;
   return path;
 }
 
@@ -413,7 +412,6 @@ CheckpointRotation::LoadResult CheckpointRotation::load_latest(
       res.meta = load_checkpoint(*it, ctx);
       res.path = *it;
       auto& state = obs::SolverReport::global().state();
-      ++state.restarts;
       state.restart_step = res.meta.step;
       state.restart_path = res.path;
       state.corrupt_skipped.insert(state.corrupt_skipped.end(),

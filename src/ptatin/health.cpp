@@ -8,7 +8,6 @@
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
-#include "obs/report.hpp"
 #include "ptatin/context.hpp"
 
 namespace ptatin {
@@ -35,9 +34,7 @@ std::string HealthReport::summary() const {
 HealthReport check_health(PtatinContext& ctx, const HealthOptions& opts) {
   PerfScope span("HealthCheck");
   auto& metrics = obs::MetricsRegistry::instance();
-  auto& state = obs::SolverReport::global().state();
   metrics.counter("health.checks").inc();
-  ++state.health_checks;
 
   HealthReport rep;
 
@@ -85,7 +82,6 @@ HealthReport check_health(PtatinContext& ctx, const HealthOptions& opts) {
                         rep.max_per_cell);
       rep.repaired = true;
       metrics.counter("health.population_repairs").inc();
-      ++state.health_repairs;
     }
     rep.population_violation = violated();
     if (rep.population_violation) {
@@ -105,7 +101,6 @@ HealthReport check_health(PtatinContext& ctx, const HealthOptions& opts) {
   rep.ok = rep.issues.empty();
   if (!rep.ok) {
     metrics.counter("health.failures").inc();
-    ++state.health_failures;
     log_warn("health check failed: ", rep.summary());
   }
   return rep;

@@ -3,7 +3,6 @@
 #include "common/sealed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
-#include "obs/report.hpp"
 
 namespace ptatin::sdc {
 
@@ -11,7 +10,6 @@ std::vector<std::string> Scrubber::scrub_now() {
   PerfScope span("SdcScrub");
   ++scrubs_;
   obs::MetricsRegistry::instance().counter("sdc.scrubs").inc();
-  ++obs::SolverReport::global().sdc().scrubs;
   return SealRegistry::instance().verify_all();
 }
 

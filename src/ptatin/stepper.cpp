@@ -71,13 +71,11 @@ void SafeguardedStepper::resume(const CheckpointMeta& meta) {
 void SafeguardedStepper::arm_seal() {
   state_seal_.arm(state_regions(ctx_));
   seal_epoch_ = ctx_.state_epoch();
-  ++obs::SolverReport::global().sdc().seals_armed;
 }
 
 std::string SafeguardedStepper::verify_seal_on_reentry() {
   if (!state_seal_.armed()) return {};
   auto& metrics = obs::MetricsRegistry::instance();
-  auto& sdc_report = obs::SolverReport::global().sdc();
 
   // A sanctioned out-of-band mutation (checkpoint restore, test setup wrote
   // through a mutable accessor) makes the seal stale, not the state corrupt.
@@ -90,13 +88,11 @@ std::string SafeguardedStepper::verify_seal_on_reentry() {
   if (bad.empty()) return {};
 
   metrics.counter("sdc.detections").inc();
-  ++sdc_report.detections;
   log_warn("sdc: state corruption detected at step ", step_index_,
            " boundary (", join_names(bad), ")");
 
   if (!last_good_.valid()) {
     metrics.counter("sdc.unrecovered").inc();
-    ++sdc_report.unrecovered;
     return "sdc: state corrupted with no snapshot to heal from (" +
            join_names(bad) + ")";
   }
@@ -108,12 +104,10 @@ std::string SafeguardedStepper::verify_seal_on_reentry() {
   const auto still_bad = state_seal_.verify(state_regions(ctx_));
   if (!still_bad.empty()) {
     metrics.counter("sdc.unrecovered").inc();
-    ++sdc_report.unrecovered;
     return "sdc: state corruption persisted through snapshot restore (" +
            join_names(still_bad) + ")";
   }
   metrics.counter("sdc.heals").inc();
-  ++sdc_report.heals;
   log_warn("sdc: step ", step_index_,
            " state healed from the last good snapshot");
   return {};
@@ -173,9 +167,6 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
     if (!bad.empty()) {
       metrics.counter("sdc.detections").inc();
       metrics.counter("sdc.unrecovered").inc();
-      auto& sdc_report = obs::SolverReport::global().sdc();
-      ++sdc_report.detections;
-      ++sdc_report.unrecovered;
       return fail_now("sdc: setup-immutable object corrupted (" +
                       join_names(bad) + ")");
     }
@@ -237,10 +228,7 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
 
     metrics.counter("safeguard.step_failures").inc();
     const bool sdc_failure = sdc::is_sdc_failure(failure);
-    if (sdc_failure) {
-      metrics.counter("sdc.detections").inc();
-      ++obs::SolverReport::global().sdc().detections;
-    }
+    if (sdc_failure) metrics.counter("sdc.detections").inc();
     res.failures.push_back(failure);
     log_warn("safeguard: step ", step_index_, " attempt ", attempt + 1,
              " failed (", failure, ") at dt = ", dt);
@@ -281,14 +269,7 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
   // the retry budget is unrecovered.
   if (std::any_of(res.failures.begin(), res.failures.end(),
                   [](const std::string& f) { return sdc::is_sdc_failure(f); })) {
-    auto& sdc_report = obs::SolverReport::global().sdc();
-    if (res.ok) {
-      metrics.counter("sdc.heals").inc();
-      ++sdc_report.heals;
-    } else {
-      metrics.counter("sdc.unrecovered").inc();
-      ++sdc_report.unrecovered;
-    }
+    metrics.counter(res.ok ? "sdc.heals" : "sdc.unrecovered").inc();
   }
 
   if (res.ok) {
@@ -304,7 +285,6 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
         // A failed save must not kill a healthy run: the previous rotation
         // entries are intact, so only durability of this instant is lost.
         metrics.counter("checkpoint.save_failures").inc();
-        ++obs::SolverReport::global().state().checkpoint_save_failures;
         log_warn("checkpoint: save failed at step ", step_index_, " (",
                  e.what(), ") — continuing without this checkpoint");
       }

@@ -208,12 +208,19 @@ def final_state(driver, tmp, name, extra, model=None):
 def check_heal_digests(driver, tmp):
     """ISSUE 8 acceptance: injected sdc.field_bitflip / sdc.krylov_drift are
     detected, healed via same-dt replay, and the healed run's -final_state
-    digest is bitwise equal to a fault-free run's."""
+    digest is bitwise equal to a fault-free run's. The field-bitflip run's
+    solver report must count exactly that one detection and one heal."""
     ref, _ = final_state(driver, tmp, "ref", [])
+    telemetry = f"{tmp}/healed_telemetry"
     healed, out = final_state(driver, tmp, "healed",
-                              ["-faults", "sdc.field_bitflip:1:error:1"])
+                              ["-faults", "sdc.field_bitflip:1:error:1",
+                               "--telemetry", telemetry])
     assert "state healed" in out, f"field_bitflip heal not logged:\n{out}"
     assert healed == ref, f"healed field_bitflip digest differs:\n{healed}\n{ref}"
+    with open(f"{telemetry}/solver_report.json") as f:
+        sdc = json.load(f)["sdc"]
+    assert sdc["detections"] == 1 and sdc["heals"] == 1, \
+        f"field_bitflip report sdc section: {sdc}"
     # The sentinel's end-to-end path is the rifting model's energy GMRES
     # (the Stokes outer is GCR), so the drift heal compares against a
     # rifting reference carrying the same sentinel flag.

@@ -1,8 +1,8 @@
 // Bitwise-parity suite for the coarse-grid pipeline (docs/KERNELS.md,
 // "Coarse-grid pipeline"): cached Galerkin RAP vs from-scratch ptap,
-// parallel cached-transpose restriction vs serial mult_transpose, the fused
-// and zero-guess Chebyshev sweeps vs an unfused reference, blocked vs plain
-// SpMV — each checked at 1/2/8 threads — plus the matrix-free level 1
+// parallel cached-transpose restriction vs serial mult_transpose, and the
+// fused and zero-guess Chebyshev sweeps vs an unfused reference — each
+// checked at 1/2/8 threads — plus the matrix-free level 1
 // against its assembled matrix, its operator seal, the GMG
 // solve-iteration-identity check and the zero-allocations-per-apply guard
 // on the V-cycle hot path.
@@ -19,10 +19,10 @@
 #include "common/rng.hpp"
 #include "ksp/chebyshev.hpp"
 #include "ksp/gcr.hpp"
-#include "la/blocked_spmv.hpp"
 #include "la/coo.hpp"
 #include "la/galerkin.hpp"
 #include "mg/gmg.hpp"
+#include "obs/metrics.hpp"
 
 // --- global allocation counter for the zero-allocation guard ----------------
 // Counting is off by default; the test arms it around a single apply. The
@@ -297,49 +297,6 @@ TEST(Transpose, ParallelMatchesSerialOnLargeMatrix) {
   expect_bitwise_equal(t_serial.transpose(), a, "double transpose");
 }
 
-// --- blocked SpMV -------------------------------------------------------------
-
-TEST(BlockedSpmv, MatchesPlainCsrBitwise) {
-  RapFixture fx(6);
-  const CsrMatrix c = CsrMatrix::ptap(fx.a, fx.p); // near-uniform rows
-  BlockedSpMV blocked(c);
-  const Vector x = random_vector(c.cols(), 17);
-  Vector y_plain, y_blocked;
-  c.mult(x, y_plain);
-  at_thread_counts([&](int nt) {
-    blocked.mult(x, y_blocked);
-    ASSERT_EQ(y_blocked.size(), y_plain.size());
-    for (Index i = 0; i < y_plain.size(); ++i)
-      ASSERT_EQ(y_blocked[i], y_plain[i]) << "threads " << nt << " i " << i;
-  });
-}
-
-TEST(BlockedSpmv, RaggedRowsFallBackAndStayBitwise) {
-  // A few very long rows amid short ones force the CSR-fallback blocks
-  // (padding would more than double the stored entries).
-  const Index n = 200;
-  Rng rng(19);
-  CooMatrix coo(n, n);
-  for (Index i = 0; i < n; ++i) {
-    coo.add(i, i, 4.0);
-    if (i % 37 == 0) // ragged: dense-ish row
-      for (Index j = 0; j < n; j += 2) coo.add(i, j, rng.uniform(-1, 1));
-    else if (i + 1 < n)
-      coo.add(i, i + 1, rng.uniform(-1, 1));
-  }
-  const CsrMatrix a = coo.to_csr();
-  BlockedSpMV blocked(a);
-  EXPECT_LT(blocked.padding_ratio(), 2.0);
-  const Vector x = random_vector(n, 23);
-  Vector y_plain, y_blocked;
-  a.mult(x, y_plain);
-  at_thread_counts([&](int nt) {
-    blocked.mult(x, y_blocked);
-    for (Index i = 0; i < n; ++i)
-      ASSERT_EQ(y_blocked[i], y_plain[i]) << "threads " << nt << " i " << i;
-  });
-}
-
 // --- Chebyshev ---------------------------------------------------------------
 
 /// The unfused Chebyshev sweep, one Vector operation per step, on the
@@ -495,13 +452,18 @@ TEST(GmgCoarse, SetupCacheTurnsRebuildsIntoRefreshes) {
   GmgSetupCache cache;
   opts.setup_cache = &cache;
 
+  auto& metrics = obs::MetricsRegistry::instance();
+  const obs::Counter& setups = metrics.counter("mg.rap.setups");
+  const obs::Counter& refreshes = metrics.counter("mg.rap.refreshes");
+  const long long setups0 = setups.value(), refreshes0 = refreshes.value();
   GmgHierarchy first(fine, opts, sinker_bc_factory(), lu_coarse_factory());
-  EXPECT_GT(first.rap_setups(), 0);
-  EXPECT_EQ(first.rap_refreshes(), 0);
+  EXPECT_GT(setups.value(), setups0);
+  EXPECT_EQ(refreshes.value(), refreshes0);
 
+  const long long setups1 = setups.value();
   GmgHierarchy second(fine, opts, sinker_bc_factory(), lu_coarse_factory());
-  EXPECT_EQ(second.rap_setups(), 0);
-  EXPECT_GT(second.rap_refreshes(), 0);
+  EXPECT_EQ(setups.value(), setups1);
+  EXPECT_GT(refreshes.value(), refreshes0);
 
   // The refreshed hierarchy is the same preconditioner, bitwise.
   Vector b(num_velocity_dofs(mesh), 1.0);

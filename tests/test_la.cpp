@@ -177,8 +177,10 @@ TEST(Csr, TransposeIsInvolution) {
   Rng rng(2);
   CsrMatrix a = random_spd(30, rng);
   CsrMatrix att = a.transpose().transpose();
-  EXPECT_EQ(att.nnz(), a.nnz());
-  EXPECT_NEAR(att.frobenius_norm(), a.frobenius_norm(), 1e-13);
+  // Transposing only moves values, so the round trip restores every entry.
+  EXPECT_EQ(att.row_ptr(), a.row_ptr());
+  EXPECT_EQ(att.col_idx(), a.col_idx());
+  EXPECT_EQ(att.values(), a.values());
   Vector x(30), y1, y2;
   for (Index i = 0; i < 30; ++i) x[i] = rng.uniform(-1, 1);
   a.mult(x, y1);
@@ -275,30 +277,6 @@ TEST(Csr, DiagonalOfMissingEntriesIsZero) {
   EXPECT_DOUBLE_EQ(d[1], 0.0);
   EXPECT_DOUBLE_EQ(d[2], 7.0);
   EXPECT_DOUBLE_EQ(d[3], 0.0);
-}
-
-TEST(Csr, FrobeniusNormMatchesReferenceAndIsThreadInvariant) {
-  Rng rng(21);
-  CsrMatrix a = random_spd(400, rng);
-  // Reference: serial accumulation in a different order (column pass via the
-  // transpose has the same multiset of squares).
-  long double ref = 0.0;
-  for (Index k = 0; k < a.nnz(); ++k)
-    ref += (long double)a.values()[k] * a.values()[k];
-  const Real expect = std::sqrt((Real)ref);
-  const int saved = num_threads();
-  set_num_threads(1);
-  const Real n1 = a.frobenius_norm();
-  set_num_threads(2);
-  const Real n2 = a.frobenius_norm();
-  set_num_threads(8);
-  const Real n8 = a.frobenius_norm();
-  set_num_threads(saved);
-  // The fixed-chunk reduction is deterministic in the thread count...
-  EXPECT_EQ(n1, n2);
-  EXPECT_EQ(n1, n8);
-  // ...and agrees with the straight serial sum to rounding.
-  EXPECT_NEAR(n1, expect, 1e-13 * expect);
 }
 
 // --- Dense LU --------------------------------------------------------------
