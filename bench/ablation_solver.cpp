@@ -6,7 +6,7 @@
 //   5. SCR vs full-space iteration + Uzawa (robustness-for-cost, §IV-A)
 //   6. Gauss-Lobatto collocation vs full Gauss quadrature (§III-D remark)
 //
-// Usage: ablation_solver [-m 8] [-contrast 1e4]
+// Usage: ablation_solver [-m 12] [-contrast 1e3]
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "ptatin/models_sinker.hpp"
@@ -18,9 +18,9 @@ using namespace ptatin;
 int main(int argc, char** argv) {
   const Options cli = bench::parse_options(
       argc, argv, "ablation_solver",
-      {{"m", "N", "sinker mesh resolution (default 8)"},
+      {{"m", "N", "sinker mesh resolution (default 12)"},
        {"contrast", "X", "viscosity contrast (default 1e3)"}});
-  const Index m = cli.get_index("m", 8);
+  const Index m = cli.get_index("m", 12);
   const Real contrast = cli.get_real("contrast", 1e3);
 
   SinkerParams sp;
@@ -50,8 +50,22 @@ int main(int argc, char** argv) {
   base.coarse_solve = GmgCoarseSolve::kBJacobiLu;
   base.coarse_bjacobi_blocks = 1;
 
-  bench::banner("Ablation 1: coarse operator construction");
+  // One untimed solve, capped at one restart cycle like ptbench's warm-up,
+  // so the first timed row does not pay the process's first-run costs.
   {
+    StokesSolverOptions warm = base;
+    warm.krylov.max_it = warm.krylov.restart;
+    StokesSolver(mesh, coeff, bc, warm).solve(f);
+  }
+
+  bench::banner("Ablation 1: coarse operator construction");
+  if (levels < 3) {
+    // kGalerkin rediscretizes level L-2 and forms Galerkin products below
+    // it, so with two levels both rows would build the same hierarchy.
+    std::printf("skipped: %d GMG levels at m = %lld; the rows differ only "
+                "from 3 levels (m = 12)\n",
+                levels, (long long)m);
+  } else {
     StokesSolverOptions so = base;
     so.gmg.coarse_type = CoarseOperatorType::kGalerkin;
     run("Galerkin coarse ops", so);

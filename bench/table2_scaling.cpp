@@ -16,8 +16,8 @@
 //
 // The decomp sweep also takes the SDC hardening knobs (-scrub_every N,
 // -sentinel_every N; docs/ROBUSTNESS.md): the sweep seals the quiescent
-// apply input and CRC-scrubs it at the requested cadence inside the timed
-// apply loop, and the full solves run with sealed operator hierarchies and
+// apply input and verifies the seal every N applies inside the timed apply
+// loop, and the full solves run with sealed operator hierarchies and
 // Krylov residual sentinels. The resulting SDC column makes the overhead of
 // the detection layer visible next to the unhardened rows — the acceptance
 // target is <5% apply-time overhead at the default cadences.
@@ -36,7 +36,6 @@
 #include "common/error.hpp"
 #include "common/sealed.hpp"
 #include "common/timing.hpp"
-#include "ptatin/scrub.hpp"
 #include "fem/subdomain_engine.hpp"
 #include "obs/perf.hpp"
 #include "obs/report.hpp"
@@ -58,9 +57,10 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
   // -solve false: raw-apply timing only (the CI perf smoke skips the full
   // solves; the iteration-identity smoke keeps them).
   const bool do_solve = opts.get_bool("solve", true);
-  // SDC hardening cadences (0 = off): scrub_every is applied per timed
-  // apply (CRC sweep of the sealed input) and turns on operator sealing in
-  // the solve; sentinel_every flows into the solve's Krylov settings.
+  // SDC hardening cadences (0 = off): scrub_every is counted in timed
+  // applies (a CRC verify of the sealed input) and turns on operator
+  // sealing in the solve; sentinel_every flows into the solve's Krylov
+  // settings.
   const int scrub_every = opts.get_int("scrub_every", 0);
   const int sentinel_every = opts.get_int("sentinel_every", 0);
   char sdc_label[32];
@@ -120,25 +120,20 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
       op->apply(x, y); // warm-up (builds scratch slabs)
       op_batched->apply(x, y);
 
-      // When scrubbing, seal the quiescent apply input and sweep the seal
-      // registry at the production cadence *inside* the timed loop, so the
-      // CRC pass the stepper's scrubber pays between steps shows up in the
-      // apply column.
-      sdc::ScopedSeal bench_seal;
-      if (scrub_every > 0) {
-        const Vector* xs = &x;
-        bench_seal = sdc::ScopedSeal("bench.state", [xs] {
-          return std::vector<sdc::Region>{
-              {"x", xs->data(), xs->size() * sizeof(Real)}};
-        });
-      }
+      // With -scrub_every N, seal the quiescent apply input and verify the
+      // seal every N applies *inside* the timed loop, so the CRC pass of
+      // the detection layer shows up in the apply column.
+      const std::vector<sdc::Region> sealed_input{
+          {"x", x.data(), x.size() * sizeof(Real)}};
+      sdc::Seal bench_seal;
+      if (scrub_every > 0) bench_seal.arm(sealed_input);
       auto time_applies = [&](const ViscousOperatorBase& o) {
-        sdc::Scrubber scrubber(scrub_every);
         Timer t_apply;
         for (int it = 0; it < n_applies; ++it) {
           o.apply(x, y);
-          if (!scrubber.scrub_if_due(it + 1).empty())
-            std::printf("    WARNING: scrub mismatch during apply sweep\n");
+          if (scrub_every > 0 && (it + 1) % scrub_every == 0 &&
+              !bench_seal.verify(sealed_input).empty())
+            std::printf("    WARNING: seal mismatch during apply sweep\n");
         }
         return t_apply.seconds();
       };
@@ -147,7 +142,6 @@ int run_decomp_sweep(const Options& opts, const std::vector<Index>& grids,
       const double apply_seconds_batched = time_applies(*op_batched);
       eng->reset_stats();
       const double apply_seconds = time_applies(*op);
-      bench_seal.reset();
 
       StokesSolveResult res;
       if (do_solve) {

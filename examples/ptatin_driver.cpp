@@ -145,10 +145,9 @@ int main(int argc, char** argv) {
     ~FaultTeardown() { fault::FaultInjector::instance().disarm_all(); }
   } fault_teardown;
 
-  int vertical_axis = 2;
   ModelSetup setup;
   try {
-    setup = build_model_from_options(o, vertical_axis);
+    setup = build_model_from_options(o);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return int(DriverExit::kUsageError);
@@ -164,6 +163,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return int(DriverExit::kUsageError);
   }
+  const int vertical_axis = setup.vertical_axis;
   cfg.ptatin().ale.vertical_axis = vertical_axis;
 
   PtatinContext ctx(std::move(setup), cfg.ptatin());

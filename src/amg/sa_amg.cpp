@@ -194,24 +194,29 @@ SaAmg::SaAmg(const CsrMatrix& a, const std::vector<Vector>& near_nullspace,
   coarsest_.setup(last.a, std::min(kCoarsestBlocks, last.a.rows()),
                   SubdomainSolve::kLu);
 
-  // SDC seal over the setup-immutable hierarchy (docs/ROBUSTNESS.md):
-  // levels_ is never resized after construction, so the provider's pointers
-  // into the per-level matrices stay valid for the object's lifetime.
-  if (opts.seal_operators) {
-    seal_ = sdc::ScopedSeal("amg.operators", [this]() {
-      std::vector<sdc::Region> regions;
-      for (std::size_t l = 0; l < levels_.size(); ++l) {
-        std::string prefix = "L";
-        prefix += std::to_string(l);
-        levels_[l].a.append_seal_regions(prefix, regions);
-        if (levels_[l].p.nnz() > 0)
-          levels_[l].p.append_seal_regions(prefix + ".p", regions);
-      }
-      return regions;
-    });
-  }
+  // SDC seal over the setup-immutable hierarchy (docs/ROBUSTNESS.md).
+  if (opts.seal_operators) seal_.arm(seal_regions());
 
   setup_seconds_ = t.seconds();
+}
+
+std::vector<sdc::Region> SaAmg::seal_regions() const {
+  // levels_ is never resized after construction, so the regions point into
+  // per-level matrices that live as long as the hierarchy.
+  std::vector<sdc::Region> regions;
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    std::string prefix = "L";
+    prefix += std::to_string(l);
+    levels_[l].a.append_seal_regions(prefix, regions);
+    if (levels_[l].p.nnz() > 0)
+      levels_[l].p.append_seal_regions(prefix + ".p", regions);
+  }
+  return regions;
+}
+
+std::vector<std::string> SaAmg::verify_seal() const {
+  if (!opts_.seal_operators) return {};
+  return sdc::verify_operator_seal("amg.operators", seal_, seal_regions());
 }
 
 double SaAmg::operator_complexity() const {

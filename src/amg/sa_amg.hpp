@@ -47,10 +47,9 @@ struct AmgOptions {
   int smooth_post = 2;
   AmgSmoother smoother = AmgSmoother::kChebyshev;
   AmgCoarsestSolve coarsest = AmgCoarsestSolve::kBlockJacobiLu;
-  /// Register the per-level Galerkin operators and prolongators with the SDC
-  /// seal registry (docs/ROBUSTNESS.md): the hierarchy is setup-immutable,
-  /// so the periodic scrubber can detect a flipped bit. Enabled by the
-  /// config layer when -scrub_every > 0.
+  /// Seal the per-level Galerkin operators and prolongators at the end of
+  /// setup (docs/ROBUSTNESS.md): the hierarchy is setup-immutable, so
+  /// verify_seal() can detect a flipped bit. Enabled by -seal_operators.
   bool seal_operators = false;
 };
 
@@ -72,10 +71,10 @@ public:
   /// Total operator complexity: sum(nnz_l) / nnz_0.
   double operator_complexity() const;
 
-  /// Verify the operator seal now (empty when intact or seal_operators is
-  /// off). Solve-scoped hierarchies die before the periodic scrubber runs,
-  /// so the Stokes solver checks this after every solve.
-  std::vector<std::string> verify_seal() const { return seal_.verify(); }
+  /// Verify the operator seal now: the "amg.operators/<region>" names that
+  /// mismatch (empty when intact or seal_operators is off). The Stokes
+  /// solver checks it after every solve.
+  std::vector<std::string> verify_seal() const;
 
 private:
   struct Level {
@@ -90,12 +89,14 @@ private:
 
   void smooth(const Level& lev, const Vector& b, Vector& x, int its) const;
   void cycle(int level, const Vector& b, Vector& x) const;
+  /// The per-level A / P regions under seal_, enumerated afresh per call.
+  std::vector<sdc::Region> seal_regions() const;
 
   std::vector<Level> levels_; ///< [0] = finest ... [L-1] = coarsest
   BlockJacobi coarsest_;
   AmgOptions opts_;
   double setup_seconds_ = 0.0;
-  sdc::ScopedSeal seal_; ///< over the per-level A / P arrays
+  sdc::Seal seal_; ///< over the per-level A / P arrays
 };
 
 } // namespace ptatin

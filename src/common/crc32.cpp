@@ -10,9 +10,9 @@ namespace {
 // Slicing-by-16 (Intel's slicing-by-8 widened once): t[0] is the classic
 // bytewise table; t[s][i] is the CRC of byte i followed by s zero bytes, so
 // sixteen table lookups advance the state by sixteen input bytes per
-// iteration. The SDC scrubber CRCs entire operator hierarchies and model
-// states between steps (docs/ROBUSTNESS.md), which makes this pass
-// memory-bandwidth-critical rather than incidental.
+// iteration. The SDC seals CRC entire operator hierarchies after every
+// Stokes solve and model states between steps (docs/ROBUSTNESS.md), which
+// makes this pass memory-bandwidth-critical rather than incidental.
 struct Tables {
   std::uint32_t t[16][256];
 };

@@ -1,7 +1,5 @@
 #include "common/sealed.hpp"
 
-#include <algorithm>
-
 #include "common/crc32.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
@@ -35,97 +33,20 @@ std::vector<std::string> Seal::verify(
   return bad;
 }
 
-SealRegistry& SealRegistry::instance() {
-  static SealRegistry* reg = new SealRegistry();
-  return *reg;
-}
-
-std::uint64_t SealRegistry::add(std::string name, RegionProvider provider) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry e;
-  e.id = next_id_++;
-  e.name = std::move(name);
-  e.provider = std::move(provider);
-  e.seal.arm(e.provider());
-  entries_.push_back(std::move(e));
-  return entries_.back().id;
-}
-
-void SealRegistry::remove(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [id](const Entry& e) { return e.id == id; }),
-                 entries_.end());
-}
-
-void SealRegistry::rearm(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& e : entries_)
-    if (e.id == id) {
-      e.seal.arm(e.provider());
-      return;
-    }
-}
-
-std::vector<std::string> SealRegistry::verify_all() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::vector<std::string> verify_operator_seal(
+    const std::string& owner, const Seal& seal,
+    const std::vector<Region>& regions) {
   auto& metrics = obs::MetricsRegistry::instance();
+  metrics.counter("sdc.seal_verifies").inc();
   std::vector<std::string> bad;
-  for (const Entry& e : entries_) {
-    metrics.counter("sdc.seal_verifies").inc();
-    for (const std::string& region : e.seal.verify(e.provider()))
-      bad.push_back(e.name + "/" + region);
-  }
+  for (const std::string& region : seal.verify(regions))
+    bad.push_back(owner + "/" + region);
   if (!bad.empty()) {
     metrics.counter("sdc.seal_mismatches").inc((long long)bad.size());
     for (const std::string& b : bad)
       log_warn("sdc: sealed region mismatch: ", b);
   }
   return bad;
-}
-
-std::vector<std::string> SealRegistry::verify_one(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& metrics = obs::MetricsRegistry::instance();
-  std::vector<std::string> bad;
-  for (const Entry& e : entries_) {
-    if (e.id != id) continue;
-    metrics.counter("sdc.seal_verifies").inc();
-    for (const std::string& region : e.seal.verify(e.provider()))
-      bad.push_back(e.name + "/" + region);
-    break;
-  }
-  if (!bad.empty()) {
-    metrics.counter("sdc.seal_mismatches").inc((long long)bad.size());
-    for (const std::string& b : bad)
-      log_warn("sdc: sealed region mismatch: ", b);
-  }
-  return bad;
-}
-
-std::size_t SealRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-ScopedSeal::ScopedSeal(std::string name, RegionProvider provider)
-    : id_(SealRegistry::instance().add(std::move(name), std::move(provider))) {
-}
-
-void ScopedSeal::rearm() {
-  if (id_ != 0) SealRegistry::instance().rearm(id_);
-}
-
-std::vector<std::string> ScopedSeal::verify() const {
-  if (id_ == 0) return {};
-  return SealRegistry::instance().verify_one(id_);
-}
-
-void ScopedSeal::reset() {
-  if (id_ != 0) {
-    SealRegistry::instance().remove(id_);
-    id_ = 0;
-  }
 }
 
 } // namespace ptatin::sdc

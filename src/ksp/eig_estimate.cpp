@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/muladd.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 
@@ -25,12 +26,18 @@ Real estimate_lambda_max_jacobi(const LinearOperator& a, const Vector& inv_diag,
   const Real* idg = inv_diag.data();
   for (int k = 0; k < iterations; ++k) {
     a.apply(v, w);
+    // w <- D^{-1} w fused into the pass that sums ||w||^2: bitwise the
+    // scaling loop followed by w.norm2() (Vector::dot's lanes and
+    // pt_muladd terms), one parallel region instead of two.
     Real* wp = w.data();
-    parallel_for(n, [&](Index i) { wp[i] *= idg[i]; });
-    lambda = w.norm2(); // Rayleigh-style growth factor for the unit vector v
+    const Real ww = parallel_reduce_lanes(n, [&](Index i, Real acc) {
+      const Real wi = wp[i] * idg[i];
+      wp[i] = wi;
+      return pt_muladd(wi, wi, acc);
+    });
+    lambda = std::sqrt(ww); // Rayleigh-style growth factor for the unit v
     if (!(lambda > 0.0)) return 0.0;
-    v.copy_from(w);
-    v.scale(Real(1) / lambda);
+    v.set_scaled(Real(1) / lambda, w);
   }
   return lambda;
 }

@@ -27,15 +27,6 @@ void Vector::aypx(Real alpha, const Vector& x) {
   parallel_for(size(), [&](Index i) { yp[i] = alpha * yp[i] + xp[i]; });
 }
 
-void Vector::waxpy(Real alpha, const Vector& y, const Vector& x) {
-  PT_ASSERT(x.size() == y.size());
-  if (size() != x.size()) resize(x.size());
-  const Real* xp = x.data();
-  const Real* yp = y.data();
-  Real* wp = data();
-  parallel_for(size(), [&](Index i) { wp[i] = xp[i] + alpha * yp[i]; });
-}
-
 void Vector::scale(Real alpha) {
   Real* p = data();
   parallel_for(size(), [&](Index i) { p[i] *= alpha; });

@@ -33,8 +33,6 @@ public:
   void axpy(Real alpha, const Vector& x);
   /// this <- alpha this + x.
   void aypx(Real alpha, const Vector& x);
-  /// this <- x + alpha y  (waxpy).
-  void waxpy(Real alpha, const Vector& y, const Vector& x);
   /// this <- alpha this.
   void scale(Real alpha);
   /// this <- x (deep copy, sizes must match or this is resized).

@@ -182,54 +182,61 @@ GmgHierarchy::GmgHierarchy(const ViscousOperatorBase& fine_op,
   }
 
   // --- SDC seal over the setup-immutable operator data -----------------------
-  // levels_ is never resized after construction, so the provider's pointers
-  // into the per-level containers stay valid for the hierarchy's lifetime.
   if (opts.seal_operators) {
     // The Tens levels' geometry caches, which the λmax estimates built; a
     // cache first built after arming stays outside the seal.
-    std::vector<const TensorViscousOperator*> cached(levels_.size(), nullptr);
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
+    for (Level& lev : levels_) {
       const auto* tens =
-          dynamic_cast<const TensorViscousOperator*>(levels_[l].elem_op);
-      if (tens != nullptr && !tens->geometry_cache().empty()) cached[l] = tens;
+          dynamic_cast<const TensorViscousOperator*>(lev.elem_op);
+      if (tens != nullptr && !tens->geometry_cache().empty())
+        lev.sealed_cache = tens;
     }
-    seal_ = sdc::ScopedSeal("gmg.operators", [this, cached]() {
-      std::vector<sdc::Region> regions;
-      for (std::size_t l = 0; l < levels_.size(); ++l) {
-        const Level& lev = levels_[l];
-        std::string prefix = "L";
-        prefix += std::to_string(l);
-        if (lev.assembled != nullptr && lev.assembled->nnz() > 0)
-          lev.assembled->append_seal_regions(prefix, regions);
-        // A matrix-free coarse level's operator is its restricted
-        // coefficients on its mesh (the finest level's are the caller's).
-        if (lev.elem_op != nullptr && l + 1 < levels_.size()) {
-          const auto& eta = lev.coeff->eta_data();
-          const auto& xyz = lev.mesh->coords();
-          regions.push_back({prefix + ".eta", eta.data(),
-                             eta.size() * sizeof(Real)});
-          regions.push_back({prefix + ".coords", xyz.data(),
-                             xyz.size() * sizeof(Real)});
-        }
-        if (cached[l] != nullptr) {
-          const auto geometry = cached[l]->geometry_cache();
-          regions.push_back(
-              {prefix + ".geometry", geometry.data(), geometry.size()});
-        }
-        if (lev.prolongation.nnz() > 0)
-          lev.prolongation.append_seal_regions(prefix + ".prolongation",
-                                               regions);
-      }
-      return regions;
-    });
+    seal_.arm(seal_regions());
     // Deterministic SDC injection: flip a low mantissa bit in the coarsest
-    // assembled operator AFTER arming, so the next scrub must catch it.
+    // assembled operator AFTER arming, so the post-solve verify must catch
+    // it.
     if (fault::fires("sdc.matrix_bitflip") &&
         levels_[0].assembled != nullptr && levels_[0].assembled->nnz() > 0) {
       auto& vals = levels_[0].assembled->values();
       vals[0] = sdc::flip_low_mantissa_bit(vals[0]);
     }
   }
+}
+
+std::vector<sdc::Region> GmgHierarchy::seal_regions() const {
+  // levels_ is never resized after construction, so the regions point into
+  // per-level containers that live as long as the hierarchy.
+  std::vector<sdc::Region> regions;
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    const Level& lev = levels_[l];
+    std::string prefix = "L";
+    prefix += std::to_string(l);
+    if (lev.assembled != nullptr && lev.assembled->nnz() > 0)
+      lev.assembled->append_seal_regions(prefix, regions);
+    // A matrix-free coarse level's operator is its restricted coefficients
+    // on its mesh (the finest level's are the caller's).
+    if (lev.elem_op != nullptr && l + 1 < levels_.size()) {
+      const auto& eta = lev.coeff->eta_data();
+      const auto& xyz = lev.mesh->coords();
+      regions.push_back({prefix + ".eta", eta.data(),
+                         eta.size() * sizeof(Real)});
+      regions.push_back({prefix + ".coords", xyz.data(),
+                         xyz.size() * sizeof(Real)});
+    }
+    if (lev.sealed_cache != nullptr) {
+      const auto geometry = lev.sealed_cache->geometry_cache();
+      regions.push_back(
+          {prefix + ".geometry", geometry.data(), geometry.size()});
+    }
+    if (lev.prolongation.nnz() > 0)
+      lev.prolongation.append_seal_regions(prefix + ".prolongation", regions);
+  }
+  return regions;
+}
+
+std::vector<std::string> GmgHierarchy::verify_seal() const {
+  if (!opts_.seal_operators) return {};
+  return sdc::verify_operator_seal("gmg.operators", seal_, seal_regions());
 }
 
 void GmgHierarchy::apply(const Vector& r, Vector& z) const {

@@ -53,13 +53,12 @@ struct GmgOptions {
   CoarseOperatorType coarse_type = CoarseOperatorType::kGalerkin;
   int smooth_pre = 2;  ///< V(2,2) by default (§IV-A)
   int smooth_post = 2;
-  /// Register the coarse operators and prolongations with the SDC seal
-  /// registry (docs/ROBUSTNESS.md): the assembled matrices, the restricted
+  /// Seal the coarse operators and prolongations at the end of setup
+  /// (docs/ROBUSTNESS.md): the assembled matrices, the restricted
   /// coefficients and mesh coordinates of a matrix-free coarse level, and
-  /// each Tens level's geometry cache are setup-immutable, so the periodic
-  /// scrubber can detect a flipped bit in them. Enabled by the config layer
-  /// when -scrub_every > 0; off by default to keep the CRC pass out of
-  /// setups that never scrub.
+  /// each Tens level's geometry cache are setup-immutable, so verify_seal()
+  /// can detect a flipped bit in them. Enabled by -seal_operators; off by
+  /// default to keep the CRC pass out of setups that never verify.
   bool seal_operators = false;
   /// Borrowed cross-rebuild setup cache (null = no caching). With one,
   /// Galerkin products replay numeric-only against the cached sparsity
@@ -135,10 +134,10 @@ public:
 
   Index level_dofs(int level) const { return levels_[level].ndofs; }
 
-  /// Verify the operator seal now (empty when intact or seal_operators is
-  /// off). Solve-scoped hierarchies die before the periodic scrubber runs,
-  /// so the Stokes solver checks this after every solve.
-  std::vector<std::string> verify_seal() const { return seal_.verify(); }
+  /// Verify the operator seal now: the "gmg.operators/<region>" names that
+  /// mismatch (empty when intact or seal_operators is off). The Stokes
+  /// solver checks it after every solve.
+  std::vector<std::string> verify_seal() const;
 
 private:
   struct Level {
@@ -166,10 +165,16 @@ private:
     /// row-parallel CSR mult instead of the serial mult_transpose scatter.
     CsrMatrix restriction;
     ChebyshevSmoother smoother;
+    /// A Tens level whose geometry cache was built before the seal was
+    /// armed: the seal covers that cache.
+    const TensorViscousOperator* sealed_cache = nullptr;
     Index ndofs = 0;
     mutable Vector r, e, rc, ec; // per-level cycle workspace (no per-call
                                  // allocation on the V-cycle hot path)
   };
+
+  /// The setup-immutable regions under seal_, enumerated afresh per call.
+  std::vector<sdc::Region> seal_regions() const;
 
   /// One V-cycle from `level` down. `zero_guess` promises x == 0 on entry,
   /// so the pre-smooth skips the operator apply on it.
@@ -182,7 +187,7 @@ private:
   /// Captured once: counter lookup by name allocates for long names.
   obs::Counter* restrict_counter_ = nullptr;
   obs::Counter* prolong_counter_ = nullptr;
-  sdc::ScopedSeal seal_; ///< over the coarse operator/prolongation data
+  sdc::Seal seal_; ///< over the coarse operator/prolongation data
 };
 
 } // namespace ptatin

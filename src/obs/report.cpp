@@ -136,7 +136,7 @@ JsonValue state_to_json(const StateRecord& s) {
 JsonValue sdc_to_json() {
   JsonValue j = JsonValue::object();
   for (const char* key :
-       {"seals_armed", "seal_verifies", "scrubs", "detections", "heals",
+       {"seals_armed", "seal_verifies", "detections", "heals",
         "sentinel_checks", "sentinel_trips", "unrecovered"})
     j[key] = counted(std::string("sdc.") + key);
   return j;

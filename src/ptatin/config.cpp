@@ -77,10 +77,10 @@ void SolverConfig::describe_options() {
                     "CRC-seal model state between steps and heal\n"
                     "detected corruption by same-dt replay (default\n"
                     "true, docs/ROBUSTNESS.md)");
-  Options::describe("scrub_every", "N",
-                    "scrub cadence over sealed setup-immutable\n"
-                    "operator data in steps (0 = off); also arms the\n"
-                    "GMG operator seals");
+  Options::describe("seal_operators", "true|false",
+                    "CRC-seal the GMG/AMG operators after setup and\n"
+                    "verify them after each Stokes solve (default\n"
+                    "false, docs/ROBUSTNESS.md)");
   Options::describe("sentinel_every", "N",
                     "Krylov SDC sentinel: recompute the true residual\n"
                     "every N iterations and cross-check the recurrence\n"
@@ -142,12 +142,8 @@ SolverConfig SolverConfig::from_options(const Options& o) {
   sg.checkpoint_keep = o.get_int("checkpoint_keep", 3);
   PT_ASSERT_MSG(sg.checkpoint_keep >= 1, "-checkpoint_keep must be >= 1");
   sg.seal_state = o.get_bool("seal_state", true);
-  sg.scrub_every = o.get_int("scrub_every", 0);
-  PT_ASSERT_MSG(sg.scrub_every >= 0, "-scrub_every must be >= 0");
-  // A scrubbing run needs the operator seals registered, and only a
-  // scrubbing run pays their CRC arming cost.
-  so.gmg.seal_operators = sg.scrub_every > 0;
-  so.amg.seal_operators = sg.scrub_every > 0;
+  so.gmg.seal_operators = o.get_bool("seal_operators", false);
+  so.amg.seal_operators = so.gmg.seal_operators;
   return cfg;
 }
 

@@ -28,7 +28,7 @@ struct ModelSetup {
   std::function<Real(const Vec3&)> initial_damage;
 
   Vec3 gravity{0, 0, -9.8};
-  int vertical_axis = 2;
+  int vertical_axis = 2; ///< up direction: 2 = z (sinker), 1 = y (rifting)
 
   // --- optional energy equation ---------------------------------------------
   bool use_energy = false;

@@ -42,13 +42,9 @@ void describe_model_options() {
   Options::describe("shortening", "X", "rifting z-shortening rate");
 }
 
-ModelSetup build_model_from_options(const Options& o, int& vertical_axis) {
+ModelSetup build_model_from_options(const Options& o) {
   const std::string model = o.get_string("model", "sinker");
-  vertical_axis = 2;
-  if (model == "rifting") {
-    vertical_axis = 1;
-    return make_rifting_model(rifting_params(o));
-  }
+  if (model == "rifting") return make_rifting_model(rifting_params(o));
   PT_ASSERT_MSG(model == "sinker", "unknown -model (expected sinker|rifting)");
   return make_sinker_model(sinker_params(o));
 }

@@ -14,9 +14,8 @@ namespace ptatin {
 void describe_model_options();
 
 /// Build the model named by -model (default sinker) with its parameters
-/// resolved from the options database. `vertical_axis` receives the model's
-/// up direction (z for sinker, y for rifting). Throws Error on an unknown
-/// -model value.
-ModelSetup build_model_from_options(const Options& o, int& vertical_axis);
+/// resolved from the options database. Throws Error on an unknown -model
+/// value.
+ModelSetup build_model_from_options(const Options& o);
 
 } // namespace ptatin

@@ -51,7 +51,7 @@ std::string join_names(const std::vector<std::string>& names) {
 
 SafeguardedStepper::SafeguardedStepper(PtatinContext& ctx,
                                        const SafeguardOptions& opts)
-    : ctx_(ctx), opts_(opts), scrubber_(opts.scrub_every) {
+    : ctx_(ctx), opts_(opts) {
   if (!opts_.checkpoint_dir.empty())
     rotation_ = std::make_unique<CheckpointRotation>(opts_.checkpoint_dir,
                                                      opts_.checkpoint_keep);
@@ -159,17 +159,6 @@ SafeguardedStepResult SafeguardedStepper::advance(Real dt) {
   if (opts_.seal_state) {
     std::string sdc_failure = verify_seal_on_reentry();
     if (!sdc_failure.empty()) return fail_now(std::move(sdc_failure));
-  }
-  // Scrub the process-wide seal registry (setup-immutable operator data).
-  // No snapshot covers those objects, so a mismatch is unrecoverable.
-  if (scrubber_.enabled()) {
-    const auto bad = scrubber_.scrub_if_due(step_index_);
-    if (!bad.empty()) {
-      metrics.counter("sdc.detections").inc();
-      metrics.counter("sdc.unrecovered").inc();
-      return fail_now("sdc: setup-immutable object corrupted (" +
-                      join_names(bad) + ")");
-    }
   }
 
   dt = clamp_dt(dt);

@@ -35,7 +35,6 @@
 #include "ptatin/checkpoint.hpp"
 #include "ptatin/context.hpp"
 #include "ptatin/health.hpp"
-#include "ptatin/scrub.hpp"
 
 namespace ptatin {
 
@@ -62,11 +61,12 @@ struct SafeguardOptions {
   // restoring the last good snapshot and replaying at the SAME dt. A
   // sanctioned out-of-band mutation (checkpoint restore, test setup) is
   // recognized through PtatinContext::state_epoch() and disarms the seal
-  // instead of tripping it. scrub_every sweeps the process-wide seal registry
-  // (setup-immutable operator data) every N steps; a scrub mismatch has no
-  // rollback snapshot and is unrecoverable ("sdc:" failure, exit code 6).
+  // instead of tripping it. The setup-immutable operators are sealed by
+  // their hierarchies (-seal_operators) and verified after each Stokes
+  // solve, which fails with diverged_sdc on a mismatch: the same-dt replay
+  // rebuilds them, and corruption that recurs past every replay is
+  // unrecoverable (exit code 6).
   bool seal_state = true;
-  int scrub_every = 0;
 };
 
 /// Outcome of one safeguarded step (possibly several attempts).
@@ -130,13 +130,12 @@ private:
   int step_index_ = 0; ///< 1-based, counts advance() calls
 
   // SDC defense state: the seal over the between-steps model state, the
-  // context epoch it was armed at, the snapshot it heals from (also reused
-  // as the rollback snapshot while the seal attests it still matches the
-  // live state), and the registry scrubber.
+  // context epoch it was armed at, and the snapshot it heals from (also
+  // reused as the rollback snapshot while the seal attests it still matches
+  // the live state).
   sdc::Seal state_seal_;
   long long seal_epoch_ = 0;
   MemoryCheckpoint last_good_;
-  sdc::Scrubber scrubber_;
 };
 
 } // namespace ptatin

@@ -47,9 +47,10 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
     const GmgCoarseSolve cs = opts.coarse_solve;
     const Index nblocks = opts.coarse_bjacobi_blocks;
     double* coarse_setup = &coarse_setup_seconds_;
+    const SaAmg** coarse_amg = &coarse_amg_;
 
     CoarseSolverFactory coarse_factory =
-        [amg_opts, cs, nblocks, coarse_setup](
+        [amg_opts, cs, nblocks, coarse_setup, coarse_amg](
             const CsrMatrix& a, const StructuredMesh& coarsest,
             const DirichletBc& coarsest_bc) -> std::unique_ptr<Preconditioner> {
       Timer ct;
@@ -61,7 +62,9 @@ StokesSolver::StokesSolver(const StructuredMesh& mesh,
           // rows pollute the aggregate bases near boundaries).
           std::vector<Vector> rbm = rigid_body_modes(coarsest);
           for (auto& mode : rbm) coarsest_bc.zero_constrained(mode);
-          pc = std::make_unique<SaAmg>(a, rbm, amg_opts);
+          auto amg = std::make_unique<SaAmg>(a, rbm, amg_opts);
+          *coarse_amg = amg.get();
+          pc = std::move(amg);
           break;
         }
         case GmgCoarseSolve::kBJacobiLu:
@@ -159,17 +162,22 @@ StokesSolveResult StokesSolver::solve_stacked(const Vector& rhs,
   res.solve_seconds = t.seconds();
   res.setup_seconds = setup_seconds_;
 
-  // Post-solve scrub of the operator seal (docs/ROBUSTNESS.md): the GMG/AMG
-  // hierarchy is solve-scoped — it dies with this StokesSolver, before the
-  // stepper's periodic scrubber ever sweeps the registry — so a bit flipped
-  // in the sealed operator data must be caught here, while the corrupted
-  // solve it poisoned can still be discarded. The timestep tier classifies
-  // the diverged_sdc reason as SDC and replays at the same dt; the rebuild
-  // re-assembles the operators from intact inputs, which is the heal.
+  // Post-solve check of every operator seal this solver's setup armed
+  // (docs/ROBUSTNESS.md): GMG's, its coarse SA-AMG's, or a standalone
+  // SA-AMG's. The hierarchies are solve-scoped — they die with this
+  // StokesSolver — so a bit flipped in the sealed operator data must be
+  // caught here, while the corrupted solve it poisoned can still be
+  // discarded. The timestep tier classifies the diverged_sdc reason as SDC
+  // and replays at the same dt; the rebuild re-assembles the operators from
+  // intact inputs, which is the heal.
   {
     std::vector<std::string> bad;
-    if (gmg_ != nullptr) bad = gmg_->verify_seal();
-    else if (amg_ != nullptr) bad = amg_->verify_seal();
+    const auto check = [&bad](const std::vector<std::string>& names) {
+      bad.insert(bad.end(), names.begin(), names.end());
+    };
+    if (gmg_ != nullptr) check(gmg_->verify_seal());
+    if (coarse_amg_ != nullptr) check(coarse_amg_->verify_seal());
+    if (amg_ != nullptr) check(amg_->verify_seal());
     if (!bad.empty()) {
       std::string names;
       for (const std::string& b : bad) {

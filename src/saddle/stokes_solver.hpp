@@ -107,6 +107,7 @@ private:
   std::unique_ptr<StokesOperator> op_;
   std::unique_ptr<PressureMassSchur> schur_;
   std::unique_ptr<GmgHierarchy> gmg_;
+  const SaAmg* coarse_amg_ = nullptr; ///< GMG's coarse solver, when SA-AMG
   std::unique_ptr<SaAmg> amg_;
   const Preconditioner* vpc_ = nullptr;
   std::unique_ptr<BlockTriangularPc> pc_;

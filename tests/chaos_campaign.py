@@ -16,7 +16,9 @@ site observes), runs the scenario, and checks:
     warns "never fired" for armed-but-unfired specs, and the campaign treats
     that warning in a faulted run as a failure (a fault that never fires
     proves nothing);
-  * any site-specific log marker (e.g. "state healed" for the SDC heal).
+  * any site-specific log marker (e.g. "state healed" for the SDC heal);
+  * for a run that names expected `sdc` counts, the run's solver report
+    (written with --telemetry) holds exactly those counts.
 
 Two end-to-end SDC checks ride along (ISSUE 8 acceptance): a run with an
 injected `sdc.field_bitflip` / `sdc.krylov_drift` fault must be detected,
@@ -46,12 +48,13 @@ class Run:
     the taxonomy allows for it."""
 
     def __init__(self, flags=(), fault=None, expect=(0,), must_log=None,
-                 model=None):
+                 model=None, sdc=None):
         self.flags = list(flags)
         self.fault = fault
         self.expect = set(expect)
         self.must_log = must_log
         self.model = model  # None = the default sinker base run
+        self.sdc = sdc  # expected solver-report sdc counts (None = unchecked)
 
 
 def base_cmd(driver, model=None):
@@ -108,10 +111,11 @@ def scenarios(tmp):
         ],
         # SDC-tier (docs/ROBUSTNESS.md). Bit flips in sealed *model state*
         # are healed from the last good snapshot and replayed at the same dt
-        # (exit 0). A flip in sealed *operator* data fails the poisoned
-        # solve (post-solve seal verify) and heals by rebuilding the
-        # hierarchy on the same-dt replay -- unless the corruption recurs on
-        # every rebuild (count '*'), which exhausts the replays and exits 6.
+        # (exit 0). A flip in sealed *operator* data (-seal_operators true)
+        # fails the poisoned solve (post-solve seal verify) and heals by
+        # rebuilding the hierarchy on the same-dt replay -- one detection,
+        # one heal -- unless the corruption recurs on every rebuild (count
+        # '*'), which exhausts the replays and exits 6.
         # A Krylov recurrence drifted off the true residual trips the
         # sentinel and heals by same-dt replay; the end-to-end sentinel path
         # is the rifting model's energy GMRES (the Stokes outer is GCR).
@@ -123,10 +127,11 @@ def scenarios(tmp):
                 must_log="state healed"),
         ],
         "sdc.matrix_bitflip": [
-            Run(flags=["-scrub_every", "1"],
+            Run(flags=["-seal_operators", "true"],
                 fault="sdc.matrix_bitflip:1:error:1",
-                must_log="setup-immutable operator corrupted"),
-            Run(flags=["-scrub_every", "1"],
+                must_log="setup-immutable operator corrupted",
+                sdc={"detections": 1, "heals": 1}),
+            Run(flags=["-seal_operators", "true"],
                 fault="sdc.matrix_bitflip:1:error:*", expect={6},
                 must_log="beyond recovery"),
         ],
@@ -172,6 +177,10 @@ def sweep(driver, tmp, only=None):
             cmd = base_cmd(driver, run.model) + run.flags
             if run.fault:
                 cmd += ["-faults", run.fault]
+            telemetry = f"{tmp}/telemetry"
+            if run.sdc:
+                shutil.rmtree(telemetry, ignore_errors=True)
+                cmd += ["--telemetry", telemetry]
             code, out = run_driver(cmd)
             tag = f"{site}[{i}]"
             problems = []
@@ -186,6 +195,15 @@ def sweep(driver, tmp, only=None):
                                 "by this scenario)")
             if run.must_log and run.must_log not in out:
                 problems.append(f"log marker {run.must_log!r} not found")
+            if run.sdc:
+                try:
+                    with open(f"{telemetry}/solver_report.json") as f:
+                        got = json.load(f)["sdc"]
+                except (OSError, ValueError, KeyError) as e:
+                    got = {"unreadable report": str(e)}
+                if any(got.get(k) != n for k, n in run.sdc.items()):
+                    problems.append(f"report sdc section {got}, expected "
+                                    f"{run.sdc}")
             if problems:
                 failures.append(f"{tag}: " + "; ".join(problems) +
                                 f"\n  cmd: {' '.join(cmd)}\n--- output ---\n"
@@ -232,13 +250,13 @@ def check_heal_digests(driver, tmp):
         model="rifting")
     assert "diverged_sdc" in out, f"krylov_drift trip not logged:\n{out}"
     assert drift == rref, f"healed krylov_drift digest differs:\n{drift}\n{rref}"
-    # The sentinel and scrubber only *read*: enabling them on a clean run
-    # must not perturb the trajectory.
+    # The sentinel and the operator seals only *read*: enabling them on a
+    # clean run must not perturb the trajectory.
     clean, _ = final_state(driver, tmp, "clean",
-                           ["-sentinel_every", "2", "-scrub_every", "1"])
-    assert clean == ref, f"sentinel/scrub perturbed a clean run:\n{clean}\n{ref}"
+                           ["-sentinel_every", "2", "-seal_operators", "true"])
+    assert clean == ref, f"sentinel/seals perturbed a clean run:\n{clean}\n{ref}"
     print("ok   heal-digest identity (field_bitflip, krylov_drift, clean "
-          "sentinel+scrub)")
+          "sentinel+seals)")
 
 
 def check_typo_warning(driver):

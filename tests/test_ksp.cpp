@@ -362,6 +362,55 @@ TEST(EigEstimate, LaplacianLambdaMax) {
   EXPECT_LT(lmax, 2.01);
 }
 
+/// The power iteration as separate vector passes: D^{-1} scaling, norm2,
+/// copy_from and scale.
+Real lambda_max_unfused(const LinearOperator& a, const Vector& inv_diag,
+                        int iterations) {
+  const Index n = a.rows();
+  Vector v(n), w(n);
+  Rng rng(0xC0FFEEull);
+  for (Index i = 0; i < n; ++i) v[i] = rng.uniform(-1.0, 1.0);
+  v.scale(Real(1) / v.norm2());
+  Real lambda = 0.0;
+  for (int k = 0; k < iterations; ++k) {
+    a.apply(v, w);
+    w.pointwise_mult(inv_diag);
+    lambda = w.norm2();
+    if (!(lambda > 0.0)) return 0.0;
+    v.copy_from(w);
+    v.scale(Real(1) / lambda);
+  }
+  return lambda;
+}
+
+TEST(EigEstimate, FusedPassReplaysSeparatePassesBitwise) {
+  // A variable-coefficient operator over several reduction chunks, with a
+  // one-term last chunk.
+  const Index n = 4097;
+  Rng rng(11);
+  CooMatrix coo(n, n);
+  for (Index i = 0; i < n; ++i) {
+    coo.add(i, i, rng.uniform(2.0, 4.0));
+    if (i > 0) coo.add(i, i - 1, rng.uniform(-1.0, -0.5));
+    if (i + 1 < n) coo.add(i, i + 1, rng.uniform(-1.0, -0.5));
+  }
+  const CsrMatrix a = coo.to_csr();
+  const MatrixOperator op(&a);
+  Vector inv_diag = a.diagonal();
+  for (Index i = 0; i < n; ++i) inv_diag[i] = 1.0 / inv_diag[i];
+
+  const int saved = num_threads();
+  for (int nt : {1, 2, 8}) {
+    set_num_threads(nt);
+    const Real fused = estimate_lambda_max_jacobi(op, inv_diag, 12);
+    const Real unfused = lambda_max_unfused(op, inv_diag, 12);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fused),
+              std::bit_cast<std::uint64_t>(unfused))
+        << "threads " << nt << ": " << fused << " vs " << unfused;
+  }
+  set_num_threads(saved);
+}
+
 TEST(Chebyshev, SmootherReducesResidual) {
   CsrMatrix a = laplacian1d(128);
   MatrixOperator op(&a);

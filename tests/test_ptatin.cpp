@@ -39,22 +39,19 @@ PtatinOptions fast_options() {
 // --- model selection -------------------------------------------------------------
 
 TEST(ModelSelect, BuildsSinkerAndRiftingAndRejectsOtherModels) {
-  int axis = -1;
   const char* sinker[] = {"prog", "-m", "4"};
-  EXPECT_EQ(build_model_from_options(Options::from_args(3, sinker), axis)
-                .mesh.num_elements(),
-            64);
-  EXPECT_EQ(axis, 2);
+  const ModelSetup s = build_model_from_options(Options::from_args(3, sinker));
+  EXPECT_EQ(s.mesh.num_elements(), 64);
+  EXPECT_EQ(s.vertical_axis, 2);
   const char* rifting[] = {"prog", "-model", "rifting", "-mx", "4",
                            "-my",  "2",      "-mz",     "2"};
-  EXPECT_EQ(build_model_from_options(Options::from_args(9, rifting), axis)
-                .mesh.num_elements(),
-            16);
-  EXPECT_EQ(axis, 1);
+  const ModelSetup r =
+      build_model_from_options(Options::from_args(9, rifting));
+  EXPECT_EQ(r.mesh.num_elements(), 16);
+  EXPECT_EQ(r.vertical_axis, 1);
   for (const char* model : {"volcano", "subduction"}) {
     const char* argv[] = {"prog", "-model", model};
-    EXPECT_THROW(build_model_from_options(Options::from_args(3, argv), axis),
-                 Error)
+    EXPECT_THROW(build_model_from_options(Options::from_args(3, argv)), Error)
         << model;
   }
 }

@@ -794,29 +794,6 @@ TEST_F(Robustness, FlipLowMantissaBitIsFinitePlausibleAndInvertible) {
   EXPECT_EQ(sdc::flip_low_mantissa_bit(flipped), v);
 }
 
-TEST_F(Robustness, SealRegistryScopedLifecycleVerifyAllAndRearm) {
-  auto& reg = sdc::SealRegistry::instance();
-  const std::size_t size0 = reg.size();
-  std::vector<Real> buf(16, 2.0);
-  {
-    sdc::ScopedSeal seal("test.obj", [&buf] {
-      return std::vector<sdc::Region>{
-          {"data", buf.data(), buf.size() * sizeof(Real)}};
-    });
-    EXPECT_EQ(reg.size(), size0 + 1);
-    EXPECT_TRUE(reg.verify_all().empty());
-
-    buf[3] = sdc::flip_low_mantissa_bit(buf[3]);
-    std::vector<std::string> bad = reg.verify_all();
-    ASSERT_EQ(bad.size(), 1u);
-    EXPECT_EQ(bad[0], "test.obj/data"); // entry/region names localize it
-
-    seal.rearm(); // sanctioned mutation: blessed again
-    EXPECT_TRUE(reg.verify_all().empty());
-  }
-  EXPECT_EQ(reg.size(), size0); // RAII removal — no dangling provider
-}
-
 TEST_F(Robustness, IsSdcFailureClassifiesPrefixAndSentinelReason) {
   EXPECT_TRUE(sdc::is_sdc_failure("sdc: state corrupted"));
   EXPECT_TRUE(sdc::is_sdc_failure(
@@ -894,31 +871,6 @@ TEST_F(Robustness, SanctionedMutationDisarmsSealInsteadOfTripping) {
   EXPECT_TRUE(res.ok);
   EXPECT_TRUE(res.failures.empty());
   EXPECT_EQ(counter_value("sdc.detections") - detections0, 0);
-}
-
-TEST_F(Robustness, ScrubberFlagsCorruptedSetupImmutableObjectUnrecoverable) {
-  std::vector<Real> operator_data(128, 3.25);
-  sdc::ScopedSeal seal("test.operator", [&operator_data] {
-    return std::vector<sdc::Region>{{"values", operator_data.data(),
-                                     operator_data.size() * sizeof(Real)}};
-  });
-
-  PtatinContext ctx(make_sinker_model(tiny_sinker()), tiny_options());
-  SafeguardOptions sg;
-  sg.scrub_every = 1;
-  SafeguardedStepper stepper(ctx, sg);
-  ASSERT_TRUE(stepper.advance(0.004).ok); // clean scrub
-
-  operator_data[7] = sdc::flip_low_mantissa_bit(operator_data[7]);
-  const long long unrecovered0 = counter_value("sdc.unrecovered");
-  SafeguardedStepResult res = stepper.advance(0.004);
-  EXPECT_FALSE(res.ok); // no snapshot covers setup-immutable data
-  ASSERT_EQ(res.failures.size(), 1u);
-  EXPECT_EQ(res.failures[0].rfind("sdc:", 0), 0u) << res.failures[0];
-  EXPECT_NE(res.failures[0].find("test.operator/values"), std::string::npos)
-      << res.failures[0];
-  EXPECT_TRUE(sdc::is_sdc_failure(res.failures[0]));
-  EXPECT_EQ(counter_value("sdc.unrecovered") - unrecovered0, 1);
 }
 
 TEST_F(Robustness, KrylovSentinelTripsOnInjectedDriftInCgAndGmres) {
@@ -1029,10 +981,9 @@ TEST_F(Robustness, SdcSectionRoundTripsThroughJson) {
   auto& metrics = obs::MetricsRegistry::instance();
   metrics.reset_all();
   const std::pair<const char*, long long> counts[] = {
-      {"seals_armed", 42},   {"seal_verifies", 41},
-      {"scrubs", 7},         {"detections", 3},
-      {"heals", 2},          {"sentinel_checks", 500},
-      {"sentinel_trips", 1}, {"unrecovered", 1}};
+      {"seals_armed", 42},     {"seal_verifies", 41}, {"detections", 3},
+      {"heals", 2},            {"sentinel_checks", 500},
+      {"sentinel_trips", 1},   {"unrecovered", 1}};
   for (const auto& [key, n] : counts)
     metrics.counter(std::string("sdc.") + key).inc(n);
 
@@ -1045,10 +996,10 @@ TEST_F(Robustness, SdcSectionRoundTripsThroughJson) {
 }
 
 TEST_F(Robustness, SteppedRunReportCountsSealVerifiesLikeTheCounter) {
-  // -scrub_every 1 seals the multigrid operators, which every Stokes solve
-  // verifies, and sweeps the seal registry every step: the written report's
-  // sdc section must count those verifications, as the counter does.
-  const char* argv[] = {"test", "-scrub_every", "1"};
+  // -seal_operators true seals the multigrid operators, which every Stokes
+  // solve verifies: the written report's sdc section must count those
+  // verifications, as the counter does.
+  const char* argv[] = {"test", "-seal_operators", "true"};
   const SolverConfig cfg =
       SolverConfig::from_options(Options::from_args(3, argv));
   const auto ctx = cfg.make_context(make_sinker_model(tiny_sinker()));
@@ -1069,6 +1020,30 @@ TEST_F(Robustness, SteppedRunReportCountsSealVerifiesLikeTheCounter) {
             member(member(member(doc, "metrics"), "counters"),
                    "sdc.seal_verifies")
                 .as_number());
+}
+
+TEST_F(Robustness, SealedRunVerifiesEveryArmedOperatorSeal) {
+  // Each Stokes solve arms GMG's seal and its coarse SA-AMG's, and must
+  // verify both before the hierarchies die with the solver; the only other
+  // seal is the stepper's state seal, armed once per clean step and not
+  // counted as a verify.
+  const char* argv[] = {"test", "-seal_operators", "true"};
+  const SolverConfig cfg =
+      SolverConfig::from_options(Options::from_args(3, argv));
+  ASSERT_EQ(cfg.stokes().coarse_solve, GmgCoarseSolve::kAmg);
+  ASSERT_GE(cfg.stokes().gmg.levels, 2);
+  const auto ctx = cfg.make_context(make_sinker_model(tiny_sinker()));
+  const auto stepper = cfg.make_stepper(*ctx);
+  const long long armed0 = counter_value("sdc.seals_armed");
+  const long long verifies0 = counter_value("sdc.seal_verifies");
+  const long long mismatches0 = counter_value("sdc.seal_mismatches");
+  const int steps = 3;
+  for (int s = 0; s < steps; ++s) ASSERT_TRUE(stepper->advance(0.004).ok);
+  const long long armed = counter_value("sdc.seals_armed") - armed0;
+  const long long verifies = counter_value("sdc.seal_verifies") - verifies0;
+  EXPECT_GT(verifies, 0);
+  EXPECT_EQ(verifies, armed - steps);
+  EXPECT_EQ(counter_value("sdc.seal_mismatches") - mismatches0, 0);
 }
 
 // --- driver exit taxonomy ----------------------------------------------------
